@@ -42,7 +42,6 @@ from .user import (
     baseline_trust,
     build_user_fis,
     classify,
-    evaluate_user_trust,
     fit_user_clusters,
     request_rates,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "classify",
     "compare",
     "evaluate_provider",
-    "evaluate_user_trust",
     "fcm_fit",
     "feedback_ban",
     "fit_user_clusters",

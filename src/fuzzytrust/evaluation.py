@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import stats
@@ -167,20 +167,23 @@ def compare(
 ) -> EvaluationReport:
     """Evaluate ``model`` against the baseline formula over a test set.
 
-    ``model`` is anything with an ``evaluate(counters) -> float`` method
-    (a UserTrustModel) or a bare callable; baseline classes act as the
-    truth for the classification metrics.
+    ``model`` is a UserTrustModel, scored in one ``evaluate_batch`` call
+    over the whole test set, or anything with an ``evaluate(counters) ->
+    float`` method, or a bare callable, either called once per user;
+    baseline classes act as the truth for the classification metrics.
     """
     if len(test_set) == 0:
         raise EmptyTestSetError("compare needs at least one test user")
-    predict: Callable[[UserBehaviorCounters], float]
-    predict = model.evaluate if hasattr(model, "evaluate") else model
 
     start = time.perf_counter()
+    if hasattr(model, "evaluate_batch"):
+        predictions = model.evaluate_batch(test_set).tolist()
+    else:
+        predict = model.evaluate if hasattr(model, "evaluate") else model
+        predictions = [predict(counters) for counters in test_set]
     rows = []
-    for counters in test_set:
+    for counters, predicted in zip(test_set, predictions):
         truth = baseline_trust(request_rates(counters), weights)
-        predicted = predict(counters)
         rows.append(
             UserComparison(
                 user_id=counters.user_id,

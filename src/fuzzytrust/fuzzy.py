@@ -3,11 +3,32 @@
 Membership functions, linguistic variables, conjunctive rulebases,
 min/max inference and centroid defuzzification over a uniform output
 grid.  Systems are immutable after construction and safe to share
-across threads; repeated inference reuses a cached output-set grid.
+across threads.
 
 Operator choices: AND = min, implication = min (clip), aggregation =
 pointwise max, defuzzification = centroid sampled on ``defuzz_resolution``
 points.  All of them are the conventional Mamdani defaults.
+
+There is one inference path, ``FuzzyInferenceSystem.infer_batch``; a
+scalar ``infer`` is a batch of one row.  On first use a system compiles
+itself into arrays, once:
+
+- per input variable, a parameter table of its sets when they are all
+  Gaussian or all two-sided Gaussian (other variables evaluate each set
+  on the whole input column);
+- a rule -> antecedent-column index matrix into the (N, total sets)
+  degree matrix, padded with an extra column that always holds degree 1;
+- the rules sorted by consequent label, so the per-label max firing
+  strength is one ``np.maximum.reduceat``;
+- the output grid and the output sets sampled on it.
+
+``infer_batch`` maps an (N, n_inputs) matrix to N crisp values and
+returns NaN for a row whose aggregate has zero area (no rule fired);
+``infer`` raises ``DegenerateOutputError`` there instead.  Rows are
+processed in chunks whose (rows, labels, resolution) clip-max temporary
+holds at most ``_CHUNK_FLOATS`` floats (2 MB), or one row when a single
+row needs more.  Every reduction is row-wise, so a row's result does not
+depend on the other rows or on the chunking.
 """
 
 from __future__ import annotations
@@ -27,14 +48,17 @@ from .errors import DegenerateOutputError, MissingInputError
 # instead of producing a spurious zero-area aggregate.
 _EXP_CLAMP = 700.0
 
+# Upper bound on the floats in one chunk's clip-max temporary (2 MB).
+_CHUNK_FLOATS = 2**18
+
 
 def _eval_result(out: np.ndarray) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def _gauss(x: np.ndarray, center: float, sigma: float) -> np.ndarray:
-    z = (x - center) ** 2 / (2.0 * sigma * sigma)
-    return np.exp(-np.minimum(z, _EXP_CLAMP))
+def _gauss(x: np.ndarray, center, denom) -> np.ndarray:
+    """Gaussian degree with ``denom`` = 2 * sigma**2."""
+    return np.exp(-np.minimum((x - center) ** 2 / denom, _EXP_CLAMP))
 
 
 @dataclass(frozen=True)
@@ -50,7 +74,7 @@ class Gaussian:
 
     def __call__(self, x) -> float | np.ndarray:
         x = np.asarray(x, dtype=float)
-        return _eval_result(_gauss(x, self.center, self.sigma))
+        return _eval_result(_gauss(x, self.center, 2.0 * self.sigma * self.sigma))
 
     def prototype(self) -> float:
         return self.center
@@ -79,8 +103,8 @@ class TwoSidedGaussian:
         out = np.ones_like(x)
         lo = x < self.left_center
         hi = x > self.right_center
-        out = np.where(lo, _gauss(x, self.left_center, self.left_sigma), out)
-        out = np.where(hi, _gauss(x, self.right_center, self.right_sigma), out)
+        out = np.where(lo, _gauss(x, self.left_center, 2.0 * self.left_sigma * self.left_sigma), out)
+        out = np.where(hi, _gauss(x, self.right_center, 2.0 * self.right_sigma * self.right_sigma), out)
         return _eval_result(out)
 
     def prototype(self) -> float:
@@ -250,16 +274,39 @@ class LinguisticVariable:
                 return mf
         raise KeyError(f"variable {self.name!r} has no set {label!r}")
 
-    def clamp(self, x: float) -> float:
-        if not math.isfinite(x):
-            raise ValueError(f"variable {self.name!r}: non-finite input {x}")
-        lo, hi = self.domain
-        return min(max(float(x), lo), hi)
+    @cached_property
+    def _table(self) -> tuple | None:
+        """Per-set parameter arrays when every set is Gaussian or every set
+        is two-sided Gaussian; None for any other variable."""
+        mfs = [mf for _, mf in self.sets]
+        if all(type(mf) is Gaussian for mf in mfs):
+            return (
+                Gaussian,
+                np.array([mf.center for mf in mfs]),
+                np.array([2.0 * mf.sigma * mf.sigma for mf in mfs]),
+            )
+        if all(type(mf) is TwoSidedGaussian for mf in mfs):
+            return (
+                TwoSidedGaussian,
+                np.array([mf.left_center for mf in mfs]),
+                np.array([2.0 * mf.left_sigma * mf.left_sigma for mf in mfs]),
+                np.array([mf.right_center for mf in mfs]),
+                np.array([2.0 * mf.right_sigma * mf.right_sigma for mf in mfs]),
+            )
+        return None
 
-    def fuzzify(self, x: float) -> dict[str, float]:
-        """Degrees of the clamped input in every set."""
-        x = self.clamp(x)
-        return {label: float(mf(x)) for label, mf in self.sets}
+    def fuzzify(self, x: np.ndarray) -> np.ndarray:
+        """Degrees of the in-domain inputs ``x`` (shape (N,)) in every set,
+        shape (N, n_sets), columns in set declaration order."""
+        table = self._table
+        if table is None:
+            return np.stack([mf(x) for _, mf in self.sets], axis=1)
+        col = x[:, None]
+        if table[0] is Gaussian:
+            return _gauss(col, table[1], table[2])
+        _, left, left_denom, right, right_denom = table
+        lobe_hi = np.where(col > right, _gauss(col, right, right_denom), 1.0)
+        return np.where(col < left, _gauss(col, left, left_denom), lobe_hi)
 
     def to_dict(self) -> dict:
         return {
@@ -361,7 +408,7 @@ class FuzzyInferenceSystem:
                 raise ValueError(f"rule consequent variable {out_var!r} is not the output")
             self.output.mf(out_label)
 
-    @property
+    @cached_property
     def input_names(self) -> tuple[str, ...]:
         return tuple(v.name for v in self.inputs)
 
@@ -373,51 +420,86 @@ class FuzzyInferenceSystem:
         return xs
 
     @cached_property
-    def _output_set_grid(self) -> dict[str, np.ndarray]:
-        grid = {}
-        for label, mf in self.output.sets:
-            vals = np.asarray(mf(self._output_xs), dtype=float)
-            vals.setflags(write=False)
-            grid[label] = vals
-        return grid
+    def _compiled(self) -> "_CompiledRules":
+        labels = self.output.labels
+        offsets = np.cumsum([0] + [len(v.sets) for v in self.inputs])
+        one = int(offsets[-1])  # the padding column, always at degree 1
+        columns = {
+            (v.name, label): int(offsets[j]) + k
+            for j, v in enumerate(self.inputs)
+            for k, label in enumerate(v.labels)
+        }
+        width = max(len(rule.antecedents) for rule in self.rules)
+        ordered = sorted(self.rules, key=lambda rule: labels.index(rule.consequent[1]))
+        antecedents = np.full((len(ordered), width), one, dtype=np.intp)
+        for r, rule in enumerate(ordered):
+            antecedents[r, : len(rule.antecedents)] = [columns[a] for a in rule.antecedents]
+        fired = [labels.index(rule.consequent[1]) for rule in ordered]
+        starts = [r for r in range(len(fired)) if r == 0 or fired[r] != fired[r - 1]]
+        grid = np.stack([self.output.sets[fired[r]][1](self._output_xs) for r in starts])
+        return _CompiledRules(
+            lo=np.array([v.domain[0] for v in self.inputs]),
+            hi=np.array([v.domain[1] for v in self.inputs]),
+            offsets=tuple(int(o) for o in offsets),
+            antecedents=antecedents,
+            label_starts=np.array(starts, dtype=np.intp),
+            label_grid=grid,
+        )
 
-    def _rule_strengths(self, inputs: Mapping[str, float]) -> dict[str, float]:
-        """Max firing strength per output label (min-AND over antecedents)."""
-        declared = set(self.input_names)
-        given = set(inputs)
-        missing = sorted(declared - given)
+    def aggregate(self, rows: np.ndarray) -> np.ndarray:
+        """Pointwise max of the consequent sets clipped at their firing
+        strengths, for clamped input rows (n, n_inputs) -> (n, resolution)."""
+        c = self._compiled
+        degrees = np.empty((len(rows), c.offsets[-1] + 1))
+        for j, var in enumerate(self.inputs):
+            degrees[:, c.offsets[j] : c.offsets[j + 1]] = var.fuzzify(rows[:, j])
+        degrees[:, -1] = 1.0
+        strengths = degrees[:, c.antecedents].min(axis=2)  # min-AND, (n, rules)
+        clip = np.maximum.reduceat(strengths, c.label_starts, axis=1)  # (n, fired labels)
+        return np.minimum(clip[:, :, None], c.label_grid).max(axis=1)
+
+    def infer_batch(self, X) -> np.ndarray:
+        """Crisp outputs (N,) for input rows X (N, n_inputs), columns in
+        ``input_names`` order; NaN where no rule fired."""
+        X = np.asarray(X, dtype=float)
+        names = self.input_names
+        if X.ndim != 2:
+            raise ValueError(f"infer_batch needs an (N, {len(names)}) matrix, got shape {X.shape}")
+        if X.shape[1] < len(names):
+            raise MissingInputError(f"missing input values for: {', '.join(names[X.shape[1]:])}")
+        if X.shape[1] > len(names):
+            raise ValueError(f"unknown input variables: {X.shape[1] - len(names)} extra columns")
+        finite = np.isfinite(X)
+        if not finite.all():
+            row, col = np.argwhere(~finite)[0]
+            raise ValueError(f"variable {names[col]!r}: non-finite input {X[row, col]}")
+        c = self._compiled
+        X = np.clip(X, c.lo, c.hi)
+        xs = self._output_xs
+        step = max(1, _CHUNK_FLOATS // c.label_grid.size)
+        out = np.full(len(X), math.nan)
+        for start in range(0, len(X), step):
+            agg = self.aggregate(X[start : start + step])
+            area = agg.sum(axis=1)
+            np.divide((agg * xs).sum(axis=1), area, out=out[start : start + step], where=area != 0.0)
+        return out
+
+    def _check_names(self, given) -> None:
+        """Raise unless ``given`` names exactly the input variables."""
+        missing = [name for name in self.input_names if name not in given]
         if missing:
-            raise MissingInputError(f"missing input values for: {', '.join(missing)}")
-        unknown = sorted(given - declared)
-        if unknown:
+            raise MissingInputError(f"missing input values for: {', '.join(sorted(missing))}")
+        if len(given) != len(self.input_names):
+            unknown = sorted(set(given) - set(self.input_names))
             raise ValueError(f"unknown input variables: {', '.join(unknown)}")
-        degrees = {v.name: v.fuzzify(inputs[v.name]) for v in self.inputs}
-        best: dict[str, float] = {}
-        for rule in self.rules:
-            strength = min(degrees[var][label] for var, label in rule.antecedents)
-            label = rule.consequent[1]
-            if strength > best.get(label, 0.0):
-                best[label] = strength
-        return best
-
-    def aggregate(self, inputs: Mapping[str, float]) -> np.ndarray:
-        """Pointwise-max of consequent sets clipped at their firing strengths."""
-        best = self._rule_strengths(inputs)
-        grid = self._output_set_grid
-        agg = np.zeros(self.defuzz_resolution)
-        for label, _ in self.output.sets:  # fixed order: rule permutation invariant
-            strength = best.get(label, 0.0)
-            if strength > 0.0:
-                np.maximum(agg, np.minimum(strength, grid[label]), out=agg)
-        return agg
 
     def infer(self, inputs: Mapping[str, float]) -> float:
         """Crisp output: centroid of the aggregated fuzzy output."""
-        agg = self.aggregate(inputs)
-        area = float(agg.sum())
-        if area == 0.0:
+        self._check_names(inputs)
+        crisp = float(self.infer_batch([[inputs[name] for name in self.input_names]])[0])
+        if math.isnan(crisp):
             raise DegenerateOutputError("no rule fired: aggregated output has zero area")
-        return float(np.dot(self._output_xs, agg) / area)
+        return crisp
 
     def dominant_label(self, inputs: Mapping[str, float]) -> str:
         """Output set with the highest degree at the crisp value.
@@ -451,16 +533,12 @@ class FuzzyInferenceSystem:
             raise ValueError(f"fixed values collide with surface axes: {', '.join(overlap)}")
         xs = np.linspace(*by_name[var_x].domain, resolution)
         ys = np.linspace(*by_name[var_y].domain, resolution)
-        z = np.empty((resolution, resolution))
-        point = dict(fixed)
-        for i, x in enumerate(xs):
-            for j, y in enumerate(ys):
-                point[var_x] = float(x)
-                point[var_y] = float(y)
-                try:
-                    z[i, j] = self.infer(point)
-                except DegenerateOutputError:
-                    z[i, j] = math.nan
+        columns = {var_x: np.repeat(xs, resolution), var_y: np.tile(ys, resolution), **fixed}
+        self._check_names(columns)
+        X = np.empty((resolution * resolution, len(self.inputs)))
+        for j, name in enumerate(self.input_names):
+            X[:, j] = columns[name]
+        z = self.infer_batch(X).reshape(resolution, resolution)
         return SurfaceGrid(var_x, var_y, xs, ys, z)
 
     def with_resolution(self, resolution: int) -> "FuzzyInferenceSystem":
@@ -486,6 +564,18 @@ class FuzzyInferenceSystem:
             rules=tuple(FuzzyRule.from_dict(r) for r in data["rules"]),
             defuzz_resolution=int(data.get("defuzz_resolution", 1001)),
         )
+
+
+@dataclass(frozen=True, eq=False)
+class _CompiledRules:
+    """A system's rulebase as arrays; see the module docstring."""
+
+    lo: np.ndarray  # input domain bounds, (n_inputs,)
+    hi: np.ndarray
+    offsets: tuple[int, ...]  # input j's sets are degree columns offsets[j]:offsets[j + 1]
+    antecedents: np.ndarray  # (rules, max antecedents) degree columns, rules by consequent
+    label_starts: np.ndarray  # first rule of each fired label, for np.maximum.reduceat
+    label_grid: np.ndarray  # (fired labels, resolution) output sets on the output grid
 
 
 def save_fis(fis: FuzzyInferenceSystem, path) -> None:

@@ -11,6 +11,9 @@ Endpoints:
 Every body carries ``"schema": "tmm/1"``.  Decisions come from the
 fitted fuzzy model when one is configured, else from the baseline
 formula; with no fresh counters the latest stored record is served.
+The decision threshold is the service's configuration: a /decide body
+that carries ``threshold`` is refused with 400, as is a body that is not
+a JSON object or a negative ``Content-Length``.
 Providers whose negative-feedback share exceeds 40% report trust 0
 while their stored values stay intact.
 """
@@ -171,17 +174,12 @@ class TrustService:
             return self.user_model.evaluate(counters), "fis"
         return baseline_trust(request_rates(counters), self.config.weights), "baseline"
 
-    def decide(
-        self,
-        user_id: str,
-        counters: UserBehaviorCounters | None = None,
-        threshold: float | None = None,
-    ) -> DecisionResponse:
-        """Grant iff trust strictly exceeds the threshold and the subject
-        is not banned; every decision appends one audit record."""
+    def decide(self, user_id: str, counters: UserBehaviorCounters | None = None) -> DecisionResponse:
+        """Grant iff trust strictly exceeds the configured threshold and the
+        subject is not banned; every decision appends one audit record."""
         if not user_id:
             raise ValueError("user_id must be non-empty")
-        threshold = self.config.threshold if threshold is None else threshold
+        threshold = self.config.threshold
         banned = False
         if counters is not None:
             trust, model = self.evaluate_counters(counters)
@@ -273,10 +271,15 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _read_json(self) -> dict:
         length = int(self.headers.get("Content-Length", 0))
+        if length < 0:
+            raise ValueError(f"negative Content-Length {length}")
         raw = self.rfile.read(length) if length else b""
         if not raw:
             return {}
-        return json.loads(raw)
+        payload = json.loads(raw)
+        if not isinstance(payload, dict):
+            raise ValueError(f"body must be a JSON object, got {type(payload).__name__}")
+        return payload
 
     def do_GET(self):
         path = self.path.rstrip("/") or "/"
@@ -303,13 +306,13 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             if path == "/decide":
+                if "threshold" in payload:
+                    raise ValueError("the decision threshold is set by the service, not the request")
                 user_id = payload.get("user_id", "")
                 counters = None
                 if payload.get("counters") is not None:
                     counters = _counters_from_payload(user_id, payload["counters"])
-                response = self.service.decide(
-                    user_id, counters=counters, threshold=payload.get("threshold")
-                )
+                response = self.service.decide(user_id, counters=counters)
                 self._send(200, response.to_dict())
             elif path.startswith("/feedback/provider/"):
                 provider_id = path.removeprefix("/feedback/provider/")

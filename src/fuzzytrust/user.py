@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .clustering import ClusterConfig, ClusterModel, apply_normalization, fcm_fit, normalize
-from .errors import InvalidModelError, ZeroTotalRequestsError
+from .errors import DegenerateOutputError, InvalidModelError, ZeroTotalRequestsError
 from .fuzzy import FuzzyInferenceSystem, FuzzyRule, Gaussian, LinguisticVariable, Triangular
 
 DEFAULT_THRESHOLD = 0.5
@@ -32,6 +33,7 @@ USER_FIS_INPUTS = (
     ("bogus_requests", 1),
     ("total_requests", 3),
 )
+_FEATURE_OF_INPUT = dict(USER_FIS_INPUTS)
 
 
 @dataclass(frozen=True)
@@ -174,20 +176,6 @@ def build_user_fis(model: ClusterModel, defuzz_resolution: int = 1001) -> FuzzyI
     )
 
 
-def evaluate_user_trust(
-    fis: FuzzyInferenceSystem,
-    counters: UserBehaviorCounters,
-    norm_params,
-) -> float:
-    """Normalize the four count features with the training parameters
-    (clamped into [0, 1]) and run the fuzzy model."""
-    if counters.tr == 0:
-        raise ZeroTotalRequestsError(f"user {counters.user_id!r} has no requests in the window")
-    features = apply_normalization(counters.feature_vector()[None, :], norm_params[:4])[0]
-    inputs = {var_name: float(features[col]) for var_name, col in USER_FIS_INPUTS}
-    return fis.infer(inputs)
-
-
 @dataclass(frozen=True)
 class UserTrustModel:
     """Deployable bundle: the fitted rulebase plus the normalization
@@ -200,9 +188,36 @@ class UserTrustModel:
         object.__setattr__(self, "norm_params", tuple((float(a), float(b)) for a, b in self.norm_params))
         if len(self.norm_params) < 4:
             raise InvalidModelError("user trust model needs normalization parameters for 4 features")
+        if sorted(self.fis.input_names) != sorted(_FEATURE_OF_INPUT):
+            raise InvalidModelError(
+                f"user trust rulebase inputs must be {sorted(_FEATURE_OF_INPUT)}, "
+                f"got {sorted(self.fis.input_names)}"
+            )
+
+    def _inputs(self, counters_seq: Sequence[UserBehaviorCounters]) -> np.ndarray:
+        """One row of rulebase inputs per user, in the rulebase's input
+        order: the four count features normalized with the training
+        parameters (clamped into [0, 1])."""
+        for counters in counters_seq:
+            if counters.tr == 0:
+                raise ZeroTotalRequestsError(f"user {counters.user_id!r} has no requests in the window")
+        counts = np.array([[c.bar, c.bor, c.uar, c.tr] for c in counters_seq], dtype=float).reshape(-1, 4)
+        features = apply_normalization(counts, self.norm_params[:4])
+        return features[:, [_FEATURE_OF_INPUT[name] for name in self.fis.input_names]]
 
     def evaluate(self, counters: UserBehaviorCounters) -> float:
-        return evaluate_user_trust(self.fis, counters, self.norm_params)
+        return self.fis.infer(dict(zip(self.fis.input_names, self._inputs([counters])[0])))
+
+    def evaluate_batch(self, counters_seq: Sequence[UserBehaviorCounters]) -> np.ndarray:
+        """``evaluate`` of every user, as one ``infer_batch``; equal to the
+        per-user results bit for bit."""
+        trust = self.fis.infer_batch(self._inputs(counters_seq))
+        degenerate = np.flatnonzero(np.isnan(trust))
+        if degenerate.size:
+            raise DegenerateOutputError(
+                f"user {counters_seq[degenerate[0]].user_id!r}: no rule fired: aggregated output has zero area"
+            )
+        return trust
 
     @classmethod
     def from_cluster_model(cls, model: ClusterModel) -> "UserTrustModel":

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fuzzytrust.fuzzy as fuzzy_module
 from fuzzytrust.errors import DegenerateOutputError, MissingInputError
 from fuzzytrust.fuzzy import (
     FuzzyInferenceSystem,
@@ -414,3 +415,101 @@ def test_property_centroid_in_domain_and_deterministic(seed):
     lo, hi = fis.output.domain
     assert lo <= crisp <= hi
     assert fis.infer(inputs) == crisp
+
+
+def _input_matrix(rng, fis, n):
+    return np.array([[random_inputs(rng, fis)[name] for name in fis.input_names] for _ in range(n)])
+
+
+class TestInferBatch:
+    def test_scalar_infer_is_a_batch_of_one_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        checked = 0
+        for _ in range(40):
+            fis = random_fis(rng, max_rules=40)
+            inputs = random_inputs(rng, fis)
+            batch = fis.infer_batch([[inputs[name] for name in fis.input_names]])
+            assert batch.shape == (1,)
+            try:
+                crisp = fis.infer(inputs)
+            except DegenerateOutputError:
+                assert math.isnan(batch[0])
+                continue
+            assert crisp == batch[0]
+            checked += 1
+        assert checked >= 20
+
+    def test_degenerate_rows_are_nan(self):
+        fis = single_rule_fis(
+            (("mid", Triangular(0.4, 0.5, 0.6)),),
+            "mid",
+            antecedent_mf=Triangular(0.0, 0.1, 0.2),
+        )
+        out = fis.infer_batch([[0.9], [0.1], [0.95]])
+        assert math.isnan(out[0]) and math.isnan(out[2])
+        assert out[1] == fis.infer({"x": 0.1})
+
+    def test_empty_batch(self):
+        fis = single_rule_fis((("mid", Triangular(0.4, 0.5, 0.6)),), "mid")
+        assert fis.infer_batch(np.empty((0, 1))).shape == (0,)
+
+    def test_raises_what_the_scalar_path_raises(self):
+        two = FuzzyInferenceSystem(
+            inputs=(
+                LinguisticVariable("a", (0.0, 1.0), (("on", Gaussian(0.5, 0.3)),)),
+                LinguisticVariable("b", (0.0, 1.0), (("on", Gaussian(0.5, 0.3)),)),
+            ),
+            output=LinguisticVariable("z", (0.0, 1.0), (("mid", Triangular(0.4, 0.5, 0.6)),)),
+            rules=(FuzzyRule((("a", "on"), ("b", "on")), ("z", "mid")),),
+        )
+        with pytest.raises(MissingInputError, match="b"):
+            two.infer_batch([[0.5]])
+        with pytest.raises(ValueError, match="unknown input"):
+            two.infer_batch([[0.5, 0.5, 0.5]])
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                two.infer_batch([[0.5, 0.5], [0.5, bad]])
+            with pytest.raises(ValueError, match="non-finite"):
+                two.infer({"a": 0.5, "b": bad})
+        with pytest.raises(ValueError):
+            two.infer_batch([0.5, 0.5])
+
+    def test_table_and_per_set_fuzzify_agree_bit_for_bit(self):
+        x = np.linspace(-20.0, 120.0, 301)
+        for mfs in (
+            (Gaussian(10.0, 4.0), Gaussian(50.0, 0.5), Gaussian(90.0, 30.0)),
+            (TwoSidedGaussian(0.0, 5.0, 20.0, 3.0), TwoSidedGaussian(40.0, 1.0, 40.0, 9.0)),
+        ):
+            var = LinguisticVariable("v", (0.0, 100.0), tuple((f"s{i}", mf) for i, mf in enumerate(mfs)))
+            assert var._table is not None
+            expected = np.stack([mf(x) for mf in mfs], axis=1)
+            assert np.array_equal(var.fuzzify(x), expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(1, 40))
+def test_property_batch_rows_independent_of_order_and_chunking(seed, n):
+    """Each row's result is the same whether it is inferred alone, in a
+    reversed batch, or with one row per chunk (random_fis covers all five
+    shape families and rules that leave out inputs)."""
+    rng = np.random.default_rng(seed)
+    fis = random_fis(rng, max_rules=40)
+    X = _input_matrix(rng, fis, n)
+    batch = fis.infer_batch(X)
+    assert np.array_equal(fis.infer_batch(X[::-1])[::-1], batch, equal_nan=True)
+    alone = np.array([fis.infer_batch(X[i : i + 1])[0] for i in range(n)])
+    assert np.array_equal(alone, batch, equal_nan=True)
+    saved = fuzzy_module._CHUNK_FLOATS
+    fuzzy_module._CHUNK_FLOATS = 1
+    try:
+        assert np.array_equal(fis.infer_batch(X), batch, equal_nan=True)
+    finally:
+        fuzzy_module._CHUNK_FLOATS = saved
+
+
+def test_surface_cells_equal_scalar_infer_bit_for_bit():
+    fis = TestSurface()._simple_fis()
+    grid = fis.surface("a", "b", resolution=5)
+    for i, x in enumerate(grid.xs):
+        for j, y in enumerate(grid.ys):
+            assert grid.z[i, j] == fis.infer({"a": float(x), "b": float(y)})

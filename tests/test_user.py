@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 
 from fuzzytrust.clustering import ClusterConfig
 from fuzzytrust.errors import InvalidModelError, ZeroTotalRequestsError
-from fuzzytrust.fuzzy import Gaussian, Triangular
+from fuzzytrust.evaluation import compare
+from fuzzytrust.fuzzy import FuzzyInferenceSystem, FuzzyRule, Gaussian, LinguisticVariable, Triangular
 from fuzzytrust.ingest import CorpusSpec, corpus_matrix, generate_corpus
 from fuzzytrust.user import (
     RequestRates,
@@ -17,7 +19,6 @@ from fuzzytrust.user import (
     baseline_trust,
     build_user_fis,
     classify,
-    evaluate_user_trust,
     fit_user_clusters,
     load_user_model,
     request_rates,
@@ -220,7 +221,7 @@ class TestEvaluateUserTrust:
         fis = build_user_fis(two_cluster_model)
         # raw counts that normalize exactly onto cluster 0's coordinates
         counters = UserBehaviorCounters(user_id="u", bar=5, bor=5, uar=5, tr=150)
-        crisp = evaluate_user_trust(fis, counters, two_cluster_model.norm_params)
+        crisp = UserTrustModel(fis, two_cluster_model.norm_params).evaluate(counters)
         apex = two_cluster_model.centers[0, 4]
         assert abs(crisp - apex) < 0.05
         inputs = {
@@ -234,14 +235,14 @@ class TestEvaluateUserTrust:
     def test_hostile_center_maps_to_low_trust(self, two_cluster_model):
         fis = build_user_fis(two_cluster_model)
         counters = UserBehaviorCounters(user_id="u", bar=70, bor=60, uar=80, tr=350)
-        crisp = evaluate_user_trust(fis, counters, two_cluster_model.norm_params)
+        crisp = UserTrustModel(fis, two_cluster_model.norm_params).evaluate(counters)
         assert abs(crisp - two_cluster_model.centers[1, 4]) < 0.05
 
     def test_zero_total(self, two_cluster_model):
         fis = build_user_fis(two_cluster_model)
         with pytest.raises(ZeroTotalRequestsError):
-            evaluate_user_trust(
-                fis, UserBehaviorCounters(user_id="u", uar=0, bor=0, bar=0, tr=0), two_cluster_model.norm_params
+            UserTrustModel(fis, two_cluster_model.norm_params).evaluate(
+                UserBehaviorCounters(user_id="u", uar=0, bor=0, bar=0, tr=0)
             )
 
     def test_output_bounded_for_random_counters(self, two_cluster_user_model):
@@ -252,6 +253,82 @@ class TestEvaluateUserTrust:
             counters = UserBehaviorCounters("u", int(split[0]), int(split[1]), int(split[2]), tr)
             trust = two_cluster_user_model.evaluate(counters)
             assert 0.0 <= trust <= 1.0 and math.isfinite(trust)
+
+
+def _random_counters(rng, n):
+    users = []
+    for i in range(n):
+        tr = int(rng.integers(1, 600))
+        split = rng.multinomial(tr, [0.15, 0.15, 0.15, 0.55])
+        users.append(UserBehaviorCounters(f"u{i}", int(split[0]), int(split[1]), int(split[2]), tr))
+    return users
+
+
+class TestEvaluateBatch:
+    def test_equals_per_user_evaluate_bit_for_bit(self, two_cluster_user_model):
+        users = _random_counters(np.random.default_rng(8), 60)
+        batch = two_cluster_user_model.evaluate_batch(users)
+        assert batch.tolist() == [two_cluster_user_model.evaluate(c) for c in users]
+
+    def test_compare_rows_equal_evaluate(self, two_cluster_user_model):
+        users = _random_counters(np.random.default_rng(9), 40)
+        report = compare(users, two_cluster_user_model)
+        assert [r.predicted for r in report.rows] == [two_cluster_user_model.evaluate(c) for c in users]
+        # the per-user fallback for bare callables gives the same rows
+        fallback = compare(users, two_cluster_user_model.evaluate)
+        assert fallback.rows == report.rows
+
+    def test_zero_total_raises_like_evaluate(self, two_cluster_user_model):
+        users = _random_counters(np.random.default_rng(10), 5)
+        users.insert(3, UserBehaviorCounters(user_id="idle", uar=0, bor=0, bar=0, tr=0))
+        with pytest.raises(ZeroTotalRequestsError, match="idle"):
+            two_cluster_user_model.evaluate_batch(users)
+
+    def test_empty_batch(self, two_cluster_user_model):
+        assert two_cluster_user_model.evaluate_batch([]).shape == (0,)
+
+    def test_rulebase_must_take_the_user_inputs(self, two_cluster_user_model):
+        fis = two_cluster_user_model.fis
+        old_name = fis.inputs[0].name
+
+        def rename(rule):
+            antecedents = tuple(("other" if v == old_name else v, s) for v, s in rule.antecedents)
+            return FuzzyRule(antecedents, rule.consequent)
+
+        renamed = dataclasses.replace(
+            fis,
+            inputs=(dataclasses.replace(fis.inputs[0], name="other"),) + fis.inputs[1:],
+            rules=tuple(rename(r) for r in fis.rules),
+        )
+        with pytest.raises(InvalidModelError):
+            UserTrustModel(renamed, two_cluster_user_model.norm_params)
+
+
+class TestTracedCallChain:
+    """The per-layer benchmark wraps these methods by name on their classes
+    and derives its figures from the spans of each; a refactor that stops
+    calling one of them breaks its traced runs."""
+
+    def test_evaluate_reaches_infer_aggregate_and_fuzzify(self, monkeypatch, two_cluster_user_model):
+        calls = {"infer": 0, "aggregate": 0, "fuzzify": 0}
+        for cls, attr in (
+            (FuzzyInferenceSystem, "infer"),
+            (FuzzyInferenceSystem, "aggregate"),
+            (LinguisticVariable, "fuzzify"),
+        ):
+            original = vars(cls)[attr]
+
+            def counted(*args, _original=original, _attr=attr, **kwargs):
+                calls[_attr] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(cls, attr, counted)
+        assert "evaluate" in vars(UserTrustModel)
+
+        two_cluster_user_model.evaluate(UserBehaviorCounters("u", uar=3, bor=2, bar=1, tr=40))
+        assert calls["infer"] == 1
+        assert calls["aggregate"] >= 1
+        assert calls["fuzzify"] == len(two_cluster_user_model.fis.inputs)
 
 
 class TestUserTrustModelBundle:
