@@ -20,9 +20,7 @@ from .fuzzy import (
     ShoulderRight,
     Triangular,
     TwoSidedGaussian,
-    load_fis,
     membership_degree,
-    save_fis,
 )
 from .ingest import CorpusSpec, generate_corpus, ingest_log
 from .provider import (
@@ -84,10 +82,8 @@ __all__ = [
     "fit_user_clusters",
     "generate_corpus",
     "ingest_log",
-    "load_fis",
     "membership_degree",
     "membership_row",
     "normalize",
     "request_rates",
-    "save_fis",
 ]

@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 data/model errors, 2 usage errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -24,7 +25,7 @@ from datetime import datetime
 
 from . import clustering, evaluation, ingest, provider, service, user
 from .errors import FuzzyTrustError
-from .store import TrustRecord, TrustStore, utc_now_iso
+from .store import TrustRecord, TrustStore, load_artifact, save_artifact, utc_now_iso
 
 
 def _weights(args) -> user.TrustWeights:
@@ -83,13 +84,13 @@ def cmd_gen_corpus(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    counters = ingest.read_corpus_csv(args.train)
+    counters = ingest.read_counters_csv(args.train)
     matrix = ingest.corpus_matrix(counters, _weights(args))
     cfg = clustering.ClusterConfig(
         c=args.clusters, m=args.fuzzifier, tol=args.tol, max_iter=args.max_iter, seed=args.seed
     )
     model = user.fit_user_clusters(matrix, cfg)
-    clustering.save_model(model, args.out)
+    save_artifact(model, args.out)
     print(
         f"fitted {model.c} clusters over {matrix.shape[0]} users in "
         f"{len(model.objective_trace)} iterations; wrote {args.out}"
@@ -98,7 +99,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_build_user_fis(args) -> int:
-    model = clustering.load_model(args.model)
+    model = load_artifact(clustering.ClusterModel, args.model)
     bundle = user.UserTrustModel.from_cluster_model(model)
     user.save_user_model(bundle, args.out)
     print(
@@ -124,7 +125,8 @@ def cmd_eval_user(args) -> int:
         evaluated_at=utc_now_iso(),
     )
     if args.store:
-        TrustStore(args.store).put(record)
+        with contextlib.closing(TrustStore(args.store)) as store:
+            store.put(record)
     print(json.dumps(record.to_dict(), indent=2))
     return 0
 
@@ -151,29 +153,30 @@ def cmd_eval_provider(args) -> int:
         "banned": banned,
     }
     if args.store:
-        TrustStore(args.store).put(
-            TrustRecord(
-                subject_id=args.provider_id,
-                subject_kind="provider",
-                trust=assessment.trust,
-                classification="banned" if banned else user.classify(assessment.trust, args.threshold),
-                model="fis",
-                evaluated_at=utc_now_iso(),
+        with contextlib.closing(TrustStore(args.store)) as store:
+            store.put(
+                TrustRecord(
+                    subject_id=args.provider_id,
+                    subject_kind="provider",
+                    trust=assessment.trust,
+                    classification="banned" if banned else user.classify(assessment.trust, args.threshold),
+                    model="fis",
+                    evaluated_at=utc_now_iso(),
+                )
             )
-        )
     print(json.dumps(result, indent=2))
     return 0
 
 
 def cmd_compare(args) -> int:
-    test_set = ingest.read_corpus_csv(args.test)
+    test_set = ingest.read_counters_csv(args.test)
+    if not test_set:
+        raise FuzzyTrustError(f"{args.test}: no test users")
     model = user.load_user_model(args.user_model)
     report = evaluation.compare(test_set, model, threshold=args.threshold, weights=_weights(args))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
-            fh.write("\n")
-    print(report.to_json(include_rows=False))
+        save_artifact(report, args.out)
+    print(json.dumps(report.to_dict(include_rows=False), indent=2))
     print(f"summary csv (time,mae%,rmse%,precision,recall,f1): {report.summary_csv_row()}")
     return 0
 
@@ -219,9 +222,9 @@ def cmd_gate(args) -> int:
         user_model_path=args.user_model,
         threshold=args.threshold,
     )
-    svc = service.TrustService(config)
     counters = _counters(args)
-    response = svc.decide(counters.user_id, counters=counters)
+    with contextlib.closing(service.TrustService(config)) as svc:
+        response = svc.decide(counters.user_id, counters=counters)
     print(json.dumps(response.to_dict(), indent=2))
     return 0
 

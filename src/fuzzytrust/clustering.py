@@ -9,12 +9,12 @@ models.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyDataError, NonFiniteDataError, TooFewPointsError
+from .store import check_format
 
 SPREAD_FLOOR = 0.01  # keeps generated Gaussian input sets non-degenerate
 
@@ -84,8 +84,7 @@ class ClusterModel:
 
     @classmethod
     def from_dict(cls, data) -> "ClusterModel":
-        if data.get("format") != "cluster-model":
-            raise ValueError("not a cluster model document")
+        check_format(data, "cluster-model")
         return cls(
             centers=np.array(data["centers"], dtype=float),
             spreads=np.array(data["spreads"], dtype=float),
@@ -94,17 +93,6 @@ class ClusterModel:
             objective_trace=tuple(data["objective_trace"]),
             config=ClusterConfig(**data["config"]),
         )
-
-
-def save_model(model: ClusterModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model.to_dict(), fh, indent=2)
-        fh.write("\n")
-
-
-def load_model(path) -> ClusterModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return ClusterModel.from_dict(json.load(fh))
 
 
 def normalize(data: np.ndarray) -> tuple[np.ndarray, tuple[tuple[float, float], ...]]:

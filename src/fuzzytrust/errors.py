@@ -63,19 +63,11 @@ class NotFoundError(FuzzyTrustError):
 
 
 class StoreCorruptError(FuzzyTrustError):
-    """The trust store contains an unreadable line."""
+    """An unreadable line in a trust store or feedback ledger, named by file and 1-based line."""
 
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, path, line: int, message: str):
+        super().__init__(f"{path}, line {line}: {message}")
         self.line = line
-
-
-class EmptyTestSetError(FuzzyTrustError):
-    """An evaluation was requested over zero samples."""
-
-
-class LengthMismatchError(FuzzyTrustError):
-    """Truth and prediction sequences differ in length."""
 
 
 class NoTrustAvailableError(FuzzyTrustError):
@@ -85,7 +77,3 @@ class NoTrustAvailableError(FuzzyTrustError):
 
 class ModelLoadFailureError(FuzzyTrustError):
     """A model artifact is missing or partial; the service refuses to start."""
-
-
-class BindFailureError(FuzzyTrustError):
-    """The service could not bind its listen address."""

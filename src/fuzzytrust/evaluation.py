@@ -7,7 +7,6 @@ detect misbehaving users.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -15,7 +14,7 @@ from typing import Sequence
 import numpy as np
 from scipy import stats
 
-from .errors import EmptyTestSetError, LengthMismatchError
+from .errors import FuzzyTrustError
 from .user import (
     DEFAULT_THRESHOLD,
     DEFAULT_WEIGHTS,
@@ -44,9 +43,9 @@ def classification_metrics(truth: Sequence[str], predicted: Sequence[str]) -> Cl
     of raising.
     """
     if len(truth) != len(predicted):
-        raise LengthMismatchError(f"truth has {len(truth)} labels, predicted has {len(predicted)}")
+        raise FuzzyTrustError(f"truth has {len(truth)} labels, predicted has {len(predicted)}")
     if len(truth) == 0:
-        raise EmptyTestSetError("classification metrics need at least one sample")
+        raise FuzzyTrustError("classification metrics need at least one sample")
     tp = sum(1 for t, p in zip(truth, predicted) if t == POSITIVE_CLASS and p == POSITIVE_CLASS)
     fp = sum(1 for t, p in zip(truth, predicted) if t != POSITIVE_CLASS and p == POSITIVE_CLASS)
     fn = sum(1 for t, p in zip(truth, predicted) if t == POSITIVE_CLASS and p != POSITIVE_CLASS)
@@ -141,9 +140,6 @@ class EvaluationReport:
             ]
         return data
 
-    def to_json(self, include_rows: bool = True) -> str:
-        return json.dumps(self.to_dict(include_rows=include_rows), indent=2)
-
     def summary_csv_row(self) -> str:
         """time, MAE %, RMSE %, precision, recall, F1 on one line."""
         return ",".join(
@@ -173,7 +169,7 @@ def compare(
     baseline classes act as the truth for the classification metrics.
     """
     if len(test_set) == 0:
-        raise EmptyTestSetError("compare needs at least one test user")
+        raise FuzzyTrustError("compare needs at least one test user")
 
     start = time.perf_counter()
     if hasattr(model, "evaluate_batch"):

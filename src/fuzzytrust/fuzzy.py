@@ -33,7 +33,6 @@ depend on the other rows or on the chunking.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -42,6 +41,7 @@ from typing import Iterator, Mapping, Union
 import numpy as np
 
 from .errors import DegenerateOutputError, MissingInputError
+from .store import check_format
 
 # exp(-z) underflows to exactly 0.0 near z ~ 745; clamping keeps far-field
 # Gaussian degrees positive so fully off-manifold inputs still fire weakly
@@ -556,8 +556,7 @@ class FuzzyInferenceSystem:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "FuzzyInferenceSystem":
-        if data.get("format") != "fis":
-            raise ValueError("not a fuzzy inference system document")
+        check_format(data, "fis")
         return cls(
             inputs=tuple(LinguisticVariable.from_dict(v) for v in data["inputs"]),
             output=LinguisticVariable.from_dict(data["output"]),
@@ -577,13 +576,3 @@ class _CompiledRules:
     label_starts: np.ndarray  # first rule of each fired label, for np.maximum.reduceat
     label_grid: np.ndarray  # (fired labels, resolution) output sets on the output grid
 
-
-def save_fis(fis: FuzzyInferenceSystem, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(fis.to_dict(), fh, indent=2)
-        fh.write("\n")
-
-
-def load_fis(path) -> FuzzyInferenceSystem:
-    with open(path, "r", encoding="utf-8") as fh:
-        return FuzzyInferenceSystem.from_dict(json.load(fh))

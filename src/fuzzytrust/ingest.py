@@ -7,7 +7,7 @@ Log CSV:     header ``timestamp,user_id,status``
              else, out-of-range fields such as hour 24 included, raises
              ``ParseError`` naming the line.
 Counters CSV: header ``user_id,bad,bogus,unauthorized,total``
-Corpus CSV:  header ``bad,bogus,unauthorized,total,trust``
+Corpus CSV:  header ``bad,bogus,unauthorized,total,trust`` (both read by ``read_counters_csv``)
 """
 
 from __future__ import annotations
@@ -201,31 +201,6 @@ def write_corpus_csv(path, counters, weights: TrustWeights = DEFAULT_WEIGHTS) ->
             writer.writerow([int(bad), int(bogus), int(unauthorized), int(total), repr(float(trust))])
 
 
-def read_corpus_csv(path) -> list[UserBehaviorCounters]:
-    """Counters from a corpus CSV; the trust column is ignored (it is
-    recomputable from the counts)."""
-    counters = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"bad", "bogus", "unauthorized", "total"}
-        if reader.fieldnames is None or not required.issubset(set(reader.fieldnames)):
-            raise ParseError("header must contain bad,bogus,unauthorized,total", 1)
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                counters.append(
-                    UserBehaviorCounters(
-                        user_id=f"row-{lineno - 1:04d}",
-                        bar=int(row["bad"]),
-                        bor=int(row["bogus"]),
-                        uar=int(row["unauthorized"]),
-                        tr=int(row["total"]),
-                    )
-                )
-            except (ValueError, TypeError) as exc:
-                raise ParseError(str(exc), lineno) from None
-    return counters
-
-
 def write_counters_csv(path, counters: list[UserBehaviorCounters]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -235,17 +210,21 @@ def write_counters_csv(path, counters: list[UserBehaviorCounters]) -> None:
 
 
 def read_counters_csv(path) -> list[UserBehaviorCounters]:
+    """Counters from a counters CSV or a corpus CSV.  Without a
+    ``user_id`` column the users are named ``row-NNNN`` by data row; a
+    ``trust`` column is ignored (it is recomputable from the counts)."""
     counters = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        required = {"user_id", "bad", "bogus", "unauthorized", "total"}
+        required = {"bad", "bogus", "unauthorized", "total"}
         if reader.fieldnames is None or not required.issubset(set(reader.fieldnames)):
-            raise ParseError("header must contain user_id,bad,bogus,unauthorized,total", 1)
+            raise ParseError("header must contain bad,bogus,unauthorized,total", 1)
+        named = "user_id" in reader.fieldnames
         for lineno, row in enumerate(reader, start=2):
             try:
                 counters.append(
                     UserBehaviorCounters(
-                        user_id=row["user_id"],
+                        user_id=row["user_id"] if named else f"row-{lineno - 1:04d}",
                         bar=int(row["bad"]),
                         bor=int(row["bogus"]),
                         uar=int(row["unauthorized"]),

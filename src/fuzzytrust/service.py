@@ -11,6 +11,11 @@ Endpoints:
 Every body carries ``"schema": "tmm/1"``.  Decisions come from the
 fitted fuzzy model when one is configured, else from the baseline
 formula; with no fresh counters the latest stored record is served.
+Users and providers are separate namespaces: the store is looked up by
+(kind, id), so a user decision under a provider's id neither reads nor
+hides the provider's record.  A user whose latest stored record is
+``banned`` is denied with or without fresh counters, and the record each
+decision appends keeps the ban.
 The decision threshold is the service's configuration: a /decide body
 that carries ``threshold`` is refused with 400, as is a body that is not
 a JSON object or a negative ``Content-Length``.
@@ -25,10 +30,8 @@ import os
 import threading
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from pathlib import Path
 
 from .errors import (
-    BindFailureError,
     FuzzyTrustError,
     ModelLoadFailureError,
     NoTrustAvailableError,
@@ -36,7 +39,7 @@ from .errors import (
     ZeroTotalRequestsError,
 )
 from .provider import feedback_ban
-from .store import TrustRecord, TrustStore, utc_now_iso
+from .store import JsonlLog, TrustRecord, TrustStore, utc_now_iso
 from .user import (
     DEFAULT_THRESHOLD,
     DEFAULT_WEIGHTS,
@@ -50,6 +53,7 @@ from .user import (
 )
 
 SCHEMA = "tmm/1"
+LEDGER_VERSION = 1
 
 ENV_STORE = "FUZZYTRUST_STORE"
 ENV_FEEDBACK = "FUZZYTRUST_FEEDBACK"
@@ -105,43 +109,37 @@ class DecisionResponse:
         }
 
 
+def _feedback_slot(feedback: str) -> int:  # tally index: 0 positive, 1 negative
+    if feedback not in ("positive", "negative"):
+        raise ValueError(f"feedback must be positive or negative, got {feedback!r}")
+    return int(feedback == "negative")
+
+
 class FeedbackLedger:
-    """Append-only provider feedback log with in-memory tallies.
+    """Provider feedback in a ``JsonlLog`` with in-memory tallies.
 
     The ratio is a pure function of the feedback multiset, so replaying
     the log in any order gives the same tallies.
     """
 
     def __init__(self, path):
-        self.path = Path(path)
         self._lock = threading.Lock()
         self._tallies: dict[str, list[int]] = {}  # provider -> [positive, negative]
-        if self.path.exists():
-            with open(self.path, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    data = json.loads(line)
-                    self._apply(data["provider_id"], data["feedback"])
+        self._log = JsonlLog(path, self._fold)
 
-    def _apply(self, provider_id: str, feedback: str) -> None:
-        tally = self._tallies.setdefault(provider_id, [0, 0])
-        tally[0 if feedback == "positive" else 1] += 1
+    def _fold(self, data: dict) -> None:
+        if data["v"] != LEDGER_VERSION:
+            raise ValueError(f"unsupported ledger version {data['v']!r}")
+        self._tallies.setdefault(data["provider_id"], [0, 0])[_feedback_slot(data["feedback"])] += 1
 
     def record(self, provider_id: str, feedback: str) -> float:
-        if feedback not in ("positive", "negative"):
-            raise ValueError(f"feedback must be positive or negative, got {feedback!r}")
+        """Validate, append, then tally: a failed write changes nothing."""
+        slot = _feedback_slot(feedback)
         with self._lock:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(
-                    json.dumps(
-                        {"v": 1, "provider_id": provider_id, "feedback": feedback, "at": utc_now_iso()}
-                    )
-                    + "\n"
-                )
-            self._apply(provider_id, feedback)
+            self._log.append(
+                {"v": LEDGER_VERSION, "provider_id": provider_id, "feedback": feedback, "at": utc_now_iso()}
+            )
+            self._tallies.setdefault(provider_id, [0, 0])[slot] += 1
         return self.negative_ratio(provider_id)
 
     def negative_ratio(self, provider_id: str) -> float:
@@ -149,6 +147,10 @@ class FeedbackLedger:
         if not tally or sum(tally) == 0:
             return 0.0
         return tally[1] / (tally[0] + tally[1])
+
+    def close(self) -> None:
+        with self._lock:
+            self._log.close()
 
 
 class TrustService:
@@ -163,10 +165,15 @@ class TrustService:
         if config.user_model_path:
             try:
                 self.user_model = load_user_model(config.user_model_path)
-            except (OSError, ValueError, KeyError, FuzzyTrustError) as exc:
+            except (OSError, ValueError, FuzzyTrustError) as exc:
                 raise ModelLoadFailureError(
                     f"cannot load user model {config.user_model_path!r}: {exc}"
                 ) from exc
+
+    def close(self) -> None:
+        """Close the store's and the ledger's append handles."""
+        self.store.close()
+        self.feedback.close()
 
     def evaluate_counters(self, counters: UserBehaviorCounters) -> tuple[float, str]:
         """(trust, model provenance) for fresh behavior counters."""
@@ -180,19 +187,18 @@ class TrustService:
         if not user_id:
             raise ValueError("user_id must be non-empty")
         threshold = self.config.threshold
-        banned = False
+        try:
+            record = self.store.get("user", user_id)
+        except NotFoundError:
+            record = None
         if counters is not None:
             trust, model = self.evaluate_counters(counters)
             evaluated_at = utc_now_iso()
+        elif record is None:
+            raise NoTrustAvailableError(f"no stored trust for {user_id!r} and no fresh counters")
         else:
-            try:
-                record = self.store.get(user_id)
-            except NotFoundError:
-                raise NoTrustAvailableError(
-                    f"no stored trust for {user_id!r} and no fresh counters"
-                ) from None
             trust, model, evaluated_at = record.trust, record.model, record.evaluated_at
-            banned = record.classification == "banned"
+        banned = record is not None and record.classification == "banned"
 
         decision = "grant" if (trust > threshold and not banned) else "deny"
         self.store.put(
@@ -208,19 +214,13 @@ class TrustService:
         return DecisionResponse(decision=decision, trust=trust, model=model, evaluated_at=evaluated_at)
 
     def user_trust(self, user_id: str) -> dict:
-        record = self.store.get(user_id)  # NotFoundError propagates
-        if record.subject_kind != "user":
-            raise NotFoundError(f"no trust record for user {user_id!r}")
-        data = record.to_dict()
+        data = self.store.get("user", user_id).to_dict()  # NotFoundError propagates
         data["schema"] = SCHEMA
         return data
 
     def provider_trust(self, provider_id: str) -> dict:
-        record = self.store.get(provider_id)
-        if record.subject_kind != "provider":
-            raise NotFoundError(f"no trust record for provider {provider_id!r}")
+        data = self.store.get("provider", provider_id).to_dict()
         ratio = self.feedback.negative_ratio(provider_id)
-        data = record.to_dict()
         data["schema"] = SCHEMA
         data["negative_feedback_ratio"] = ratio
         if feedback_ban(ratio):
@@ -334,7 +334,7 @@ def create_http_server(service: TrustService) -> ThreadingHTTPServer:
     try:
         return ThreadingHTTPServer((service.config.host, service.config.port), handler)
     except OSError as exc:
-        raise BindFailureError(
+        raise FuzzyTrustError(
             f"cannot bind {service.config.host}:{service.config.port}: {exc}"
         ) from exc
 
@@ -351,3 +351,4 @@ def serve(config: ServiceConfig) -> None:
         pass
     finally:
         server.server_close()
+        service.close()

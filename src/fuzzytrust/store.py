@@ -1,14 +1,24 @@
-"""Append-only trust record store.
+"""Persistence: the only code that opens the append-only logs and the
+versioned JSON documents.
 
-One JSON record per line with an explicit version field; the latest
-record per subject wins.  A single writer appends under a lock while
-readers see a consistent in-memory index.
+- Trust store: one ``TrustRecord`` per line, ``"v": 1``.  Feedback
+  ledger (``service.FeedbackLedger``): one ``{"v": 1, "provider_id",
+  "feedback", "at"}`` per line.  Both are ``JsonlLog``s.
+- Documents: ``{"format", "version": 1, ...}``, one per file, written by
+  ``save_artifact``: ``fis``, ``cluster-model`` and ``user-trust-model``
+  (read back by ``load_artifact``, checked by ``check_format``) and
+  ``evaluation-report``.
+
+Durability: every appended line is flushed and nothing is fsynced, so a
+line survives a crash of the process, not necessarily of the host.  An
+unreadable line is reported with its file and line on the next open.
 """
 
 from __future__ import annotations
 
 import json
 import threading
+from collections.abc import Mapping
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -24,6 +34,51 @@ MODELS = ("baseline", "fis")
 
 def utc_now_iso() -> str:
     return datetime.now(timezone.utc).isoformat()
+
+
+class JsonlLog:
+    """An append-only file of JSON objects, one per line.
+
+    Opening streams the file through ``fold`` line by line; a line that
+    is not JSON or that ``fold`` rejects with ``ValueError``, ``KeyError``
+    or ``TypeError`` raises ``StoreCorruptError``.  ``append`` opens one
+    handle on first use and flushes each line; its owner serialises calls.
+    """
+
+    def __init__(self, path, fold):
+        self.path = Path(path)
+        self._fh = None
+        self._count = 0
+        if not self.path.exists():
+            return
+        with open(self.path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    fold(json.loads(line))
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise StoreCorruptError(self.path, lineno, str(exc)) from exc
+                self._count += 1
+
+    def append(self, data: dict) -> None:
+        line = json.dumps(data) + "\n"
+        if self._fh is None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._fh = open(self.path, "a", encoding="utf-8")
+        self._fh.write(line)
+        self._fh.flush()
+        self._count += 1
+
+    def close(self) -> None:
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
+
+    def __len__(self) -> int:
+        """Lines replayed plus lines appended."""
+        return self._count
 
 
 @dataclass(frozen=True)
@@ -60,6 +115,8 @@ class TrustRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrustRecord":
+        if data["v"] != RECORD_VERSION:
+            raise ValueError(f"unsupported record version {data['v']!r}")
         return cls(
             subject_id=data["subject_id"],
             subject_kind=data["subject_kind"],
@@ -71,62 +128,68 @@ class TrustRecord:
 
 
 class TrustStore:
-    """Line-delimited record log backed by an in-memory latest-per-subject
-    index.  Opening scans the whole file and reports the first corrupt
-    line, if any."""
+    """Trust records in a ``JsonlLog``, indexed in memory by the latest
+    record per (subject kind, subject id).  Opening replays the whole
+    file and reports the first corrupt line, if any."""
 
     def __init__(self, path):
-        self.path = Path(path)
         self._lock = threading.Lock()
-        self._latest: dict[str, TrustRecord] = {}
-        self._count = 0
-        if self.path.exists():
-            self._load()
+        # kind -> id -> record: on replay a nested lookup is cheaper than a tuple key per line
+        self._latest: dict[str, dict[str, TrustRecord]] = {kind: {} for kind in SUBJECT_KINDS}
+        latest, from_dict = self._latest, TrustRecord.from_dict
 
-    def _load(self) -> None:
-        with open(self.path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    data = json.loads(line)
-                    if data.get("v") != RECORD_VERSION:
-                        raise ValueError(f"unsupported record version {data.get('v')!r}")
-                    record = TrustRecord.from_dict(data)
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise StoreCorruptError(str(exc), lineno) from exc
-                self._index(record)
-                self._count += 1
+        def index(record: TrustRecord) -> None:
+            by_id = latest[record.subject_kind]
+            current = by_id.get(record.subject_id)
+            if current is None or record.evaluated_at >= current.evaluated_at:
+                by_id[record.subject_id] = record
 
-    def _index(self, record: TrustRecord) -> None:
-        current = self._latest.get(record.subject_id)
-        if current is None or record.evaluated_at >= current.evaluated_at:
-            self._latest[record.subject_id] = record
+        self._index = index
+        self._log = JsonlLog(path, lambda data: index(from_dict(data)))
 
     def put(self, record: TrustRecord) -> None:
+        """Append, then index: a failed write leaves the index unchanged."""
         with self._lock:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(record.to_dict()) + "\n")
+            self._log.append(record.to_dict())
             self._index(record)
-            self._count += 1
 
-    def get(self, subject_id: str) -> TrustRecord:
+    def get(self, kind: str, subject_id: str) -> TrustRecord:
         with self._lock:
-            record = self._latest.get(subject_id)
+            record = self._latest.get(kind, {}).get(subject_id)
         if record is None:
-            raise NotFoundError(f"no trust record for subject {subject_id!r}")
+            raise NotFoundError(f"no trust record for {kind} {subject_id!r}")
         return record
 
-    def scan(self, kind: str) -> list[TrustRecord]:
-        """Latest record per subject of the given kind, ordered by subject id."""
-        if kind not in SUBJECT_KINDS:
-            raise ValueError(f"kind must be one of {SUBJECT_KINDS}, got {kind!r}")
+    def close(self) -> None:
         with self._lock:
-            records = [r for r in self._latest.values() if r.subject_kind == kind]
-        return sorted(records, key=lambda r: r.subject_id)
+            self._log.close()
 
     def __len__(self) -> int:
         """Total records appended (not unique subjects)."""
-        return self._count
+        return len(self._log)
+
+
+def check_format(data, fmt: str, version: int = 1) -> None:
+    """Raise ``ValueError`` unless ``data`` is a ``fmt`` document of ``version``."""
+    if not isinstance(data, Mapping) or data.get("format") != fmt:
+        raise ValueError(f"not a {fmt} document")
+    if data.get("version") != version:
+        raise ValueError(f"unsupported {fmt} version {data.get('version')!r}, expected {version}")
+
+
+def save_artifact(obj, path) -> None:
+    """Write ``obj.to_dict()`` to ``path`` as indented JSON."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj.to_dict(), fh, indent=2)
+        fh.write("\n")
+
+
+def load_artifact(cls, path):
+    """``cls.from_dict`` of the JSON document at ``path``.  A document that
+    does not parse or that ``from_dict`` rejects raises ``ValueError``
+    naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return cls.from_dict(json.load(fh))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(f"{path}: {type(exc).__name__}: {exc}") from exc

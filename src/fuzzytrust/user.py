@@ -9,7 +9,6 @@ rule per cluster: inputs near cluster i imply trust near cluster i.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -18,6 +17,7 @@ import numpy as np
 from .clustering import ClusterConfig, ClusterModel, apply_normalization, fcm_fit, normalize
 from .errors import DegenerateOutputError, InvalidModelError, ZeroTotalRequestsError
 from .fuzzy import FuzzyInferenceSystem, FuzzyRule, Gaussian, LinguisticVariable, Triangular
+from .store import check_format, load_artifact, save_artifact
 
 DEFAULT_THRESHOLD = 0.5
 TRUST_OUTPUT_MIN_HALFWIDTH = 0.05
@@ -233,8 +233,7 @@ class UserTrustModel:
 
     @classmethod
     def from_dict(cls, data) -> "UserTrustModel":
-        if data.get("format") != "user-trust-model":
-            raise ValueError("not a user trust model document")
+        check_format(data, "user-trust-model")
         return cls(
             fis=FuzzyInferenceSystem.from_dict(data["fis"]),
             norm_params=tuple(tuple(p) for p in data["norm_params"]),
@@ -242,11 +241,8 @@ class UserTrustModel:
 
 
 def save_user_model(model: UserTrustModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model.to_dict(), fh, indent=2)
-        fh.write("\n")
+    save_artifact(model, path)
 
 
 def load_user_model(path) -> UserTrustModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return UserTrustModel.from_dict(json.load(fh))
+    return load_artifact(UserTrustModel, path)

@@ -7,12 +7,11 @@ from fuzzytrust.clustering import (
     ClusterModel,
     apply_normalization,
     fcm_fit,
-    load_model,
     membership_row,
     normalize,
-    save_model,
 )
 from fuzzytrust.errors import EmptyDataError, NonFiniteDataError, TooFewPointsError
+from fuzzytrust.store import load_artifact, save_artifact
 
 
 def two_blob_data(rng, n_per_blob=100, radius=0.05):
@@ -167,8 +166,8 @@ class TestSerialization:
         rng = np.random.default_rng(2)
         model = fcm_fit(rng.random((80, 3)), ClusterConfig(c=4, seed=11))
         path = tmp_path / "model.json"
-        save_model(model, path)
-        loaded = load_model(path)
+        save_artifact(model, path)
+        loaded = load_artifact(ClusterModel, path)
         assert np.array_equal(loaded.centers, model.centers)
         assert np.array_equal(loaded.spreads, model.spreads)
         assert loaded.norm_params == model.norm_params
@@ -178,3 +177,5 @@ class TestSerialization:
     def test_rejects_wrong_format(self):
         with pytest.raises(ValueError):
             ClusterModel.from_dict({"format": "nope"})
+        with pytest.raises(ValueError, match="version"):
+            ClusterModel.from_dict({"format": "cluster-model", "version": 2})

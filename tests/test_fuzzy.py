@@ -18,10 +18,9 @@ from fuzzytrust.fuzzy import (
     ShoulderRight,
     Triangular,
     TwoSidedGaussian,
-    load_fis,
     membership_degree,
-    save_fis,
 )
+from fuzzytrust.store import load_artifact, save_artifact
 from oracles import OracleDegenerate, oracle_infer, random_fis, random_inputs
 
 
@@ -309,8 +308,8 @@ class TestSerialization:
         rng = np.random.default_rng(17)
         fis = random_fis(rng, max_rules=25)
         path = tmp_path / "system.json"
-        save_fis(fis, path)
-        assert load_fis(path) == fis
+        save_artifact(fis, path)
+        assert load_artifact(FuzzyInferenceSystem, path) == fis
         data = json.loads(path.read_text())
         assert data["format"] == "fis"
         assert data["version"] == 1
@@ -318,6 +317,8 @@ class TestSerialization:
     def test_rejects_wrong_format(self):
         with pytest.raises(ValueError):
             FuzzyInferenceSystem.from_dict({"format": "other"})
+        with pytest.raises(ValueError, match="version"):
+            FuzzyInferenceSystem.from_dict({"format": "fis", "version": 2})
 
 
 class TestSurface:

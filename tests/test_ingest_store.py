@@ -19,13 +19,21 @@ from fuzzytrust.ingest import (
     corpus_matrix,
     generate_corpus,
     ingest_log,
-    read_corpus_csv,
     read_counters_csv,
     write_corpus_csv,
     write_counters_csv,
 )
-from fuzzytrust.store import TrustRecord, TrustStore
-from fuzzytrust.user import baseline_trust, request_rates
+from fuzzytrust.clustering import ClusterModel
+from fuzzytrust.fuzzy import FuzzyInferenceSystem
+from fuzzytrust.service import FeedbackLedger, ServiceConfig, TrustService
+from fuzzytrust.store import TrustRecord, TrustStore, load_artifact
+from fuzzytrust.user import (
+    UserBehaviorCounters,
+    UserTrustModel,
+    baseline_trust,
+    load_user_model,
+    request_rates,
+)
 
 
 def write_log(path, rows, header="timestamp,user_id,status"):
@@ -222,7 +230,7 @@ class TestCorpus:
         train, _ = generate_corpus(CorpusSpec(n_users=40, n_train=40, seed=5))
         path = tmp_path / "corpus.csv"
         write_corpus_csv(path, train)
-        loaded = read_corpus_csv(path)
+        loaded = read_counters_csv(path)
         assert [(c.bar, c.bor, c.uar, c.tr) for c in loaded] == [
             (c.bar, c.bor, c.uar, c.tr) for c in train
         ]
@@ -242,7 +250,7 @@ class TestCorpus:
         path = tmp_path / "corpus.csv"
         path.write_text("bad,bogus,unauthorized,total,trust\n1,2,x,50,0.9\n")
         with pytest.raises(ParseError):
-            read_corpus_csv(path)
+            read_counters_csv(path)
 
 
 def record(subject="alice", kind="user", trust=0.9, classification="trusted", model="fis", at="2026-01-01T00:00:00+00:00"):
@@ -261,39 +269,34 @@ class TestTrustStore:
         store = TrustStore(tmp_path / "store.jsonl")
         rec = record()
         store.put(rec)
-        assert store.get("alice") == rec
+        assert store.get("user", "alice") == rec
 
     def test_latest_timestamp_wins(self, tmp_path):
         store = TrustStore(tmp_path / "store.jsonl")
         store.put(record(trust=0.2, at="2026-01-01T00:00:00+00:00"))
         store.put(record(trust=0.8, at="2026-01-02T00:00:00+00:00"))
-        assert store.get("alice").trust == 0.8
+        assert store.get("user", "alice").trust == 0.8
         assert len(store) == 2
 
     def test_unknown_subject(self, tmp_path):
         store = TrustStore(tmp_path / "store.jsonl")
         with pytest.raises(NotFoundError):
-            store.get("nobody")
-
-    def test_scan_latest_per_subject_by_kind(self, tmp_path):
-        store = TrustStore(tmp_path / "store.jsonl")
-        store.put(record(subject="b-user"))
-        store.put(record(subject="a-user"))
-        store.put(record(subject="prov", kind="provider", trust=0.7))
-        store.put(record(subject="a-user", trust=0.1, classification="untrusted", at="2026-02-01T00:00:00+00:00"))
-        users = store.scan("user")
-        assert [r.subject_id for r in users] == ["a-user", "b-user"]
-        assert users[0].trust == 0.1
-        assert [r.subject_id for r in store.scan("provider")] == ["prov"]
-        with pytest.raises(ValueError):
-            store.scan("martian")
+            store.get("user", "nobody")
 
     def test_reopen_rebuilds_index(self, tmp_path):
         path = tmp_path / "store.jsonl"
         TrustStore(path).put(record())
         reopened = TrustStore(path)
-        assert reopened.get("alice").trust == 0.9
+        assert reopened.get("user", "alice").trust == 0.9
         assert len(reopened) == 1
+
+    def test_each_put_is_flushed(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        writer = TrustStore(path)
+        for trust, at in ((0.4, "2026-01-02T00:00:00+00:00"), (0.6, "2026-01-03T00:00:00+00:00")):
+            writer.put(record(trust=trust, at=at))
+            assert TrustStore(path).get("user", "alice").trust == trust
+        writer.close()
 
     def test_corrupt_line_reported(self, tmp_path):
         path = tmp_path / "store.jsonl"
@@ -304,6 +307,7 @@ class TestTrustStore:
         with pytest.raises(StoreCorruptError) as err:
             TrustStore(path)
         assert err.value.line == 2
+        assert str(path) in str(err.value)
 
     def test_unsupported_version_rejected(self, tmp_path):
         path = tmp_path / "store.jsonl"
@@ -342,3 +346,96 @@ class TestTrustStore:
             evaluated_at="2026-03-01T00:00:00+00:00",
         )
         assert TrustRecord.from_dict(json.loads(json.dumps(rec.to_dict()))) == rec
+
+
+class TestFeedbackLedger:
+    @pytest.mark.parametrize(
+        "bad_line",
+        ["{broken json", json.dumps({"v": 1, "provider_id": "p1", "feedback": "meh", "at": "2026-01-01T00:00:00+00:00"})],
+    )
+    def test_corrupt_line_reported(self, tmp_path, bad_line):
+        path = tmp_path / "feedback.jsonl"
+        ledger = FeedbackLedger(path)
+        ledger.record("p1", "negative")
+        ledger.close()
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(bad_line + "\n")
+        with pytest.raises(StoreCorruptError) as err:
+            FeedbackLedger(path)
+        assert err.value.line == 2
+        assert str(path) in str(err.value)
+
+    def test_rejected_feedback_writes_nothing(self, tmp_path):
+        path = tmp_path / "feedback.jsonl"
+        ledger = FeedbackLedger(path)
+        with pytest.raises(ValueError):
+            ledger.record("p1", "meh")
+        assert not path.exists() and ledger.negative_ratio("p1") == 0.0
+
+
+# Documents as the previous release wrote them: the on-disk formats are fixed.
+RECORD_LINES = [
+    '{"v": 1, "subject_id": "u1", "subject_kind": "user", "trust": 0.3, "classification": "untrusted", '
+    '"model": "baseline", "evaluated_at": "2026-01-01T00:00:00+00:00"}',
+    '{"v": 1, "subject_id": "p1", "subject_kind": "provider", "trust": 0.8, "classification": "trusted", '
+    '"model": "fis", "evaluated_at": "2026-01-02T00:00:00+00:00"}',
+]
+LEDGER_LINES = [
+    '{"v": 1, "provider_id": "p1", "feedback": "negative", "at": "2026-01-01T00:00:00+00:00"}',
+    '{"v": 1, "provider_id": "p1", "feedback": "positive", "at": "2026-01-01T00:01:00+00:00"}',
+    '{"v": 1, "provider_id": "p1", "feedback": "positive", "at": "2026-01-01T00:02:00+00:00"}',
+]
+CLUSTER_DOC = """{"format": "cluster-model", "version": 1, "centers": [[0.2, 0.1, 0.3, 0.5, 0.75]],
+ "spreads": [[0.25, 0.25, 0.25, 0.25, 0.25]],
+ "norm_params": [[0.0, 10.0], [0.0, 10.0], [0.0, 20.0], [1.0, 101.0], [0.5, 1.0]],
+ "m": 2.0, "objective_trace": [0.5],
+ "config": {"c": 1, "m": 2.0, "tol": 1e-06, "max_iter": 300, "seed": 0}}"""
+FIS_DOC = """{"format": "fis", "version": 1, "defuzz_resolution": 101, "inputs": [
+ {"name": "bad_requests", "domain": [0.0, 1.0],
+  "sets": [{"label": "cluster_1", "mf": {"shape": "gaussian", "center": 0.2, "sigma": 0.25}}]},
+ {"name": "unauthorized_requests", "domain": [0.0, 1.0],
+  "sets": [{"label": "cluster_1", "mf": {"shape": "gaussian", "center": 0.3, "sigma": 0.25}}]},
+ {"name": "bogus_requests", "domain": [0.0, 1.0],
+  "sets": [{"label": "cluster_1", "mf": {"shape": "gaussian", "center": 0.1, "sigma": 0.25}}]},
+ {"name": "total_requests", "domain": [0.0, 1.0],
+  "sets": [{"label": "cluster_1", "mf": {"shape": "gaussian", "center": 0.5, "sigma": 0.25}}]}],
+ "output": {"name": "trust", "domain": [0.0, 1.0],
+  "sets": [{"label": "cluster_1", "mf": {"shape": "triangular", "left": 0.5, "apex": 0.75, "right": 1.0}}]},
+ "rules": [{"if": [["bad_requests", "cluster_1"], ["unauthorized_requests", "cluster_1"],
+   ["bogus_requests", "cluster_1"], ["total_requests", "cluster_1"]], "then": ["trust", "cluster_1"]}]}"""
+USER_DOC = (
+    '{"format": "user-trust-model", "version": 1, "fis": ' + FIS_DOC + ', "norm_params": '
+    "[[0.0, 10.0], [0.0, 10.0], [0.0, 20.0], [1.0, 101.0], [0.5, 1.0]]}"
+)
+
+
+class TestPreviousFormats:
+    def test_store_and_ledger_lines_load(self, tmp_path):
+        (tmp_path / "s.jsonl").write_text("\n".join(RECORD_LINES) + "\n")
+        (tmp_path / "f.jsonl").write_text("\n".join(LEDGER_LINES) + "\n")
+        config = ServiceConfig(store_path=str(tmp_path / "s.jsonl"), feedback_path=str(tmp_path / "f.jsonl"))
+        service = TrustService(config)
+        assert len(service.store) == 2
+        assert service.user_trust("u1")["trust"] == 0.3
+        provider = service.provider_trust("p1")
+        assert (provider["trust"], provider["negative_feedback_ratio"]) == (0.8, 1 / 3)
+        service.close()
+
+    def test_model_documents_load(self, tmp_path):
+        for name, text in (("cluster.json", CLUSTER_DOC), ("fis.json", FIS_DOC), ("user.json", USER_DOC)):
+            (tmp_path / name).write_text(text)
+        cluster = load_artifact(ClusterModel, tmp_path / "cluster.json")
+        assert cluster.centers.tolist() == [[0.2, 0.1, 0.3, 0.5, 0.75]] and cluster.config.c == 1
+        fis = load_artifact(FuzzyInferenceSystem, tmp_path / "fis.json")
+        model = load_user_model(tmp_path / "user.json")
+        assert model.fis == fis == UserTrustModel.from_cluster_model(cluster).fis.with_resolution(101)
+        assert model.norm_params == cluster.norm_params
+        assert model.evaluate(UserBehaviorCounters("u", uar=3, bor=1, bar=2, tr=51)) == pytest.approx(0.75)
+
+    def test_wrong_document_names_the_file(self, tmp_path):
+        path = tmp_path / "user.json"
+        path.write_text(USER_DOC)
+        with pytest.raises(ValueError, match="cluster-model") as err:
+            load_artifact(ClusterModel, path)
+        assert str(path) in str(err.value)
+

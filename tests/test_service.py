@@ -6,6 +6,7 @@ import threading
 
 import pytest
 
+from fuzzytrust.store import TrustRecord
 from fuzzytrust.service import SCHEMA, ServiceConfig, TrustService, create_http_server
 from fuzzytrust.user import UserBehaviorCounters
 
@@ -22,6 +23,7 @@ def server(tmp_path):
     httpd.shutdown()
     httpd.server_close()
     thread.join(timeout=5)
+    service.close()
 
 
 def _post(server, path, body: bytes, headers=None):
@@ -79,3 +81,30 @@ class TestMalformedBodies:
         status, body = _post(server, "/decide", b"", headers={"Content-Length": "-1"})
         assert status == 400
         assert body["schema"] == SCHEMA and "Content-Length" in body["error"]
+
+
+def _record(subject, kind, trust, classification):
+    return TrustRecord(subject, kind, trust, classification, "fis", "2026-01-01T00:00:00+00:00")
+
+
+class TestStoredState:
+    def test_user_decision_keeps_provider_record(self, tmp_path):
+        service = TrustService(ServiceConfig(store_path=str(tmp_path / "s.jsonl")))
+        service.store.put(_record("p1", "provider", 0.8, "trusted"))
+        counters = UserBehaviorCounters("p1", uar=160, bor=0, bar=0, tr=160)
+        assert service.decide("p1", counters=counters).decision == "deny"
+        provider = service.provider_trust("p1")
+        assert (provider["subject_kind"], provider["trust"]) == ("provider", 0.8)
+        assert service.user_trust("p1")["trust"] == 0.5
+        service.close()
+
+    def test_ban_holds_under_fresh_counters(self, tmp_path):
+        service = TrustService(ServiceConfig(store_path=str(tmp_path / "s.jsonl")))
+        service.store.put(_record("u1", "user", 0.9, "banned"))
+        clean = UserBehaviorCounters("u1", uar=0, bor=0, bar=0, tr=100)
+        fresh = service.decide("u1", counters=clean)
+        assert (fresh.decision, fresh.trust) == ("deny", 1.0)
+        assert service.decide("u1").decision == "deny"
+        assert service.user_trust("u1")["classification"] == "banned"
+        service.close()
+

@@ -347,3 +347,5 @@ class TestUserTrustModelBundle:
     def test_rejects_wrong_format(self):
         with pytest.raises(ValueError):
             UserTrustModel.from_dict({"format": "nope"})
+        with pytest.raises(ValueError, match="version"):
+            UserTrustModel.from_dict({"format": "user-trust-model", "version": 2})
