@@ -7,7 +7,7 @@ performance and elasticity engines into a final trust value.  A small
 HTTP service renders grant/deny decisions from either model.
 """
 
-from .clustering import ClusterConfig, ClusterModel, fcm_fit, membership_row, normalize
+from .clustering import ClusterConfig, ClusterModel, fcm_fit, normalize
 from .errors import FuzzyTrustError
 from .evaluation import EvaluationReport, classification_metrics, compare
 from .fuzzy import (
@@ -20,12 +20,10 @@ from .fuzzy import (
     ShoulderRight,
     Triangular,
     TwoSidedGaussian,
-    membership_degree,
 )
 from .ingest import CorpusSpec, generate_corpus, ingest_log
 from .provider import (
     ProviderMetrics,
-    RuleCompletionPolicy,
     build_elasticity_fis,
     build_performance_fis,
     build_provider_trust_fis,
@@ -58,7 +56,6 @@ __all__ = [
     "LinguisticVariable",
     "MembershipFunction",
     "ProviderMetrics",
-    "RuleCompletionPolicy",
     "ShoulderLeft",
     "ShoulderRight",
     "Triangular",
@@ -82,8 +79,6 @@ __all__ = [
     "fit_user_clusters",
     "generate_corpus",
     "ingest_log",
-    "membership_degree",
-    "membership_row",
     "normalize",
     "request_rates",
 ]

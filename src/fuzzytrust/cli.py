@@ -52,10 +52,6 @@ def _counters(args) -> user.UserBehaviorCounters:
     )
 
 
-def _completion_policy(name: str) -> provider.RuleCompletionPolicy:
-    return provider.RuleCompletionPolicy(strategy=name)
-
-
 def cmd_ingest(args) -> int:
     window = None
     if args.window_start or args.window_end:
@@ -142,7 +138,7 @@ def cmd_eval_provider(args) -> int:
         negative_feedback_ratio=args.negative_feedback,
     )
     assessment = provider.evaluate_provider(
-        metrics, provider.build_elasticity_fis(_completion_policy(args.completion))
+        metrics, provider.build_elasticity_fis(args.completion)
     )
     banned = provider.feedback_ban(metrics.negative_feedback_ratio)
     result = {
@@ -191,7 +187,7 @@ def cmd_surface(args) -> int:
         if args.engine == "performance":
             fis = provider.build_performance_fis()
         elif args.engine == "elasticity":
-            fis = provider.build_elasticity_fis(_completion_policy(args.completion))
+            fis = provider.build_elasticity_fis(args.completion)
         else:
             fis = provider.build_provider_trust_fis()
     elif args.user_model:
@@ -295,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--security", type=float, required=True, help="score in 0..1")
     p.add_argument("--usability", type=float, required=True, help="score in 0..1")
     p.add_argument("--negative-feedback", type=float, default=0.0, help="negative feedback ratio 0..1")
-    p.add_argument("--completion", choices=("nearest_published", "fitted_score"), default="nearest_published")
+    p.add_argument("--completion", choices=provider.COMPLETION_STRATEGIES, default="nearest_published")
     p.add_argument("--threshold", type=float, default=user.DEFAULT_THRESHOLD)
     p.add_argument("--store", help="append the record to this trust store")
     p.set_defaults(func=cmd_eval_provider)
@@ -315,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", required=True, help="variable on the y axis")
     p.add_argument("--fixed", action="append", metavar="NAME=VALUE", help="pin another input")
     p.add_argument("--resolution", type=int, default=25)
-    p.add_argument("--completion", choices=("nearest_published", "fitted_score"), default="nearest_published")
+    p.add_argument("--completion", choices=provider.COMPLETION_STRATEGIES, default="nearest_published")
     p.add_argument("--out", required=True, help="grid CSV to write")
     p.set_defaults(func=cmd_surface)
 

@@ -202,12 +202,3 @@ def fcm_fit(
         objective_trace=tuple(trace),
         config=cfg,
     )
-
-
-def membership_row(model: ClusterModel, x: np.ndarray) -> np.ndarray:
-    """Cluster memberships of one normalized point; entries sum to 1."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.d,):
-        raise ValueError(f"expected a {model.d}-vector, got shape {x.shape}")
-    d2 = ((model.centers - x[None, :]) ** 2).sum(axis=1)[None, :]
-    return _membership_from_sq_distances(d2, model.m)[0]

@@ -43,10 +43,10 @@ class OutOfRangeError(FuzzyTrustError):
 
 
 class ParseError(FuzzyTrustError):
-    """A malformed input file row.  Carries the 1-based line number."""
+    """A malformed row of an input CSV, named by file and 1-based line."""
 
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, path, line: int, message: str):
+        super().__init__(f"{path}, line {line}: {message}")
         self.line = line
 
 

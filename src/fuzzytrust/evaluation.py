@@ -20,6 +20,7 @@ from .user import (
     DEFAULT_WEIGHTS,
     TrustWeights,
     UserBehaviorCounters,
+    UserTrustModel,
     baseline_trust,
     classify,
     request_rates,
@@ -157,26 +158,19 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
 
 def compare(
     test_set: Sequence[UserBehaviorCounters],
-    model,
+    model: UserTrustModel,
     threshold: float = DEFAULT_THRESHOLD,
     weights: TrustWeights = DEFAULT_WEIGHTS,
 ) -> EvaluationReport:
-    """Evaluate ``model`` against the baseline formula over a test set.
-
-    ``model`` is a UserTrustModel, scored in one ``evaluate_batch`` call
-    over the whole test set, or anything with an ``evaluate(counters) ->
-    float`` method, or a bare callable, either called once per user;
-    baseline classes act as the truth for the classification metrics.
+    """Evaluate ``model`` against the baseline formula over a test set,
+    scoring every user in one ``evaluate_batch`` call; baseline classes
+    act as the truth for the classification metrics.
     """
     if len(test_set) == 0:
         raise FuzzyTrustError("compare needs at least one test user")
 
     start = time.perf_counter()
-    if hasattr(model, "evaluate_batch"):
-        predictions = model.evaluate_batch(test_set).tolist()
-    else:
-        predict = model.evaluate if hasattr(model, "evaluate") else model
-        predictions = [predict(counters) for counters in test_set]
+    predictions = model.evaluate_batch(test_set).tolist()
     rows = []
     for counters, predicted in zip(test_set, predictions):
         truth = baseline_trust(request_rates(counters), weights)

@@ -34,7 +34,7 @@ depend on the other rows or on the chunking.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Mapping, Union
 
@@ -76,9 +76,6 @@ class Gaussian:
         x = np.asarray(x, dtype=float)
         return _eval_result(_gauss(x, self.center, 2.0 * self.sigma * self.sigma))
 
-    def prototype(self) -> float:
-        return self.center
-
     def to_dict(self) -> dict:
         return {"shape": "gaussian", "center": self.center, "sigma": self.sigma}
 
@@ -106,9 +103,6 @@ class TwoSidedGaussian:
         out = np.where(lo, _gauss(x, self.left_center, 2.0 * self.left_sigma * self.left_sigma), out)
         out = np.where(hi, _gauss(x, self.right_center, 2.0 * self.right_sigma * self.right_sigma), out)
         return _eval_result(out)
-
-    def prototype(self) -> float:
-        return 0.5 * (self.left_center + self.right_center)
 
     def to_dict(self) -> dict:
         return {
@@ -151,9 +145,6 @@ class Triangular:
         out = np.clip(np.minimum(rise, fall), 0.0, 1.0)
         return _eval_result(out)
 
-    def prototype(self) -> float:
-        return self.apex
-
     def to_dict(self) -> dict:
         return {"shape": "triangular", "left": self.left, "apex": self.apex, "right": self.right}
 
@@ -173,9 +164,6 @@ class ShoulderLeft:
         x = np.asarray(x, dtype=float)
         fall = (self.falls_to - x) / (self.falls_to - self.flat_until)
         return _eval_result(np.clip(fall, 0.0, 1.0))
-
-    def prototype(self) -> float:
-        return self.flat_until
 
     def to_dict(self) -> dict:
         return {"shape": "shoulder_left", "flat_until": self.flat_until, "falls_to": self.falls_to}
@@ -197,9 +185,6 @@ class ShoulderRight:
         rise = (x - self.rises_from) / (self.flat_after - self.rises_from)
         return _eval_result(np.clip(rise, 0.0, 1.0))
 
-    def prototype(self) -> float:
-        return self.flat_after
-
     def to_dict(self) -> dict:
         return {"shape": "shoulder_right", "rises_from": self.rises_from, "flat_after": self.flat_after}
 
@@ -213,13 +198,6 @@ _MF_SHAPES = {
     "shoulder_left": ShoulderLeft,
     "shoulder_right": ShoulderRight,
 }
-
-
-def membership_degree(mf: MembershipFunction, x: float) -> float:
-    """Degree of ``x`` in ``mf``; total over all finite ``x``."""
-    if not math.isfinite(x):
-        raise ValueError(f"membership degree requires finite x, got {x}")
-    return float(mf(float(x)))
 
 
 def mf_from_dict(data: Mapping) -> MembershipFunction:
@@ -540,9 +518,6 @@ class FuzzyInferenceSystem:
             X[:, j] = columns[name]
         z = self.infer_batch(X).reshape(resolution, resolution)
         return SurfaceGrid(var_x, var_y, xs, ys, z)
-
-    def with_resolution(self, resolution: int) -> "FuzzyInferenceSystem":
-        return replace(self, defuzz_resolution=resolution)
 
     def to_dict(self) -> dict:
         return {

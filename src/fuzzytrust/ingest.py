@@ -5,7 +5,7 @@ Log CSV:     header ``timestamp,user_id,status``
              A timestamp is ISO 8601 as ``datetime.fromisoformat`` parses it
              (a naive one is taken as UTC) or Unix epoch seconds. Anything
              else, out-of-range fields such as hour 24 included, raises
-             ``ParseError`` naming the line.
+             ``ParseError`` naming the file and the line.
 Counters CSV: header ``user_id,bad,bogus,unauthorized,total``
 Corpus CSV:  header ``bad,bogus,unauthorized,total,trust`` (both read by ``read_counters_csv``)
 """
@@ -32,7 +32,7 @@ UNAUTHORIZED_STATUSES = (401, 403)
 BOGUS_STATUS = 404
 
 
-def _parse_timestamp(text: str, lineno: int) -> datetime:
+def _parse_timestamp(text: str, path, lineno: int) -> datetime:
     text = text.strip()
     try:
         ts = datetime.fromisoformat(text)
@@ -40,7 +40,7 @@ def _parse_timestamp(text: str, lineno: int) -> datetime:
         try:
             return datetime.fromtimestamp(float(text), tz=timezone.utc)
         except (ValueError, OverflowError, OSError):
-            raise ParseError(f"unparseable timestamp {text!r}", lineno) from None
+            raise ParseError(path, lineno, f"unparseable timestamp {text!r}") from None
     if ts.tzinfo is None:
         ts = ts.replace(tzinfo=timezone.utc)
     return ts
@@ -69,30 +69,30 @@ def ingest_log(
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
-            raise ParseError("empty file, expected header timestamp,user_id,status", 1)
+            raise ParseError(path, 1, "empty file, expected header timestamp,user_id,status")
         header = [h.strip().lower() for h in header]
         try:
             ts_col = header.index("timestamp")
             user_col = header.index("user_id")
             status_col = header.index("status")
         except ValueError:
-            raise ParseError("header must contain timestamp,user_id,status", 1) from None
+            raise ParseError(path, 1, "header must contain timestamp,user_id,status") from None
 
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
             if len(row) <= max(ts_col, user_col, status_col):
-                raise ParseError(f"expected {len(header)} fields, got {len(row)}", lineno)
-            ts = _parse_timestamp(row[ts_col], lineno)
+                raise ParseError(path, lineno, f"expected {len(header)} fields, got {len(row)}")
+            ts = _parse_timestamp(row[ts_col], path, lineno)
             user_id = row[user_col].strip()
             if not user_id:
-                raise ParseError("empty user_id", lineno)
+                raise ParseError(path, lineno, "empty user_id")
             try:
                 status = int(row[status_col])
             except ValueError:
-                raise ParseError(f"unparseable status {row[status_col]!r}", lineno) from None
+                raise ParseError(path, lineno, f"unparseable status {row[status_col]!r}") from None
             if not (100 <= status <= 599):
-                raise ParseError(f"status {status} outside [100, 599]", lineno)
+                raise ParseError(path, lineno, f"status {status} outside [100, 599]")
 
             if window is not None and not (window[0] <= ts <= window[1]):
                 continue
@@ -218,7 +218,7 @@ def read_counters_csv(path) -> list[UserBehaviorCounters]:
         reader = csv.DictReader(fh)
         required = {"bad", "bogus", "unauthorized", "total"}
         if reader.fieldnames is None or not required.issubset(set(reader.fieldnames)):
-            raise ParseError("header must contain bad,bogus,unauthorized,total", 1)
+            raise ParseError(path, 1, "header must contain bad,bogus,unauthorized,total")
         named = "user_id" in reader.fieldnames
         for lineno, row in enumerate(reader, start=2):
             try:
@@ -232,5 +232,5 @@ def read_counters_csv(path) -> list[UserBehaviorCounters]:
                     )
                 )
             except (ValueError, TypeError) as exc:
-                raise ParseError(str(exc), lineno) from None
+                raise ParseError(path, lineno, str(exc)) from None
     return counters

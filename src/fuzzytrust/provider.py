@@ -4,16 +4,17 @@ into a final trust engine, plus the negative-feedback ban rule.
 The workload and response-time set parameters and all published rule
 rows are compiled-in calibration constants.  The elasticity rulebase is
 published only partially (14 of 81 rows) and the trust rulebase 9 of
-15; the missing combinations are filled by an explicit, deterministic
-completion policy.
+15; the missing combinations are filled deterministically.  The
+elasticity fill is chosen by strategy name (``build_elasticity_fis``):
+``nearest_published`` (the default) or ``fitted_score``.  The trust fill
+is the one score rule ``trust_completion_score``.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping
 
 from .errors import DegenerateOutputError, IncompletePolicyError, OutOfRangeError
 from .fuzzy import (
@@ -29,8 +30,6 @@ FEEDBACK_BAN_THRESHOLD = 0.40
 
 THREE_LEVELS = ("low", "medium", "high")
 FIVE_QUALITY = ("very_poor", "poor", "good", "very_good", "excellent")
-WORKLOAD_LEVELS = ("very_low", "low", "medium", "high", "very_high")
-RESPONSE_LEVELS = ("instantaneous", "fast", "medium", "slow", "very_slow")
 
 # Calibration rows: (label, mean_start, mean_end, sd_start, sd_end).
 # A zero sd marks a boundary set whose membership stays 1 out to the
@@ -112,6 +111,10 @@ TRUST_PUBLISHED_RULES = (
 )
 
 ELASTICITY_INPUTS = ("scalability", "availability", "security", "usability")
+# Level-index distance weights of the nearest_published fill, in
+# ELASTICITY_INPUTS order: security counts double.
+ELASTICITY_COMPLETION_WEIGHTS = (1.0, 1.0, 2.0, 1.0)
+COMPLETION_STRATEGIES = ("nearest_published", "fitted_score")
 
 # Set geometry for the unit-interval variables.  Input Gaussians are
 # sized at 0.2x the center spacing; wider lobes leak enough into
@@ -160,28 +163,6 @@ class ProviderMetrics:
             value = getattr(self, name)
             if not (0.0 <= value <= 1.0):
                 raise OutOfRangeError(f"{name} must be in [0, 1], got {value}")
-
-
-@dataclass(frozen=True)
-class RuleCompletionPolicy:
-    """How to fill rulebase combinations that were never published.
-
-    ``nearest_published`` copies the consequent of the closest published
-    row under a weighted level-index distance; ``fitted_score`` fits an
-    affine level score to the published rows by least squares and rounds
-    its prediction.  Published rows are never overridden and ties always
-    resolve toward the lower output index.
-    """
-
-    strategy: str = "nearest_published"
-    input_weights: Mapping[str, float] = field(
-        default_factory=lambda: {"scalability": 1.0, "availability": 1.0, "security": 2.0, "usability": 1.0}
-    )
-
-    def __post_init__(self):
-        if self.strategy not in ("nearest_published", "fitted_score"):
-            raise ValueError(f"unknown completion strategy {self.strategy!r}")
-        object.__setattr__(self, "input_weights", dict(self.input_weights))
 
 
 def _unit_gaussian_sets(levels: tuple[str, ...], sigma: float) -> tuple[tuple[str, Gaussian], ...]:
@@ -262,11 +243,20 @@ def _fitted_score_fill(published: dict[tuple[int, ...], int]):
     return fill
 
 
-def build_elasticity_fis(policy: RuleCompletionPolicy | None = None) -> FuzzyInferenceSystem:
+@lru_cache(maxsize=None)
+def build_elasticity_fis(strategy: str = "nearest_published") -> FuzzyInferenceSystem:
     """Scalability/availability/security/usability engine: all 81
     level combinations, the 14 published rows verbatim and the rest
-    filled by ``policy``."""
-    policy = policy or RuleCompletionPolicy()
+    filled by ``strategy``.
+
+    ``nearest_published`` copies the consequent of the closest published
+    row under the ``ELASTICITY_COMPLETION_WEIGHTS`` level-index distance;
+    ``fitted_score`` fits an affine level score to the published rows by
+    least squares and rounds its prediction.  Published rows are never
+    overridden and ties resolve toward the lower output index.
+    """
+    if strategy not in COMPLETION_STRATEGIES:
+        raise ValueError(f"unknown completion strategy {strategy!r}")
     inputs = tuple(
         LinguisticVariable(name, (0.0, 1.0), _unit_gaussian_sets(THREE_LEVELS, INPUT_SIGMA_3))
         for name in ELASTICITY_INPUTS
@@ -278,15 +268,14 @@ def build_elasticity_fis(policy: RuleCompletionPolicy | None = None) -> FuzzyInf
         combo = tuple(THREE_LEVELS.index(level) for level in (sc, a, s, u))
         published[combo] = FIVE_QUALITY.index(e)
 
-    weights = tuple(policy.input_weights.get(name, 1.0) for name in ELASTICITY_INPUTS)
-    fitted = _fitted_score_fill(published) if policy.strategy == "fitted_score" else None
+    fitted = _fitted_score_fill(published) if strategy == "fitted_score" else None
 
     rules = []
     for combo in itertools.product(range(3), repeat=4):
         if combo in published:
             out_idx = published[combo]
-        elif policy.strategy == "nearest_published":
-            out_idx = _nearest_published_fill(combo, published, weights)
+        elif strategy == "nearest_published":
+            out_idx = _nearest_published_fill(combo, published, ELASTICITY_COMPLETION_WEIGHTS)
         else:
             out_idx = fitted(combo, len(FIVE_QUALITY))
         antecedents = tuple(
@@ -355,17 +344,12 @@ class ProviderAssessment:
     trust: float
 
 
-@lru_cache(maxsize=None)
-def _default_elasticity_fis() -> FuzzyInferenceSystem:
-    return build_elasticity_fis()
-
-
 def evaluate_provider(
     metrics: ProviderMetrics,
     elasticity_fis: FuzzyInferenceSystem | None = None,
 ) -> ProviderAssessment:
     """Run the full cascade; every stage output lies in [0, 1]."""
-    elasticity_fis = elasticity_fis or _default_elasticity_fis()
+    elasticity_fis = elasticity_fis or build_elasticity_fis()
     try:
         performance = build_performance_fis().infer(
             {"workload": metrics.workload, "response_time": metrics.response_time}

@@ -19,8 +19,9 @@ decision appends keeps the ban.
 The decision threshold is the service's configuration: a /decide body
 that carries ``threshold`` is refused with 400, as is a body that is not
 a JSON object or a negative ``Content-Length``.
-Providers whose negative-feedback share exceeds 40% report trust 0
-while their stored values stay intact.
+A provider whose latest stored record is ``banned``, or whose
+negative-feedback share in the ledger exceeds 40%, is reported banned
+with trust 0 while its stored values stay intact.
 """
 
 from __future__ import annotations
@@ -42,8 +43,6 @@ from .provider import feedback_ban
 from .store import JsonlLog, TrustRecord, TrustStore, utc_now_iso
 from .user import (
     DEFAULT_THRESHOLD,
-    DEFAULT_WEIGHTS,
-    TrustWeights,
     UserBehaviorCounters,
     UserTrustModel,
     baseline_trust,
@@ -68,7 +67,6 @@ class ServiceConfig:
     feedback_path: str | None = None  # defaults to <store>.feedback
     user_model_path: str | None = None
     threshold: float = DEFAULT_THRESHOLD
-    weights: TrustWeights = DEFAULT_WEIGHTS
     host: str = "127.0.0.1"
     port: int = 8321
 
@@ -179,7 +177,7 @@ class TrustService:
         """(trust, model provenance) for fresh behavior counters."""
         if self.user_model is not None:
             return self.user_model.evaluate(counters), "fis"
-        return baseline_trust(request_rates(counters), self.config.weights), "baseline"
+        return baseline_trust(request_rates(counters)), "baseline"
 
     def decide(self, user_id: str, counters: UserBehaviorCounters | None = None) -> DecisionResponse:
         """Grant iff trust strictly exceeds the configured threshold and the
@@ -223,13 +221,11 @@ class TrustService:
         ratio = self.feedback.negative_ratio(provider_id)
         data["schema"] = SCHEMA
         data["negative_feedback_ratio"] = ratio
-        if feedback_ban(ratio):
+        data["banned"] = data["classification"] == "banned" or feedback_ban(ratio)
+        if data["banned"]:
             # the ban overrides the reported value but not the stored one
             data["trust"] = 0.0
             data["classification"] = "banned"
-            data["banned"] = True
-        else:
-            data["banned"] = False
         return data
 
     def provider_feedback(self, provider_id: str, feedback: str) -> dict:

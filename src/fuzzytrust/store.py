@@ -11,7 +11,9 @@ versioned JSON documents.
 
 Durability: every appended line is flushed and nothing is fsynced, so a
 line survives a crash of the process, not necessarily of the host.  An
-unreadable line is reported with its file and line on the next open.
+unreadable line is reported with its file and line on the next open.  If
+the last line lost its newline (a write cut short), the first append
+starts on a fresh line, so the next open still reads every record.
 """
 
 from __future__ import annotations
@@ -49,11 +51,13 @@ class JsonlLog:
         self.path = Path(path)
         self._fh = None
         self._count = 0
+        self._unterminated = False  # the file's last line lacks its newline
         if not self.path.exists():
             return
+        raw = "\n"  # an empty file counts as terminated
         with open(self.path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
                 if not line:
                     continue
                 try:
@@ -61,14 +65,18 @@ class JsonlLog:
                 except (ValueError, KeyError, TypeError) as exc:
                     raise StoreCorruptError(self.path, lineno, str(exc)) from exc
                 self._count += 1
+        self._unterminated = not raw.endswith("\n")
 
     def append(self, data: dict) -> None:
         line = json.dumps(data) + "\n"
         if self._fh is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._fh = open(self.path, "a", encoding="utf-8")
+        if self._unterminated:  # a write cut short: start on a fresh line
+            line = "\n" + line
         self._fh.write(line)
         self._fh.flush()
+        self._unterminated = False
         self._count += 1
 
     def close(self) -> None:

@@ -22,8 +22,8 @@ from .store import check_format, load_artifact, save_artifact
 DEFAULT_THRESHOLD = 0.5
 TRUST_OUTPUT_MIN_HALFWIDTH = 0.05
 
-# Column layout of the joint feature matrix and the corpus CSV.
-FEATURE_COLUMNS = ("bad", "bogus", "unauthorized", "total")
+# The joint feature matrix (``ingest.corpus_matrix``) has columns bad,
+# bogus, unauthorized, total, then trust.
 TRUST_COLUMN = 4
 
 # Input variables in rulebase declaration order, with their matrix column.
@@ -59,10 +59,6 @@ class UserBehaviorCounters:
                 f"user {self.user_id!r}: total {self.tr} is less than "
                 f"categorized requests {self.uar + self.bor + self.bar}"
             )
-
-    def feature_vector(self) -> np.ndarray:
-        """Counts in matrix column order (bad, bogus, unauthorized, total)."""
-        return np.array([self.bar, self.bor, self.uar, self.tr], dtype=float)
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,37 @@ def test_header_only_corpus(pipeline, tmp_path, capsys):
     assert str(corpus) in err
 
 
+def test_bad_test_csv_names_the_file(pipeline, tmp_path, capsys):
+    corpus = tmp_path / "bad.csv"
+    corpus.write_text("bad,bogus,unauthorized,total,trust\n0,x,0,10,1.0\n")
+    code, _, err = run(capsys, "compare", "--test", corpus, "--user-model", pipeline["user.json"])
+    assert code == 1
+    assert f"error: {corpus}, line 2: " in err
+
+
+def test_bad_log_names_the_file(tmp_path, capsys):
+    log = tmp_path / "log.csv"
+    log.write_text("timestamp,user_id,status\n2026-01-01T00:00:00,u1,abc\n")
+    code, _, err = run(capsys, "ingest", "--log", log, "--out", tmp_path / "counters.csv")
+    assert code == 1
+    assert f"error: {log}, line 2: unparseable status 'abc'" in err
+
+
+def test_provider_completion_strategies(tmp_path, capsys):
+    metrics = ("--workload", 50, "--response-time", 20, "--scalability", 0.9, "--availability", 0.1,
+               "--security", 0.5, "--usability", 0.3)
+    results = {}
+    for strategy in ("nearest_published", "fitted_score"):
+        code, out, _ = run(capsys, "eval-provider", *metrics, "--completion", strategy)
+        assert code == 0
+        results[strategy] = json.loads(out)
+    assert all(0.0 <= r["elasticity"] <= 1.0 for r in results.values())
+    out_file = tmp_path / "grid.csv"
+    code, _, _ = run(capsys, "surface", "--engine", "elasticity", "--x", "scalability", "--y", "security",
+                     "--resolution", 3, "--completion", "fitted_score", "--out", out_file)
+    assert code == 0 and len(out_file.read_text().splitlines()) == 10
+
+
 def test_corrupt_store(tmp_path, capsys):
     store = tmp_path / "store.jsonl"
     store.write_text("{not json\n")

@@ -18,7 +18,6 @@ from fuzzytrust.fuzzy import (
     ShoulderRight,
     Triangular,
     TwoSidedGaussian,
-    membership_degree,
 )
 from fuzzytrust.store import load_artifact, save_artifact
 from oracles import OracleDegenerate, oracle_infer, random_fis, random_inputs
@@ -26,47 +25,47 @@ from oracles import OracleDegenerate, oracle_infer, random_fis, random_inputs
 
 class TestMembershipFunctions:
     def test_gaussian_peaks_at_center(self):
-        assert membership_degree(Gaussian(0.5, 0.1), 0.5) == 1.0
+        assert float(Gaussian(0.5, 0.1)(0.5)) == 1.0
 
     def test_gaussian_symmetry(self):
         mf = Gaussian(2.0, 0.7)
-        assert membership_degree(mf, 1.0) == pytest.approx(membership_degree(mf, 3.0))
+        assert float(mf(1.0)) == pytest.approx(float(mf(3.0)))
 
     def test_triangular_midpoint_of_rise(self):
-        assert membership_degree(Triangular(0.0, 0.5, 1.0), 0.25) == pytest.approx(0.5)
+        assert float(Triangular(0.0, 0.5, 1.0)(0.25)) == pytest.approx(0.5)
 
     def test_triangular_outside_support_is_zero(self):
         mf = Triangular(0.0, 0.5, 1.0)
-        assert membership_degree(mf, -0.1) == 0.0
-        assert membership_degree(mf, 1.1) == 0.0
+        assert float(mf(-0.1)) == 0.0
+        assert float(mf(1.1)) == 0.0
 
     def test_triangular_half_shapes(self):
         left_edge = Triangular(0.0, 0.0, 0.5)
-        assert membership_degree(left_edge, 0.0) == 1.0
-        assert membership_degree(left_edge, 0.25) == pytest.approx(0.5)
+        assert float(left_edge(0.0)) == 1.0
+        assert float(left_edge(0.25)) == pytest.approx(0.5)
         right_edge = Triangular(0.5, 1.0, 1.0)
-        assert membership_degree(right_edge, 1.0) == 1.0
-        assert membership_degree(right_edge, 0.75) == pytest.approx(0.5)
+        assert float(right_edge(1.0)) == 1.0
+        assert float(right_edge(0.75)) == pytest.approx(0.5)
 
     def test_two_sided_gaussian_plateau(self):
         # workload calibration row: plateau spans [23, 41]
         mf = TwoSidedGaussian(23.0, 7.2, 41.0, 6.95)
-        assert membership_degree(mf, 30.0) == 1.0
-        assert membership_degree(mf, 23.0) == 1.0
-        assert membership_degree(mf, 41.0) == 1.0
-        assert membership_degree(mf, 10.0) < 1.0
-        assert membership_degree(mf, 55.0) < 1.0
+        assert float(mf(30.0)) == 1.0
+        assert float(mf(23.0)) == 1.0
+        assert float(mf(41.0)) == 1.0
+        assert float(mf(10.0)) < 1.0
+        assert float(mf(55.0)) < 1.0
 
     def test_shoulders(self):
         left = ShoulderLeft(0.2, 0.6)
-        assert membership_degree(left, 0.0) == 1.0
-        assert membership_degree(left, 0.2) == 1.0
-        assert membership_degree(left, 0.4) == pytest.approx(0.5)
-        assert membership_degree(left, 0.7) == 0.0
+        assert float(left(0.0)) == 1.0
+        assert float(left(0.2)) == 1.0
+        assert float(left(0.4)) == pytest.approx(0.5)
+        assert float(left(0.7)) == 0.0
         right = ShoulderRight(0.4, 0.8)
-        assert membership_degree(right, 1.0) == 1.0
-        assert membership_degree(right, 0.6) == pytest.approx(0.5)
-        assert membership_degree(right, 0.3) == 0.0
+        assert float(right(1.0)) == 1.0
+        assert float(right(0.6)) == pytest.approx(0.5)
+        assert float(right(0.3)) == 0.0
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -83,10 +82,10 @@ class TestMembershipFunctions:
             ShoulderRight(0.9, 0.1)
 
     def test_non_finite_input_rejected(self):
-        with pytest.raises(ValueError):
-            membership_degree(Gaussian(0.0, 1.0), math.nan)
-        with pytest.raises(ValueError):
-            membership_degree(Gaussian(0.0, 1.0), math.inf)
+        fis = single_rule_fis((("mid", Triangular(0.0, 0.5, 1.0)),), "mid")
+        for x in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                fis.infer({"x": x})
 
     @given(
         center=st.floats(-1e3, 1e3),
@@ -94,7 +93,7 @@ class TestMembershipFunctions:
         x=st.floats(-1e6, 1e6),
     )
     def test_gaussian_degree_bounded(self, center, sigma, x):
-        assert 0.0 <= membership_degree(Gaussian(center, sigma), x) <= 1.0
+        assert 0.0 <= float(Gaussian(center, sigma)(x)) <= 1.0
 
     @given(
         left=st.floats(-1e3, 1e3),
@@ -107,7 +106,7 @@ class TestMembershipFunctions:
         if right <= left:  # widths can collapse in float arithmetic
             return
         mf = Triangular(left, apex, right)
-        assert 0.0 <= membership_degree(mf, x) <= 1.0
+        assert 0.0 <= float(mf(x)) <= 1.0
 
     @given(
         lc=st.floats(-1e3, 1e3),
@@ -118,10 +117,10 @@ class TestMembershipFunctions:
     )
     def test_two_sided_degree_bounded_and_plateau(self, lc, plateau, ls, rs, x):
         mf = TwoSidedGaussian(lc, ls, lc + plateau, rs)
-        assert 0.0 <= membership_degree(mf, x) <= 1.0
+        assert 0.0 <= float(mf(x)) <= 1.0
         mid = lc + plateau / 2
         if math.isfinite(mid):
-            assert membership_degree(mf, mid) == 1.0
+            assert float(mf(mid)) == 1.0
 
 
 def single_rule_fis(output_sets, consequent, antecedent_mf=None):
@@ -212,7 +211,7 @@ class TestInfer:
         for _ in range(15):
             fis = random_fis(rng, max_rules=30)
             inputs = random_inputs(rng, fis)
-            doubled = fis.with_resolution(2 * fis.defuzz_resolution - 1)
+            doubled = dataclasses.replace(fis, defuzz_resolution=2 * fis.defuzz_resolution - 1)
             try:
                 coarse = fis.infer(inputs)
             except DegenerateOutputError:

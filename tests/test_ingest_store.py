@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from datetime import datetime, timedelta, timezone
@@ -76,6 +77,7 @@ class TestIngestLog:
         with pytest.raises(ParseError) as err:
             ingest_log(log)
         assert err.value.line == 3
+        assert str(err.value).startswith(f"{log}, line 3: ")
 
     def test_status_range_validated(self, tmp_path):
         log = tmp_path / "log.csv"
@@ -298,6 +300,20 @@ class TestTrustStore:
             assert TrustStore(path).get("user", "alice").trust == trust
         writer.close()
 
+    def test_unterminated_last_line_gets_fresh_line(self, tmp_path):
+        # a write cut short after the closing brace leaves no newline
+        path = tmp_path / "store.jsonl"
+        path.write_text(json.dumps(record().to_dict()))
+        for day in (2, 3):  # the second open finds the file terminated
+            store = TrustStore(path)
+            store.put(record(trust=day / 10, at=f"2026-01-0{day}T00:00:00+00:00"))
+            store.put(record(trust=day / 10 + 0.05, at=f"2026-01-0{day}T12:00:00+00:00"))
+            store.close()
+        reopened = TrustStore(path)
+        assert len(reopened) == 5 and reopened.get("user", "alice").trust == 0.35
+        text = path.read_text()
+        assert text.count("\n") == 5 and "\n\n" not in text
+
     def test_corrupt_line_reported(self, tmp_path):
         path = tmp_path / "store.jsonl"
         store = TrustStore(path)
@@ -365,6 +381,14 @@ class TestFeedbackLedger:
         assert err.value.line == 2
         assert str(path) in str(err.value)
 
+    def test_unterminated_last_line_gets_fresh_line(self, tmp_path):
+        path = tmp_path / "feedback.jsonl"
+        path.write_text(json.dumps({"v": 1, "provider_id": "p1", "feedback": "negative", "at": "2026-01-01T00:00:00+00:00"}))
+        ledger = FeedbackLedger(path)
+        ledger.record("p1", "positive")
+        ledger.close()
+        assert FeedbackLedger(path).negative_ratio("p1") == 0.5
+
     def test_rejected_feedback_writes_nothing(self, tmp_path):
         path = tmp_path / "feedback.jsonl"
         ledger = FeedbackLedger(path)
@@ -428,7 +452,7 @@ class TestPreviousFormats:
         assert cluster.centers.tolist() == [[0.2, 0.1, 0.3, 0.5, 0.75]] and cluster.config.c == 1
         fis = load_artifact(FuzzyInferenceSystem, tmp_path / "fis.json")
         model = load_user_model(tmp_path / "user.json")
-        assert model.fis == fis == UserTrustModel.from_cluster_model(cluster).fis.with_resolution(101)
+        assert model.fis == fis == dataclasses.replace(UserTrustModel.from_cluster_model(cluster).fis, defuzz_resolution=101)
         assert model.norm_params == cluster.norm_params
         assert model.evaluate(UserBehaviorCounters("u", uar=3, bor=1, bar=2, tr=51)) == pytest.approx(0.75)
 

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from fuzzytrust.evaluation import spearman
 from fuzzytrust.fuzzy import (
     FuzzyInferenceSystem,
     FuzzyRule,
+    Gaussian,
     LinguisticVariable,
     Triangular,
     TwoSidedGaussian,
@@ -17,7 +20,6 @@ from fuzzytrust.provider import (
     PERFORMANCE_RULES,
     TRUST_PUBLISHED_RULES,
     ProviderMetrics,
-    RuleCompletionPolicy,
     build_elasticity_fis,
     build_performance_fis,
     build_provider_trust_fis,
@@ -106,11 +108,20 @@ def rulebase_map(fis: FuzzyInferenceSystem) -> dict:
     return mapping
 
 
+def prototype(mf) -> float:
+    """The input a set stands for: a Gaussian's center, a plateau's midpoint."""
+    if isinstance(mf, Gaussian):
+        return mf.center
+    assert isinstance(mf, TwoSidedGaussian)
+    return 0.5 * (mf.left_center + mf.right_center)
+
+
 def prototype_inputs(fis: FuzzyInferenceSystem, labels: tuple[str, ...]) -> dict:
-    return {
-        variable.name: variable.mf(label).prototype()
-        for variable, label in zip(fis.inputs, labels)
-    }
+    return {variable.name: prototype(variable.mf(label)) for variable, label in zip(fis.inputs, labels)}
+
+
+def rulebase_sha256(fis: FuzzyInferenceSystem) -> str:
+    return hashlib.sha256(json.dumps(fis.to_dict(), sort_keys=True).encode()).hexdigest()
 
 
 class TestPerformanceFis:
@@ -172,10 +183,23 @@ class TestElasticityFis:
             assert mapping[combo] == expected
 
     def test_completion_is_deterministic(self):
-        assert build_elasticity_fis() == build_elasticity_fis()
+        # two fresh builds, past the cache
+        assert build_elasticity_fis.__wrapped__() == build_elasticity_fis.__wrapped__()
+
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            ((), "ff527e14a45b7e08f4e22fc3bd166bd0c10cf5f8f2946ff7cbb273622785cc8f"),
+            (("nearest_published",), "ff527e14a45b7e08f4e22fc3bd166bd0c10cf5f8f2946ff7cbb273622785cc8f"),
+            (("fitted_score",), "258cada7368fe478483fe67f384de06fd175a77871deb796839cfbb4121b990c"),
+        ],
+        ids=["default", "nearest_published", "fitted_score"],
+    )
+    def test_rulebase_pinned(self, args, digest):
+        assert rulebase_sha256(build_elasticity_fis.__wrapped__(*args)) == digest
 
     def test_fitted_score_policy_also_covers_and_preserves(self):
-        fis = build_elasticity_fis(RuleCompletionPolicy(strategy="fitted_score"))
+        fis = build_elasticity_fis("fitted_score")
         mapping = rulebase_map(fis)
         assert len(mapping) == 81
         for combo, expected in ELASTICITY_TABLE.items():
@@ -183,12 +207,12 @@ class TestElasticityFis:
 
     def test_policies_differ_somewhere(self):
         near = rulebase_map(build_elasticity_fis())
-        fitted = rulebase_map(build_elasticity_fis(RuleCompletionPolicy(strategy="fitted_score")))
+        fitted = rulebase_map(build_elasticity_fis("fitted_score"))
         assert near != fitted  # both valid completions, different heuristics
 
     def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError):
-            RuleCompletionPolicy(strategy="magic")
+        with pytest.raises(ValueError, match="magic"):
+            build_elasticity_fis("magic")
 
     def test_prototype_argmax_round_trips_published_rows(self):
         fis = build_elasticity_fis()
@@ -334,8 +358,12 @@ class TestCompletionPolicyInternals:
         monkeypatch.setattr(
             prov, "ELASTICITY_PUBLISHED_RULES", prov.ELASTICITY_PUBLISHED_RULES[:3]
         )
-        fis = build_elasticity_fis()  # still completes: policy fills from 3 rows
-        assert len(fis.rules) == 81
+        prov.build_elasticity_fis.cache_clear()
+        try:
+            fis = prov.build_elasticity_fis()  # still completes: the strategy fills from 3 rows
+            assert len(fis.rules) == 81
+        finally:
+            prov.build_elasticity_fis.cache_clear()
 
     def test_trust_builder_guards_score_consistency(self, monkeypatch):
         import fuzzytrust.provider as prov

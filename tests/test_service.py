@@ -108,3 +108,12 @@ class TestStoredState:
         assert service.user_trust("u1")["classification"] == "banned"
         service.close()
 
+    def test_stored_provider_ban_is_reported(self, tmp_path):
+        # eval-provider --store keeps the cascade's trust beside a "banned" classification
+        service = TrustService(ServiceConfig(store_path=str(tmp_path / "s.jsonl")))
+        service.store.put(_record("p1", "provider", 0.5, "banned"))
+        provider = service.provider_trust("p1")
+        assert (provider["banned"], provider["trust"], provider["classification"]) == (True, 0.0, "banned")
+        assert provider["negative_feedback_ratio"] == 0.0
+        assert service.store.get("provider", "p1").trust == 0.5  # the stored value stays intact
+        service.close()

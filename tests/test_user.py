@@ -37,8 +37,9 @@ class TestCounters:
             UserBehaviorCounters(user_id="u", uar=-1, bor=0, bar=0, tr=5)
 
     def test_feature_vector_order(self):
+        # corpus_matrix columns: bad, bogus, unauthorized, total, baseline trust
         c = UserBehaviorCounters(user_id="u", uar=3, bor=2, bar=1, tr=10)
-        assert c.feature_vector().tolist() == [1.0, 2.0, 3.0, 10.0]
+        assert corpus_matrix([c]).tolist() == [[1.0, 2.0, 3.0, 10.0, baseline_trust(request_rates(c))]]
 
 
 class TestRequestRates:
@@ -274,9 +275,6 @@ class TestEvaluateBatch:
         users = _random_counters(np.random.default_rng(9), 40)
         report = compare(users, two_cluster_user_model)
         assert [r.predicted for r in report.rows] == [two_cluster_user_model.evaluate(c) for c in users]
-        # the per-user fallback for bare callables gives the same rows
-        fallback = compare(users, two_cluster_user_model.evaluate)
-        assert fallback.rows == report.rows
 
     def test_zero_total_raises_like_evaluate(self, two_cluster_user_model):
         users = _random_counters(np.random.default_rng(10), 5)
