@@ -18,10 +18,36 @@ hides the provider's record.  A user whose latest stored record is
 decision appends keeps the ban.
 The decision threshold is the service's configuration: a /decide body
 that carries ``threshold`` is refused with 400, as is a body that is not
-a JSON object or a negative ``Content-Length``.
+a JSON object.  Path ids are percent-decoded (``/trust/user/a%20b`` is
+user ``a b``); an id that does not decode as UTF-8 is refused with 400.
 A provider whose latest stored record is ``banned``, or whose
 negative-feedback share in the ledger exceeds 40%, is reported banned
 with trust 0 while its stored values stay intact.
+
+HTTP: the server speaks HTTP/1.1 and keeps each connection open for the
+client's next request (RFC 9112 §9.3) unless the client asks to close or
+speaks HTTP/1.0.  Responses go out with TCP_NODELAY set, each head and
+body in one write: a response split over two small writes waits about
+40 ms for the client's delayed ACK (RFC 896, RFC 1122 §4.2.3.2).
+
+Framing: a request body is exactly ``Content-Length`` bytes (none if the
+header is absent), read on every route, GET included, so the next request
+on the connection starts where it should.  A body that cannot be framed
+is answered, then the connection is closed:
+    400  ``Transfer-Encoding`` (chunked bodies are not accepted), more than
+         one ``Content-Length``, a value that is not a non-negative
+         integer, or a body that ends early;
+    413  a body over ``MAX_BODY_BYTES``.
+The errors the HTTP layer itself finds are ``tmm/1`` JSON too, and also
+close the connection: 400 for a malformed request line, 414 for an
+oversized one, 431 for oversized or too many headers, and 405 (with
+``Allow: GET, POST``) for any other method.
+
+Connections: ``ThreadingHTTPServer`` serves each open connection on its
+own thread, and nothing caps their number.  A connection that sends no
+request for ``IDLE_TIMEOUT_S`` seconds, or stalls that long inside one, is
+closed, which frees its thread; until then every idle kept-alive client
+holds one thread.
 """
 
 from __future__ import annotations
@@ -30,7 +56,9 @@ import json
 import os
 import threading
 from dataclasses import dataclass
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from urllib.parse import unquote
 
 from .errors import (
     FuzzyTrustError,
@@ -53,6 +81,8 @@ from .user import (
 
 SCHEMA = "tmm/1"
 LEDGER_VERSION = 1
+MAX_BODY_BYTES = 1 << 16  # a /decide or /feedback body is under 200 bytes
+IDLE_TIMEOUT_S = 15.0  # a kept-alive connection waits this long for its next request
 
 ENV_STORE = "FUZZYTRUST_STORE"
 ENV_FEEDBACK = "FUZZYTRUST_FEEDBACK"
@@ -248,56 +278,116 @@ def _counters_from_payload(user_id: str, payload: dict) -> UserBehaviorCounters:
     )
 
 
+def _content_length(value: str) -> int:
+    """A ``Content-Length`` value (1*DIGIT, RFC 9110 §8.6); one over the cap
+    reads as ``MAX_BODY_BYTES + 1``.  ``ValueError`` for anything else."""
+    value = value.strip(" \t")
+    if not (value.isascii() and value.isdigit()):
+        raise ValueError("Content-Length must be a non-negative integer")
+    digits = value.lstrip("0")
+    return int(digits or "0") if len(digits) <= len(str(MAX_BODY_BYTES)) else MAX_BODY_BYTES + 1
+
+
+def _path_id(path: str, prefix: str) -> str:
+    """The percent-decoded id after ``prefix``; ``ValueError`` if it is not UTF-8."""
+    return unquote(path.removeprefix(prefix), errors="strict")
+
+
 class _Handler(BaseHTTPRequestHandler):
     service: TrustService  # set on the subclass by create_http_server
+
+    protocol_version = "HTTP/1.1"
+    default_request_version = "HTTP/1.0"  # a request line without a version still gets a status line
+    disable_nagle_algorithm = True
+    wbufsize = -1  # buffered: handle_one_request's flush() sends head and body in one write
+    timeout = IDLE_TIMEOUT_S
 
     def log_message(self, *args):  # quiet by default
         pass
 
-    def _send(self, status: int, body: dict) -> None:
+    def _send(self, status: int, body: dict, **headers: str) -> None:
         data = json.dumps(body).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
+        for name, value in headers.items():
+            self.send_header(name, value)
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
-        self.wfile.write(data)
+        if self.command != "HEAD":
+            self.wfile.write(data)
 
     def _error(self, status: int, message: str) -> None:
         self._send(status, {"schema": SCHEMA, "error": message})
 
-    def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length", 0))
-        if length < 0:
-            raise ValueError(f"negative Content-Length {length}")
-        raw = self.rfile.read(length) if length else b""
-        if not raw:
-            return {}
-        payload = json.loads(raw)
-        if not isinstance(payload, dict):
-            raise ValueError(f"body must be a JSON object, got {type(payload).__name__}")
-        return payload
+    def send_error(self, code, message=None, explain=None):
+        """The errors ``BaseHTTPRequestHandler`` finds itself, as JSON.  The
+        rest of such a request cannot be framed, so the connection closes."""
+        headers = {}
+        if code == HTTPStatus.NOT_IMPLEMENTED:  # the stdlib's answer to a method with no do_ handler
+            code, message = HTTPStatus.METHOD_NOT_ALLOWED, f"method {self.command!r} not allowed"
+            headers["Allow"] = "GET, POST"
+        self.close_connection = True
+        self._send(code, {"schema": SCHEMA, "error": message or HTTPStatus(code).phrase}, **headers)
+
+    def handle_expect_100(self):
+        answered = super().handle_expect_100()
+        self.wfile.flush()  # the client may wait for "100 Continue" before it sends the body
+        return answered
+
+    def _read_body(self) -> bytes | None:
+        """Exactly the declared body.  None once a body that cannot be
+        framed has been answered; the connection then closes."""
+        status, lengths = HTTPStatus.BAD_REQUEST, self.headers.get_all("Content-Length", [])
+        try:
+            if "Transfer-Encoding" in self.headers:
+                raise ValueError("Transfer-Encoding is not supported; send a Content-Length")
+            if len(lengths) > 1:
+                raise ValueError("more than one Content-Length")
+            length = _content_length(lengths[0]) if lengths else 0
+            if length > MAX_BODY_BYTES:
+                status = HTTPStatus.REQUEST_ENTITY_TOO_LARGE
+                raise ValueError(f"Content-Length exceeds the {MAX_BODY_BYTES}-byte cap")
+            body = self.rfile.read(length)
+            if len(body) < length:
+                raise ValueError(f"body ended after {len(body)} of {length} bytes")
+            return body
+        except ValueError as exc:
+            self.close_connection = True
+            self._error(status, str(exc))
+            return None
 
     def do_GET(self):
+        if self._read_body() is None:
+            return
         path = self.path.rstrip("/") or "/"
         try:
             if path == "/healthz":
                 self._send(200, {"schema": SCHEMA, "status": "ok"})
             elif path.startswith("/trust/user/"):
-                self._send(200, self.service.user_trust(path.removeprefix("/trust/user/")))
+                self._send(200, self.service.user_trust(_path_id(path, "/trust/user/")))
             elif path.startswith("/trust/provider/"):
-                self._send(200, self.service.provider_trust(path.removeprefix("/trust/provider/")))
+                self._send(200, self.service.provider_trust(_path_id(path, "/trust/provider/")))
             else:
                 self._error(404, f"unknown path {path}")
         except NotFoundError as exc:
             self._error(404, str(exc))
+        except ValueError as exc:
+            self._error(400, f"bad request: {exc}")
         except FuzzyTrustError as exc:
             self._error(400, str(exc))
 
     def do_POST(self):
+        raw = self._read_body()
+        if raw is None:
+            return
         path = self.path.rstrip("/")
         try:
-            payload = self._read_json()
-        except (ValueError, json.JSONDecodeError) as exc:
+            payload = json.loads(raw) if raw else {}
+            if not isinstance(payload, dict):
+                raise ValueError(f"body must be a JSON object, got {type(payload).__name__}")
+        except (ValueError, RecursionError) as exc:
             self._error(400, f"malformed JSON body: {exc}")
             return
         try:
@@ -311,13 +401,13 @@ class _Handler(BaseHTTPRequestHandler):
                 response = self.service.decide(user_id, counters=counters)
                 self._send(200, response.to_dict())
             elif path.startswith("/feedback/provider/"):
-                provider_id = path.removeprefix("/feedback/provider/")
+                provider_id = _path_id(path, "/feedback/provider/")
                 self._send(200, self.service.provider_feedback(provider_id, payload.get("feedback", "")))
             else:
                 self._error(404, f"unknown path {path}")
         except NoTrustAvailableError as exc:
             self._error(404, str(exc))
-        except (ZeroTotalRequestsError, ValueError, KeyError, TypeError) as exc:
+        except (ZeroTotalRequestsError, ValueError, KeyError, TypeError, OverflowError) as exc:
             self._error(400, f"bad request: {exc}")
         except FuzzyTrustError as exc:
             self._error(400, str(exc))

@@ -135,38 +135,53 @@ class TrustRecord:
         )
 
 
+def _instant(evaluated_at: str) -> datetime:
+    """The instant an ISO-8601 stamp names; a stamp without an offset is UTC."""
+    instant = datetime.fromisoformat(evaluated_at)
+    return instant if instant.tzinfo is not None else instant.replace(tzinfo=timezone.utc)
+
+
 class TrustStore:
     """Trust records in a ``JsonlLog``, indexed in memory by the latest
-    record per (subject kind, subject id).  Opening replays the whole
-    file and reports the first corrupt line, if any."""
+    record per (subject kind, subject id).  "Latest" is the latest
+    ``evaluated_at`` instant, whatever its UTC offset; of equal instants
+    the one appended last.  Opening replays the whole file and reports the
+    first corrupt line, if any, an unparsable ``evaluated_at`` included."""
 
     def __init__(self, path):
         self._lock = threading.Lock()
-        # kind -> id -> record: on replay a nested lookup is cheaper than a tuple key per line
-        self._latest: dict[str, dict[str, TrustRecord]] = {kind: {} for kind in SUBJECT_KINDS}
+        # kind -> id -> (instant, record): on replay a nested lookup is cheaper
+        # than a tuple key per line, and each stamp is parsed once
+        self._latest: dict[str, dict[str, tuple[datetime, TrustRecord]]] = {kind: {} for kind in SUBJECT_KINDS}
         latest, from_dict = self._latest, TrustRecord.from_dict
 
-        def index(record: TrustRecord) -> None:
+        def index(record: TrustRecord, instant: datetime) -> None:
             by_id = latest[record.subject_kind]
             current = by_id.get(record.subject_id)
-            if current is None or record.evaluated_at >= current.evaluated_at:
-                by_id[record.subject_id] = record
+            if current is None or instant >= current[0]:
+                by_id[record.subject_id] = (instant, record)
+
+        def replay(data: dict) -> None:
+            record = from_dict(data)
+            index(record, _instant(record.evaluated_at))
 
         self._index = index
-        self._log = JsonlLog(path, lambda data: index(from_dict(data)))
+        self._log = JsonlLog(path, replay)
 
     def put(self, record: TrustRecord) -> None:
-        """Append, then index: a failed write leaves the index unchanged."""
+        """Parse, append, then index: a record that would not replay is
+        never written, and a failed write leaves the index unchanged."""
+        instant = _instant(record.evaluated_at)
         with self._lock:
             self._log.append(record.to_dict())
-            self._index(record)
+            self._index(record, instant)
 
     def get(self, kind: str, subject_id: str) -> TrustRecord:
         with self._lock:
-            record = self._latest.get(kind, {}).get(subject_id)
-        if record is None:
+            entry = self._latest.get(kind, {}).get(subject_id)
+        if entry is None:
             raise NotFoundError(f"no trust record for {kind} {subject_id!r}")
-        return record
+        return entry[1]
 
     def close(self) -> None:
         with self._lock:

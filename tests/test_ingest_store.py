@@ -280,6 +280,28 @@ class TestTrustStore:
         assert store.get("user", "alice").trust == 0.8
         assert len(store) == 2
 
+    def test_latest_instant_wins_across_offsets(self, tmp_path):
+        # 01:30+02:00 is 23:30Z the day before: the earlier instant has the larger string
+        path = tmp_path / "store.jsonl"
+        store = TrustStore(path)
+        store.put(record(trust=0.8, at="2026-01-02T00:30:00+00:00"))
+        store.put(record(trust=0.2, at="2026-01-02T01:30:00+02:00"))
+        store.close()
+        assert store.get("user", "alice").trust == 0.8
+        assert TrustStore(path).get("user", "alice").trust == 0.8
+
+    def test_unparsable_instant_rejected(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        store = TrustStore(path)
+        with pytest.raises(ValueError):
+            store.put(record(at="yesterday"))
+        store.close()
+        assert not path.exists()
+        path.write_text(json.dumps(record(at="yesterday").to_dict()) + "\n")
+        with pytest.raises(StoreCorruptError) as err:
+            TrustStore(path)
+        assert err.value.line == 1
+
     def test_unknown_subject(self, tmp_path):
         store = TrustStore(tmp_path / "store.jsonl")
         with pytest.raises(NotFoundError):
