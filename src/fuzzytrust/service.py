@@ -18,8 +18,9 @@ hides the provider's record.  A user whose latest stored record is
 decision appends keeps the ban.
 The decision threshold is the service's configuration: a /decide body
 that carries ``threshold`` is refused with 400, as is a body that is not
-a JSON object.  Path ids are percent-decoded (``/trust/user/a%20b`` is
-user ``a b``); an id that does not decode as UTF-8 is refused with 400.
+a JSON object or whose ``user_id`` is not a non-empty string.  Path ids
+are percent-decoded (``/trust/user/a%20b`` is user ``a b``); an id that
+does not decode as UTF-8 is refused with 400.
 A provider whose latest stored record is ``banned``, or whose
 negative-feedback share in the ledger exceeds 40%, is reported banned
 with trust 0 while its stored values stay intact.
@@ -41,7 +42,10 @@ is answered, then the connection is closed:
 The errors the HTTP layer itself finds are ``tmm/1`` JSON too, and also
 close the connection: 400 for a malformed request line, 414 for an
 oversized one, 431 for oversized or too many headers, and 405 (with
-``Allow: GET, POST``) for any other method.
+``Allow: GET, POST``) for any other method.  An exception that no route
+expects (an ``OSError`` from the store, say) is answered 500, also
+closing the connection, and its traceback goes to the server's
+``handle_error``.
 
 Connections: ``ThreadingHTTPServer`` serves each open connection on its
 own thread, and nothing caps their number.  A connection that sends no
@@ -212,8 +216,8 @@ class TrustService:
     def decide(self, user_id: str, counters: UserBehaviorCounters | None = None) -> DecisionResponse:
         """Grant iff trust strictly exceeds the configured threshold and the
         subject is not banned; every decision appends one audit record."""
-        if not user_id:
-            raise ValueError("user_id must be non-empty")
+        if not isinstance(user_id, str) or not user_id:
+            raise ValueError(f"user_id must be a non-empty string, got {user_id!r}")
         threshold = self.config.threshold
         try:
             record = self.store.get("user", user_id)
@@ -321,6 +325,14 @@ class _Handler(BaseHTTPRequestHandler):
     def _error(self, status: int, message: str) -> None:
         self._send(status, {"schema": SCHEMA, "error": message})
 
+    def _internal_error(self) -> None:
+        """The last-resort answer to an exception no branch expects (an
+        ``OSError`` from a full disk, say): report it through the server's
+        ``handle_error``, answer 500 and close the connection."""
+        self.server.handle_error(self.request, self.client_address)
+        self.close_connection = True
+        self._error(HTTPStatus.INTERNAL_SERVER_ERROR, "internal error")
+
     def send_error(self, code, message=None, explain=None):
         """The errors ``BaseHTTPRequestHandler`` finds itself, as JSON.  The
         rest of such a request cannot be framed, so the connection closes."""
@@ -377,6 +389,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(400, f"bad request: {exc}")
         except FuzzyTrustError as exc:
             self._error(400, str(exc))
+        except Exception:
+            self._internal_error()
 
     def do_POST(self):
         raw = self._read_body()
@@ -411,6 +425,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(400, f"bad request: {exc}")
         except FuzzyTrustError as exc:
             self._error(400, str(exc))
+        except Exception:
+            self._internal_error()
 
 
 def create_http_server(service: TrustService) -> ThreadingHTTPServer:

@@ -1,11 +1,14 @@
 import dataclasses
 import json
 import random
+import stat
+import tempfile
+from pathlib import Path
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzytrust.errors import (
@@ -27,7 +30,8 @@ from fuzzytrust.ingest import (
 from fuzzytrust.clustering import ClusterModel
 from fuzzytrust.fuzzy import FuzzyInferenceSystem
 from fuzzytrust.service import FeedbackLedger, ServiceConfig, TrustService
-from fuzzytrust.store import TrustRecord, TrustStore, load_artifact
+from fuzzytrust import store as store_module
+from fuzzytrust.store import LogPosition, TrustRecord, TrustStore, load_artifact
 from fuzzytrust.user import (
     UserBehaviorCounters,
     UserTrustModel,
@@ -271,12 +275,14 @@ class TestTrustStore:
         store = TrustStore(tmp_path / "store.jsonl")
         rec = record()
         store.put(rec)
+        store.close()
         assert store.get("user", "alice") == rec
 
     def test_latest_timestamp_wins(self, tmp_path):
         store = TrustStore(tmp_path / "store.jsonl")
         store.put(record(trust=0.2, at="2026-01-01T00:00:00+00:00"))
         store.put(record(trust=0.8, at="2026-01-02T00:00:00+00:00"))
+        store.close()
         assert store.get("user", "alice").trust == 0.8
         assert len(store) == 2
 
@@ -309,7 +315,9 @@ class TestTrustStore:
 
     def test_reopen_rebuilds_index(self, tmp_path):
         path = tmp_path / "store.jsonl"
-        TrustStore(path).put(record())
+        writer = TrustStore(path)
+        writer.put(record())
+        writer.close()
         reopened = TrustStore(path)
         assert reopened.get("user", "alice").trust == 0.9
         assert len(reopened) == 1
@@ -340,6 +348,7 @@ class TestTrustStore:
         path = tmp_path / "store.jsonl"
         store = TrustStore(path)
         store.put(record())
+        store.close()
         with open(path, "a", encoding="utf-8") as fh:
             fh.write("{broken json\n")
         with pytest.raises(StoreCorruptError) as err:
@@ -384,6 +393,209 @@ class TestTrustStore:
             evaluated_at="2026-03-01T00:00:00+00:00",
         )
         assert TrustRecord.from_dict(json.loads(json.dumps(rec.to_dict()))) == rec
+
+
+def _snapshot(path: Path) -> Path:
+    return path.with_name(path.name + ".snapshot")
+
+
+def _state(store: TrustStore, subjects) -> tuple:
+    """``len(store)`` and the ``get`` answer for every (kind, id)."""
+    answers = []
+    for kind, subject in subjects:
+        try:
+            answers.append(store.get(kind, subject))
+        except NotFoundError:
+            answers.append(None)
+    return len(store), answers
+
+
+def _full_scan_state(path: Path, subjects) -> tuple:
+    """The state a full scan of the log gives: a copy with no snapshot beside it."""
+    copy = path.with_name("scan-" + path.name)
+    copy.write_bytes(path.read_bytes())
+    try:
+        return _state(TrustStore(copy), subjects)
+    finally:
+        copy.unlink()
+        _snapshot(copy).unlink(missing_ok=True)
+
+
+@pytest.fixture
+def replay_starts(monkeypatch):
+    """The position each trust-store open starts replaying its log from."""
+    starts = []
+
+    class Spy(store_module.JsonlLog):
+        def __init__(self, path, fold, start=LogPosition()):
+            if not str(path).endswith(".snapshot"):
+                starts.append(start)
+            super().__init__(path, fold, start)
+
+    monkeypatch.setattr(store_module, "JsonlLog", Spy)
+    return starts
+
+
+def _three_records(path: Path) -> None:
+    """A log of three records, then an open that writes its snapshot."""
+    writer = TrustStore(path)
+    for day, trust in ((1, 0.2), (2, 0.5), (3, 0.8)):
+        writer.put(record(trust=trust, at=f"2026-01-0{day}T00:00:00+00:00"))
+    writer.put(record(subject="bob", kind="provider", trust=0.4))
+    writer.close()
+    TrustStore(path)
+    assert _snapshot(path).exists()
+
+
+# several stamps spell the same instant, in different offsets
+_STAMPS = [
+    "2026-01-01T00:00:00+00:00",
+    "2026-01-01T01:00:00+01:00",
+    "2025-12-31T19:00:00-05:00",
+    "2026-01-01T00:00:00",
+    "2026-01-01T00:30:00+00:00",
+    "2026-01-01T02:30:00+02:00",
+    "2026-01-02T00:00:00+00:00",
+]
+_SUBJECTS = [(kind, subject) for kind in ("user", "provider") for subject in ("a", "b")]
+_RECORDS = st.builds(
+    lambda key, trust, at: record(subject=key[1], kind=key[0], trust=trust, at=at),
+    st.sampled_from(_SUBJECTS),
+    st.sampled_from([0.1, 0.5, 0.9]),
+    st.sampled_from(_STAMPS),
+)
+_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("put"), _RECORDS),
+        st.tuples(st.just("reopen"), st.none()),
+        # another process appended this line and stopped, perhaps before its newline
+        st.tuples(st.just("crash"), _RECORDS.map(lambda r: json.dumps(r.to_dict())) | st.just(""), st.booleans()),
+    ),
+    max_size=12,
+)
+
+
+class TestStoreSnapshot:
+    def test_reopen_replays_only_the_tail(self, tmp_path, replay_starts):
+        path = tmp_path / "store.jsonl"
+        _three_records(path)
+        covered = path.stat().st_size
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(record(trust=0.9, at="2026-01-04T00:00:00+00:00").to_dict()) + "\n")
+        replay_starts.clear()
+        store = TrustStore(path)
+        assert replay_starts == [LogPosition(covered, 4, 4)]
+        assert len(store) == 5 and store.get("user", "alice").trust == 0.9
+        assert store.get("provider", "bob").trust == 0.4
+        assert stat.S_IMODE(_snapshot(path).stat().st_mode) == stat.S_IMODE(path.stat().st_mode)
+        header = json.loads(_snapshot(path).read_text().splitlines()[0])
+        assert (header["format"], header["version"], header["log_bytes"]) == ("store-snapshot", 1, path.stat().st_size)
+        assert (header["lines"], header["records"], header["subjects"]) == (5, 5, 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(steps=_STEPS)
+    def test_snapshot_opens_match_a_full_scan(self, steps):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "store.jsonl"
+            store = TrustStore(path)
+            for step in steps:
+                if step[0] == "put":
+                    store.put(step[1])
+                else:
+                    store.close()
+                    if step[0] == "crash":
+                        _, line, terminated = step
+                        before = path.read_text() if path.exists() else ""
+                        fresh = "\n" if before and not before.endswith("\n") else ""
+                        path.write_text(before + fresh + line + ("\n" if terminated else ""))
+                    before = path.read_bytes() if path.exists() else None
+                    store = TrustStore(path)
+                    assert (path.read_bytes() if path.exists() else None) == before  # opening never writes the log
+                if path.exists():
+                    assert _state(store, _SUBJECTS) == _full_scan_state(path, _SUBJECTS)
+            store.close()
+
+    @pytest.mark.parametrize(
+        "tamper",
+        ["stale", "truncated", "line-lost", "not-json", "format", "version", "longer-than-log", "records", "lines", "duplicate"],
+    )
+    def test_a_snapshot_failing_a_check_is_ignored(self, tmp_path, replay_starts, tamper):
+        path = tmp_path / "store.jsonl"
+        _three_records(path)
+        snapshot = _snapshot(path)
+        lines = snapshot.read_text().splitlines()
+        header = json.loads(lines[0])
+        if tamper == "stale":  # alice's latest trust edited in place, same length
+            path.write_text(path.read_text().replace('"trust": 0.8', '"trust": 0.3', 1))
+        elif tamper == "truncated":
+            snapshot.write_text(snapshot.read_text()[:-40])
+        elif tamper == "line-lost":  # bob's whole line
+            snapshot.write_text("\n".join(lines[:-1]) + "\n")
+        elif tamper == "not-json":
+            snapshot.write_text("not json\n")
+        elif tamper in ("format", "version", "records", "lines"):  # fewer records than subjects, or than lines
+            value = {"format": "trust-store", "version": 2, "records": 1, "lines": 3}[tamper]
+            snapshot.write_text("\n".join([json.dumps({**header, tamper: value}), *lines[1:]]) + "\n")
+        elif tamper == "duplicate":  # a second alice line, at the same instant
+            snapshot.write_text("\n".join([*lines, lines[1].replace('"trust": 0.8', '"trust": 0.1')]) + "\n")
+        else:  # the log lost its last record after the snapshot was written
+            text = path.read_text()
+            path.write_text(text[: text.rindex("{")])
+        replay_starts.clear()
+        store = TrustStore(path)
+        assert replay_starts == [LogPosition()]
+        assert _state(store, [("user", "alice"), ("provider", "bob")]) == _full_scan_state(
+            path, [("user", "alice"), ("provider", "bob")]
+        )
+        if tamper == "stale":
+            assert store.get("user", "alice").trust == 0.3 and len(store) == 4
+        replay_starts.clear()
+        TrustStore(path)  # the full scan wrote a snapshot that holds
+        assert replay_starts[0].offset == path.stat().st_size
+
+    def test_corrupt_line_in_the_tail_names_its_line(self, tmp_path, replay_starts):
+        path = tmp_path / "store.jsonl"
+        _three_records(path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("\n{broken json\n")
+        replay_starts.clear()
+        with pytest.raises(StoreCorruptError) as err:
+            TrustStore(path)
+        assert replay_starts[0].lines == 4
+        assert err.value.line == 6 and str(path) in str(err.value)
+
+    def test_unterminated_last_line_opens_through_the_snapshot(self, tmp_path, replay_starts):
+        path = tmp_path / "store.jsonl"
+        _three_records(path)
+        snapshot_before = _snapshot(path).read_bytes()
+        with open(path, "a", encoding="utf-8") as fh:  # a write cut short before its newline
+            fh.write(json.dumps(record(trust=0.6, at="2026-01-05T00:00:00+00:00").to_dict()))
+        replay_starts.clear()
+        store = TrustStore(path)
+        assert replay_starts[0].lines == 4
+        assert store.get("user", "alice").trust == 0.6 and len(store) == 5
+        assert _snapshot(path).read_bytes() == snapshot_before  # the cut line is not covered
+        store.put(record(trust=0.3, at="2026-01-06T00:00:00+00:00"))
+        store.close()
+        text = path.read_text()
+        assert text.count("\n") == 6 and "\n\n" not in text
+        reopened = TrustStore(path)
+        assert len(reopened) == 6 and reopened.get("user", "alice").trust == 0.3
+
+    def test_failed_snapshot_write_leaves_the_store_open(self, tmp_path, monkeypatch):
+        path = tmp_path / "store.jsonl"
+        path.write_text(json.dumps(record().to_dict()) + "\n")
+
+        def no_space(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(store_module.tempfile, "mkstemp", no_space)
+        store = TrustStore(path)
+        assert store.get("user", "alice").trust == 0.9 and len(store) == 1
+        assert not _snapshot(path).exists()
+        store.put(record(trust=0.4, at="2026-01-02T00:00:00+00:00"))
+        store.close()
+        assert TrustStore(path).get("user", "alice").trust == 0.4
 
 
 class TestFeedbackLedger:

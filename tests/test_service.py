@@ -1,6 +1,7 @@
 """The HTTP service over loopback: a server on port 0 in a thread."""
 
 import contextlib
+import errno
 import http.client
 import json
 import socket
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fuzzytrust.store import TrustRecord
+from fuzzytrust.store import TrustRecord, TrustStore
 from fuzzytrust.service import MAX_BODY_BYTES, SCHEMA, ServiceConfig, TrustService, create_http_server
 from fuzzytrust.user import UserBehaviorCounters
 
@@ -27,7 +28,7 @@ def _serving(tmp_path, **handler_attrs):
     httpd = create_http_server(service)
     if handler_attrs:
         httpd.RequestHandlerClass = type("Handler", (httpd.RequestHandlerClass,), handler_attrs)
-    failures = []
+    failures = httpd.failures = []
     httpd.handle_error = lambda request, address: failures.append(traceback.format_exc())
     thread = threading.Thread(target=httpd.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
     thread.start()
@@ -86,6 +87,39 @@ class TestDecideThreshold:
         service = TrustService(ServiceConfig(store_path=str(tmp_path / "s.jsonl"), threshold=0.4))
         counters = UserBehaviorCounters("u1", uar=160, bor=0, bar=0, tr=160)
         assert service.decide("u1", counters=counters).decision == "grant"
+        service.close()
+
+
+class TestDecideUserId:
+    @pytest.mark.parametrize("user_id", [5, True, 1.5, None, "", ["u1"], {"id": "u1"}])
+    def test_user_id_that_is_not_a_string_gets_400(self, server, user_id):
+        status, body = _post(server, "/decide", _decide_body(user_id=user_id))
+        assert status == 400
+        assert body["schema"] == SCHEMA and "user_id" in body["error"]
+        assert len(server.RequestHandlerClass.service.store) == 0
+
+    def test_service_refuses_a_user_id_that_is_not_a_string(self, tmp_path):
+        service = TrustService(ServiceConfig(store_path=str(tmp_path / "s.jsonl")))
+        with pytest.raises(ValueError, match="user_id"):
+            service.decide(5, UserBehaviorCounters(5, 0, 0, 0, 10))
+        service.close()
+        assert not (tmp_path / "s.jsonl").exists()
+
+
+class TestUnexpectedErrors:
+    def test_unexpected_error_gets_500_then_the_server_goes_on(self, server, monkeypatch):
+        def full_disk(store, record):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(TrustStore, "put", full_disk)
+        body = _decide_body()
+        with _connect(server) as sock:
+            response, data = _exchange(sock, _request("POST", "/decide", [("Content-Length", len(body))], body), "POST")
+            assert _json(response, data, 500)["error"] == "internal error"
+            assert response.getheader("Connection") == "close" and _closed(sock)
+        assert "OSError" in server.failures.pop()  # reported through the server's handle_error
+        with _connect(server) as sock:
+            assert _exchange(sock, HEALTHZ)[0].status == 200
 
 
 class TestMalformedBodies:
