@@ -131,20 +131,30 @@ def _membership_from_sq_distances(d2: np.ndarray, m: float) -> np.ndarray:
     A point at distance zero from some center gets full membership in
     the nearest coincident center (lowest index on ties).
     """
-    n, c = d2.shape
     exponent = 1.0 / (m - 1.0)
     with np.errstate(divide="ignore"):
         inv = d2 ** -exponent
+    hits = d2 == 0.0
+    if not hits.any():
+        return inv / inv.sum(axis=1, keepdims=True)
     U = np.empty_like(d2)
-    singular = (d2 == 0.0).any(axis=1)
+    singular = hits.any(axis=1)
     regular = ~singular
     U[regular] = inv[regular] / inv[regular].sum(axis=1, keepdims=True)
-    if singular.any():
-        U[singular] = 0.0
-        hit_rows = np.where(singular)[0]
-        hit_cols = np.argmax(d2[singular] == 0.0, axis=1)
-        U[hit_rows, hit_cols] = 1.0
+    U[singular] = 0.0
+    U[np.where(singular)[0], np.argmax(hits[singular], axis=1)] = 1.0
     return U
+
+
+def _sq_distances(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances (n x c), summed one column at a time
+    in column order: the order in which ``.sum(axis=2)`` adds fewer than
+    eight terms, so for d < 8 the result is bit-identical to it, without
+    its n x c x d temporary."""
+    d2 = (X[:, 0, None] - centers[None, :, 0]) ** 2
+    for j in range(1, X.shape[1]):
+        d2 += (X[:, j, None] - centers[None, :, j]) ** 2
+    return d2
 
 
 def fcm_fit(
@@ -158,6 +168,14 @@ def fcm_fit(
     ``data`` is expected in normalized [0, 1] coordinates; pass the
     ``norm_params`` that produced it so the model can renormalize new
     points later (identity per dimension when omitted).
+
+    Squared distances are accumulated column by column (``_sq_distances``)
+    rather than from an n x c x d difference array: building that array
+    was over half of each iteration, and adding the columns in order keeps
+    every distance, and so every model, bit-identical to the array sum for
+    the five-column user matrix.  The expansion |x|^2 - 2 x.c + |c|^2 would
+    be cheaper still but rounds differently and loses the exact zero the
+    membership update tests for a point on a center.
     """
     X = np.asarray(data, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
@@ -176,19 +194,19 @@ def fcm_fit(
 
     centers = np.zeros((cfg.c, d))
     trace: list[float] = []
+    Um = U ** cfg.m
     for _ in range(cfg.max_iter):
-        Um = U ** cfg.m
         weight = Um.sum(axis=0)
         new_centers = (Um.T @ X) / np.where(weight > 0.0, weight, 1.0)[:, None]
         centers = np.where(weight[:, None] > 0.0, new_centers, centers)
-        d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        d2 = _sq_distances(X, centers)
         U = _membership_from_sq_distances(d2, cfg.m)
-        objective = float(((U ** cfg.m) * d2).sum())
+        Um = U ** cfg.m  # the objective's weights and the next centers'
+        objective = float((Um * d2).sum())
         trace.append(objective)
         if len(trace) > 1 and abs(trace[-2] - trace[-1]) < cfg.tol:
             break
 
-    Um = U ** cfg.m
     weight = Um.sum(axis=0)
     diffs = X[:, None, :] - centers[None, :, :]
     variance = (Um[:, :, None] * diffs ** 2).sum(axis=0) / np.where(weight > 0.0, weight, 1.0)[:, None]

@@ -134,14 +134,15 @@ class Triangular:
 
     def __call__(self, x) -> float | np.ndarray:
         x = np.asarray(x, dtype=float)
-        if self.apex > self.left:
-            rise = (x - self.left) / (self.apex - self.left)
-        else:
-            rise = np.where(x >= self.apex, 1.0, 0.0)
-        if self.right > self.apex:
-            fall = (self.right - x) / (self.right - self.apex)
-        else:
-            fall = np.where(x <= self.apex, 1.0, 0.0)
+        with np.errstate(over="ignore"):  # a slope over a subnormal width is inf, then clipped
+            if self.apex > self.left:
+                rise = (x - self.left) / (self.apex - self.left)
+            else:
+                rise = np.where(x >= self.apex, 1.0, 0.0)
+            if self.right > self.apex:
+                fall = (self.right - x) / (self.right - self.apex)
+            else:
+                fall = np.where(x <= self.apex, 1.0, 0.0)
         out = np.clip(np.minimum(rise, fall), 0.0, 1.0)
         return _eval_result(out)
 
@@ -162,7 +163,8 @@ class ShoulderLeft:
 
     def __call__(self, x) -> float | np.ndarray:
         x = np.asarray(x, dtype=float)
-        fall = (self.falls_to - x) / (self.falls_to - self.flat_until)
+        with np.errstate(over="ignore"):  # see Triangular
+            fall = (self.falls_to - x) / (self.falls_to - self.flat_until)
         return _eval_result(np.clip(fall, 0.0, 1.0))
 
     def to_dict(self) -> dict:
@@ -182,7 +184,8 @@ class ShoulderRight:
 
     def __call__(self, x) -> float | np.ndarray:
         x = np.asarray(x, dtype=float)
-        rise = (x - self.rises_from) / (self.flat_after - self.rises_from)
+        with np.errstate(over="ignore"):  # see Triangular
+            rise = (x - self.rises_from) / (self.flat_after - self.rises_from)
         return _eval_result(np.clip(rise, 0.0, 1.0))
 
     def to_dict(self) -> dict:

@@ -5,7 +5,9 @@ Log CSV:     header ``timestamp,user_id,status``
              A timestamp is ISO 8601 as ``datetime.fromisoformat`` parses it
              (a naive one is taken as UTC) or Unix epoch seconds. Anything
              else, out-of-range fields such as hour 24 included, raises
-             ``ParseError`` naming the file and the line.
+             ``ParseError`` naming the file and the line.  Naive and aware
+             stamps are compared on one UTC timeline, in the window test
+             and for the window the counters report.
 Counters CSV: header ``user_id,bad,bogus,unauthorized,total``
 Corpus CSV:  header ``bad,bogus,unauthorized,total,trust`` (both read by ``read_counters_csv``)
 """
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
@@ -27,23 +29,47 @@ from .user import (
     request_rates,
 )
 
-BAD_STATUS = 400
-UNAUTHORIZED_STATUSES = (401, 403)
-BOGUS_STATUS = 404
+# status -> slot in a user's tally [uar, bor, bar, tr]: 401 and 403 are
+# unauthorized, 404 bogus and 400 bad; every status also adds to tr
+_TALLY_SLOT = {401: 0, 403: 0, 404: 1, 400: 2}
 
 
 def _parse_timestamp(text: str, path, lineno: int) -> datetime:
+    """An ISO 8601 stamp as parsed, naive or aware, or epoch seconds as
+    an aware UTC instant."""
     text = text.strip()
     try:
-        ts = datetime.fromisoformat(text)
+        return datetime.fromisoformat(text)
     except ValueError:
         try:
             return datetime.fromtimestamp(float(text), tz=timezone.utc)
         except (ValueError, OverflowError, OSError):
             raise ParseError(path, lineno, f"unparseable timestamp {text!r}") from None
-    if ts.tzinfo is None:
-        ts = ts.replace(tzinfo=timezone.utc)
-    return ts
+
+
+def _naive_bounds(start: datetime, end: datetime) -> tuple[datetime, datetime]:
+    """An aware window as naive UTC wall times, the bounds naive stamps
+    are compared with.  An end whose wall time lies beyond what a naive
+    datetime can hold either bounds nothing or leaves no naive stamp
+    inside."""
+    lo = hi = None
+    try:
+        lo = start.astimezone(timezone.utc).replace(tzinfo=None)
+    except OverflowError:
+        if start.utcoffset() > timedelta(0):  # before datetime.min
+            lo = datetime.min
+    try:
+        hi = end.astimezone(timezone.utc).replace(tzinfo=None)
+    except OverflowError:
+        if end.utcoffset() < timedelta(0):  # after datetime.max
+            hi = datetime.max
+    if lo is None or hi is None:
+        return datetime.max, datetime.min  # an empty range
+    return lo, hi
+
+
+def _utc(moment: datetime) -> datetime:
+    return moment if moment.tzinfo is not None else moment.replace(tzinfo=timezone.utc)
 
 
 def ingest_log(
@@ -54,17 +80,23 @@ def ingest_log(
     inside the window (inclusive ends), sorted by user id.
 
     Statuses other than 400/401/403/404 only contribute to the total.
+
+    Naive stamps (UTC wall time) and aware stamps are compared on one UTC
+    timeline without rebuilding any row's stamp: naive ones against each
+    other and against the window converted once to naive UTC, aware ones
+    against each other and the aware window.  UTC is attached only to the
+    extremes that become the counters' window; of equal instants the one
+    on the earlier line gives the window its text.
     """
     if window is not None:
-        start, end = window
-        if start.tzinfo is None:
-            start = start.replace(tzinfo=timezone.utc)
-        if end.tzinfo is None:
-            end = end.replace(tzinfo=timezone.utc)
-        window = (start, end)
+        window = (_utc(window[0]), _utc(window[1]))
+        # indexed by "the stamp is aware"
+        bounds = (_naive_bounds(*window), window)
 
-    counts: dict[str, dict[str, int]] = {}
-    seen = (None, None)
+    counts: dict[str, list[int]] = {}
+    # per timeline, naive then aware: [earliest, its line, latest, its line]
+    spans = ([None, 0, None, 0], [None, 0, None, 0])
+    fromisoformat = datetime.fromisoformat
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -77,14 +109,20 @@ def ingest_log(
             status_col = header.index("status")
         except ValueError:
             raise ParseError(path, 1, "header must contain timestamp,user_id,status") from None
+        last_col = max(ts_col, user_col, status_col)
 
         for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) <= max(ts_col, user_col, status_col):
+            if len(row) <= last_col:
+                if all(not cell.strip() for cell in row):
+                    continue
                 raise ParseError(path, lineno, f"expected {len(header)} fields, got {len(row)}")
-            ts = _parse_timestamp(row[ts_col], path, lineno)
             user_id = row[user_col].strip()
+            if not user_id and all(not cell.strip() for cell in row):
+                continue
+            try:
+                ts = fromisoformat(row[ts_col])
+            except ValueError:
+                ts = _parse_timestamp(row[ts_col], path, lineno)
             if not user_id:
                 raise ParseError(path, lineno, "empty user_id")
             try:
@@ -94,28 +132,37 @@ def ingest_log(
             if not (100 <= status <= 599):
                 raise ParseError(path, lineno, f"status {status} outside [100, 599]")
 
-            if window is not None and not (window[0] <= ts <= window[1]):
-                continue
-            lo, hi = seen
-            seen = (ts if lo is None or ts < lo else lo, ts if hi is None or ts > hi else hi)
-            user = counts.setdefault(user_id, {"uar": 0, "bor": 0, "bar": 0, "tr": 0})
-            user["tr"] += 1
-            if status == BAD_STATUS:
-                user["bar"] += 1
-            elif status in UNAUTHORIZED_STATUSES:
-                user["uar"] += 1
-            elif status == BOGUS_STATUS:
-                user["bor"] += 1
+            aware = ts.tzinfo is not None
+            if window is not None:
+                lo, hi = bounds[aware]
+                if not (lo <= ts <= hi):
+                    continue
+            span = spans[aware]
+            if span[0] is None:
+                span[:] = ts, lineno, ts, lineno
+            elif ts < span[0]:
+                span[0], span[1] = ts, lineno
+            elif ts > span[2]:
+                span[2], span[3] = ts, lineno
+            tally = counts.get(user_id)
+            if tally is None:
+                tally = counts[user_id] = [0, 0, 0, 0]
+            tally[3] += 1
+            slot = _TALLY_SLOT.get(status)
+            if slot is not None:
+                tally[slot] += 1
 
     if not counts:
         raise EmptyWindowError("no log entries inside the requested window")
-    if window is not None:
-        window_text = (window[0].isoformat(), window[1].isoformat())
-    else:
-        window_text = (seen[0].isoformat(), seen[1].isoformat())
+    if window is None:
+        seen = [span for span in spans if span[0] is not None]
+        first = min((_utc(lo), line) for lo, line, _, _ in seen)[0]
+        last = max((_utc(hi), -line) for _, _, hi, line in seen)[0]
+        window = (first, last)
+    window_text = (window[0].isoformat(), window[1].isoformat())
     return [
-        UserBehaviorCounters(user_id=user_id, window=window_text, **counts[user_id])
-        for user_id in sorted(counts)
+        UserBehaviorCounters(user_id=user_id, window=window_text, uar=uar, bor=bor, bar=bar, tr=tr)
+        for user_id, (uar, bor, bar, tr) in sorted(counts.items())
     ]
 
 

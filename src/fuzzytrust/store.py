@@ -145,8 +145,8 @@ class TrustRecord:
     evaluated_at: str  # ISO-8601
 
     def __post_init__(self):
-        if not self.subject_id:
-            raise ValueError("subject_id must be non-empty")
+        if not isinstance(self.subject_id, str) or not self.subject_id:
+            raise ValueError(f"subject_id must be a non-empty str, got {self.subject_id!r}")
         if self.subject_kind not in SUBJECT_KINDS:
             raise ValueError(f"subject_kind must be one of {SUBJECT_KINDS}, got {self.subject_kind!r}")
         if self.classification not in CLASSIFICATIONS:

@@ -5,6 +5,11 @@ membership formulas up: its own set evaluation, per-rule clipping (no
 grouping by consequent), running pointwise max, and a Riemann-sample
 centroid on an arbitrarily fine grid.  It never calls into the
 package's inference path.
+
+The FCM oracle is the plain alternating loop (Bezdek, Ehrlich & Full,
+*Computers & Geosciences* 10(2-3), 1984) with an (n, c, d) difference
+array and masked membership copies on every iteration; ``fcm_fit`` must
+give its model dictionary exactly.
 """
 
 from __future__ import annotations
@@ -180,3 +185,53 @@ def random_fis(rng: np.random.Generator, max_rules: int = 100) -> FuzzyInference
 
 def random_inputs(rng: np.random.Generator, fis: FuzzyInferenceSystem) -> dict[str, float]:
     return {v.name: float(rng.uniform(*v.domain)) for v in fis.inputs}
+
+
+def oracle_fcm(X: np.ndarray, cfg, norm_params) -> dict:
+    """``ClusterModel.to_dict()`` of the fit ``fcm_fit(X, cfg, norm_params)``
+    should give, by the straightforward loop."""
+    n, d = X.shape
+    exponent = 1.0 / (cfg.m - 1.0)
+
+    def memberships(d2):
+        with np.errstate(divide="ignore"):
+            inv = d2 ** -exponent
+        U = np.empty_like(d2)
+        singular = (d2 == 0.0).any(axis=1)
+        regular = ~singular
+        U[regular] = inv[regular] / inv[regular].sum(axis=1, keepdims=True)
+        if singular.any():
+            U[singular] = 0.0
+            U[np.where(singular)[0], np.argmax(d2[singular] == 0.0, axis=1)] = 1.0
+        return U
+
+    rng = np.random.default_rng(cfg.seed)
+    U = rng.random((n, cfg.c))
+    U /= U.sum(axis=1, keepdims=True)
+    centers = np.zeros((cfg.c, d))
+    trace = []
+    for _ in range(cfg.max_iter):
+        Um = U**cfg.m
+        weight = Um.sum(axis=0)
+        new_centers = (Um.T @ X) / np.where(weight > 0.0, weight, 1.0)[:, None]
+        centers = np.where(weight[:, None] > 0.0, new_centers, centers)
+        d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        U = memberships(d2)
+        trace.append(float(((U**cfg.m) * d2).sum()))
+        if len(trace) > 1 and abs(trace[-2] - trace[-1]) < cfg.tol:
+            break
+
+    Um = U**cfg.m
+    weight = Um.sum(axis=0)
+    diffs = X[:, None, :] - centers[None, :, :]
+    variance = (Um[:, :, None] * diffs**2).sum(axis=0) / np.where(weight > 0.0, weight, 1.0)[:, None]
+    return {
+        "format": "cluster-model",
+        "version": 1,
+        "centers": centers.tolist(),
+        "spreads": np.maximum(np.sqrt(variance), 0.01).tolist(),
+        "norm_params": [[float(a), float(b)] for a, b in norm_params],
+        "m": cfg.m,
+        "objective_trace": trace,
+        "config": cfg.to_dict(),
+    }

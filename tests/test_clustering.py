@@ -12,6 +12,7 @@ from fuzzytrust.clustering import (
 )
 from fuzzytrust.errors import EmptyDataError, NonFiniteDataError, TooFewPointsError
 from fuzzytrust.store import load_artifact, save_artifact
+from oracles import oracle_fcm
 
 
 def membership_row(model: ClusterModel, x: np.ndarray) -> np.ndarray:
@@ -116,6 +117,55 @@ class TestFit:
             fcm_fit(np.array([[0.1], [np.inf]]), ClusterConfig(c=1))
         with pytest.raises(EmptyDataError):
             fcm_fit(np.empty((0, 2)), ClusterConfig(c=1))
+
+
+def _fits_like_the_oracle(X, cfg, norm_params=None) -> ClusterModel:
+    norm_params = norm_params or tuple((0.0, 1.0) for _ in range(X.shape[1]))
+    model = fcm_fit(X, cfg, norm_params)
+    assert model.to_dict() == oracle_fcm(X, cfg, norm_params)
+    return model
+
+
+def _hits_a_center(model: ClusterModel, X) -> bool:
+    return bool((X[:, None, :] == model.centers[None, :, :]).all(axis=2).any())
+
+
+class TestFitAgainstOracle:
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("c, d", [(1, 5), (3, 2), (25, 5), (4, 7)])
+    def test_random_data(self, seed, c, d):
+        rng = np.random.default_rng(100 + seed)
+        X = rng.random((int(rng.integers(c, 300)), d))
+        _fits_like_the_oracle(X, ClusterConfig(c=c, seed=seed, max_iter=60, tol=1e-300))
+
+    def test_the_user_matrix_columns(self):
+        # five columns as fit_user_clusters gives them: four normalized counts and a trust
+        rng = np.random.default_rng(7)
+        counts = rng.integers(0, 150, size=(400, 4)).astype(float)
+        X = np.column_stack([counts / counts.max(axis=0), rng.uniform(0.5, 1.0, 400)])
+        params = tuple((0.0, float(mx)) for mx in counts.max(axis=0)) + ((0.0, 1.0),)
+        _fits_like_the_oracle(X, ClusterConfig(c=25, seed=0, max_iter=120, tol=1e-300), params)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_duplicate_points(self, seed):
+        rng = np.random.default_rng(seed)
+        X = np.repeat(rng.random((12, 5)), 6, axis=0)
+        _fits_like_the_oracle(X, ClusterConfig(c=12, seed=seed, max_iter=80))
+
+    def test_points_on_a_center(self):
+        # every point is the origin, and so is every center: every row is singular
+        model = _fits_like_the_oracle(np.zeros((20, 5)), ClusterConfig(c=2, seed=1, max_iter=10))
+        assert _hits_a_center(model, np.zeros((20, 5)))
+        # one cluster's center is the mean, and one point lies on it among regular rows
+        X = np.array([[0.0, 0.0], [1.0, 1.0], [0.5, 0.5], [0.25, 0.75], [0.75, 0.25]])
+        model = _fits_like_the_oracle(X, ClusterConfig(c=1, seed=4, max_iter=5))
+        assert _hits_a_center(model, X)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_tolerance_stops_early(self, seed):
+        X = np.random.default_rng(seed).random((150, 5))
+        model = _fits_like_the_oracle(X, ClusterConfig(c=6, seed=seed, tol=1e-3, max_iter=300))
+        assert 1 < len(model.objective_trace) < 300
 
 
 class TestMembershipRow:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -107,6 +108,16 @@ class TestMembershipFunctions:
             return
         mf = Triangular(left, apex, right)
         assert 0.0 <= float(mf(x)) <= 1.0
+
+    def test_sets_a_subnormal_width_from_an_edge_stay_exact(self):
+        # the rise over a width of 5e-324 overflows to inf, which the fall or the clip bounds
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mf = Triangular(0.0, 5e-324, 1.0)
+            assert [float(mf(x)) for x in (0.5, 1e-300, -1e-300)] == [0.5, 1.0, 0.0]
+            assert mf(np.array([0.5, 1e-300, -1e-300])).tolist() == [0.5, 1.0, 0.0]
+            assert float(ShoulderLeft(0.0, 5e-324)(-1.0)) == 1.0
+            assert float(ShoulderRight(0.0, 5e-324)(1.0)) == 1.0
 
     @given(
         lc=st.floats(-1e3, 1e3),

@@ -177,6 +177,151 @@ class TestIngestLog:
         assert counters.bar == 1
 
 
+# a small pool of instants, so that stamps in different notations often name the same one
+_INSTANTS = [datetime(2026, 3, 1, 12, tzinfo=timezone.utc) + timedelta(minutes=k) for k in range(-90, 91, 30)]
+_OFFSETS = [timezone.utc, timezone(timedelta(hours=2)), timezone(timedelta(hours=-5, minutes=-30))]
+
+
+@st.composite
+def _stamps(draw):
+    """A stamp in the log's text: naive (UTC wall time), aware in some
+    offset, with a Z, or epoch seconds, sometimes padded."""
+    instant = draw(st.sampled_from(_INSTANTS))
+    notation = draw(st.sampled_from(["naive", "aware", "z", "epoch"]))
+    if notation == "naive":
+        text = instant.replace(tzinfo=None).isoformat()
+    elif notation == "aware":
+        text = instant.astimezone(draw(st.sampled_from(_OFFSETS))).isoformat()
+    elif notation == "z":
+        text = instant.replace(tzinfo=None).isoformat() + "Z"
+    else:
+        text = str(int(instant.timestamp()))
+    return draw(st.sampled_from(["", " "])) + text
+
+
+_LOG_ROWS = st.lists(
+    st.one_of(
+        st.builds(
+            "{},{},{}".format,
+            _stamps(),
+            st.sampled_from(["alice", " bob", "carol "]),
+            st.sampled_from([200, 302, 400, 401, 403, 404, 500]),
+        ),
+        st.sampled_from(["", " ", "  ,  ,  ", ",,", "\t"]),  # blank rows
+    ),
+    max_size=25,
+)
+
+
+@st.composite
+def _window_ends(draw):
+    """A window end on or beside one of the stamps' instants, naive or aware."""
+    end = draw(st.sampled_from(_INSTANTS)) + timedelta(minutes=draw(st.sampled_from([-1, 0, 1])))
+    tz = draw(st.sampled_from([None, *_OFFSETS]))
+    return end.replace(tzinfo=None) if tz is None else end.astimezone(tz)
+
+
+def _reference_tally(rows, window):
+    """The counters ``ingest_log`` should give, tallied the plain way: every
+    stamp made an aware instant, every row held against the window."""
+
+    def instant(text):
+        text = text.strip()
+        try:
+            moment = datetime.fromisoformat(text)
+        except ValueError:
+            return datetime.fromtimestamp(float(text), tz=timezone.utc)
+        return moment if moment.tzinfo else moment.replace(tzinfo=timezone.utc)
+
+    if window is not None:
+        window = tuple(end if end.tzinfo else end.replace(tzinfo=timezone.utc) for end in window)
+    counts, first, last = {}, None, None
+    for row in rows:
+        cells = row.split(",")
+        if all(not cell.strip() for cell in cells):
+            continue
+        ts, user, status = instant(cells[0]), cells[1].strip(), int(cells[2])
+        if window is not None and not (window[0] <= ts <= window[1]):
+            continue
+        first = ts if first is None or ts < first else first  # the earlier line wins a tie
+        last = ts if last is None or ts > last else last
+        tally = counts.setdefault(user, [0, 0, 0, 0])
+        tally[3] += 1
+        if status in (401, 403):
+            tally[0] += 1
+        elif status == 404:
+            tally[1] += 1
+        elif status == 400:
+            tally[2] += 1
+    if not counts:
+        return []
+    ends = window or (first, last)
+    text = (ends[0].isoformat(), ends[1].isoformat())
+    return [
+        UserBehaviorCounters(user_id=user, uar=uar, bor=bor, bar=bar, tr=tr, window=text)
+        for user, (uar, bor, bar, tr) in sorted(counts.items())
+    ]
+
+
+class TestIngestAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(rows=_LOG_ROWS, window=st.none() | st.tuples(_window_ends(), _window_ends()))
+    def test_matches_a_plain_tally(self, rows, window):
+        with tempfile.TemporaryDirectory() as tmp:
+            log = Path(tmp) / "log.csv"
+            write_log(log, rows)
+            expected = _reference_tally(rows, window)
+            if not expected:
+                with pytest.raises(EmptyWindowError):
+                    ingest_log(log, window)
+            else:
+                assert ingest_log(log, window) == expected
+
+    def test_equal_instants_keep_the_earlier_lines_text(self, tmp_path):
+        log = tmp_path / "log.csv"
+        write_log(
+            log,
+            [
+                "2026-01-01T12:00:00+02:00,u,200",
+                "2026-01-01T10:00:00,u,200",
+                "2026-01-01T13:00:00,u,200",
+                "2026-01-01T15:00:00+02:00,u,200",
+            ],
+        )
+        (counters,) = ingest_log(log)
+        assert counters.window == ("2026-01-01T12:00:00+02:00", "2026-01-01T13:00:00+00:00")
+
+    def test_a_window_beyond_naive_datetimes(self, tmp_path):
+        log = tmp_path / "log.csv"
+        write_log(log, ["0001-01-01T00:00:00,u,200", "9999-12-31T23:59:59.999999,u,200"])
+        early = timezone(timedelta(hours=5))  # its midnight of year 1 is before datetime.min in UTC
+        late = timezone(timedelta(hours=-5))
+        everything = (datetime.min.replace(tzinfo=early), datetime.max.replace(tzinfo=late))
+        assert ingest_log(log, everything)[0].tr == 2
+        for nothing in (everything[:1] * 2, everything[1:] * 2):
+            with pytest.raises(EmptyWindowError):
+                ingest_log(log, nothing)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("2026-01-01T10:00:00,u", "expected 3 fields, got 2"),
+            ("2026-01-01T24:00:00,u,200", "unparseable timestamp '2026-01-01T24:00:00'"),
+            ("2026-01-01T10:00:00, ,200", "empty user_id"),
+            ("2026-01-01T10:00:00,u,2xx", "unparseable status '2xx'"),
+            ("2026-01-01T10:00:00,u,99", "status 99 outside [100, 599]"),
+            ("2026-01-01T10:00:00,u,600", "status 600 outside [100, 599]"),
+        ],
+    )
+    def test_rejected_row_names_its_line(self, tmp_path, row, message):
+        log = tmp_path / "log.csv"
+        write_log(log, ["2026-01-01T09:00:00,u,200", " , , ", row])
+        with pytest.raises(ParseError) as err:
+            ingest_log(log)
+        assert err.value.line == 4
+        assert str(err.value) == f"{log}, line 4: {message}"
+
+
 class TestCorpus:
     def test_paper_scale_split(self):
         train, test = generate_corpus(CorpusSpec(n_users=1300, n_train=1000, seed=0))
@@ -376,6 +521,23 @@ class TestTrustStore:
         with pytest.raises(ValueError):
             record(subject="")
 
+    def test_non_str_subject_id_is_never_written(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        store = TrustStore(path)
+        with pytest.raises(ValueError):
+            store.put(record(subject=5))
+        store.close()
+        assert not path.exists()
+
+    def test_non_str_subject_id_in_the_log_is_a_corrupt_line(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        path.write_text(
+            json.dumps(record().to_dict()) + "\n" + json.dumps({**record().to_dict(), "subject_id": 5}) + "\n"
+        )
+        with pytest.raises(StoreCorruptError) as err:
+            TrustStore(path)
+        assert err.value.line == 2 and str(path) in str(err.value)
+
     @given(
         trust=st.floats(0, 1),
         kind=st.sampled_from(("user", "provider")),
@@ -517,7 +679,19 @@ class TestStoreSnapshot:
 
     @pytest.mark.parametrize(
         "tamper",
-        ["stale", "truncated", "line-lost", "not-json", "format", "version", "longer-than-log", "records", "lines", "duplicate"],
+        [
+            "stale",
+            "truncated",
+            "line-lost",
+            "not-json",
+            "format",
+            "version",
+            "longer-than-log",
+            "records",
+            "lines",
+            "duplicate",
+            "non-str-id",
+        ],
     )
     def test_a_snapshot_failing_a_check_is_ignored(self, tmp_path, replay_starts, tamper):
         path = tmp_path / "store.jsonl"
@@ -538,6 +712,8 @@ class TestStoreSnapshot:
             snapshot.write_text("\n".join([json.dumps({**header, tamper: value}), *lines[1:]]) + "\n")
         elif tamper == "duplicate":  # a second alice line, at the same instant
             snapshot.write_text("\n".join([*lines, lines[1].replace('"trust": 0.8', '"trust": 0.1')]) + "\n")
+        elif tamper == "non-str-id":  # bob's record under the id 5
+            snapshot.write_text("\n".join([*lines[:-1], lines[-1].replace('"subject_id": "bob"', '"subject_id": 5')]) + "\n")
         else:  # the log lost its last record after the snapshot was written
             text = path.read_text()
             path.write_text(text[: text.rindex("{")])
