@@ -16,8 +16,6 @@ from .fuzzy import (
     Gaussian,
     LinguisticVariable,
     MembershipFunction,
-    ShoulderLeft,
-    ShoulderRight,
     Triangular,
     TwoSidedGaussian,
 )
@@ -56,8 +54,6 @@ __all__ = [
     "LinguisticVariable",
     "MembershipFunction",
     "ProviderMetrics",
-    "ShoulderLeft",
-    "ShoulderRight",
     "Triangular",
     "TrustRecord",
     "TrustStore",

@@ -25,7 +25,7 @@ from datetime import datetime
 
 from . import clustering, evaluation, ingest, provider, service, user
 from .errors import FuzzyTrustError
-from .store import TrustRecord, TrustStore, load_artifact, save_artifact, utc_now_iso
+from .store import TrustRecord, TrustStore, load_artifact, put_keeping_ban, save_artifact, utc_now_iso
 
 
 def _weights(args) -> user.TrustWeights:
@@ -54,9 +54,7 @@ def _counters(args) -> user.UserBehaviorCounters:
 
 def cmd_ingest(args) -> int:
     window = None
-    if args.window_start or args.window_end:
-        if not (args.window_start and args.window_end):
-            raise FuzzyTrustError("--window-start and --window-end must be given together")
+    if args.window_start:  # main() refuses one bound without the other
         window = (datetime.fromisoformat(args.window_start), datetime.fromisoformat(args.window_end))
     counters = ingest.ingest_log(args.log, window)
     ingest.write_counters_csv(args.out, counters)
@@ -122,7 +120,7 @@ def cmd_eval_user(args) -> int:
     )
     if args.store:
         with contextlib.closing(TrustStore(args.store)) as store:
-            store.put(record)
+            record = put_keeping_ban(store, record)
     print(json.dumps(record.to_dict(), indent=2))
     return 0
 
@@ -137,10 +135,19 @@ def cmd_eval_provider(args) -> int:
         usability=args.usability,
         negative_feedback_ratio=args.negative_feedback,
     )
-    assessment = provider.evaluate_provider(
-        metrics, provider.build_elasticity_fis(args.completion)
-    )
+    assessment = provider.evaluate_provider(metrics)
     banned = provider.feedback_ban(metrics.negative_feedback_ratio)
+    if args.store:
+        record = TrustRecord(
+            subject_id=args.provider_id,
+            subject_kind="provider",
+            trust=assessment.trust,
+            classification="banned" if banned else user.classify(assessment.trust, args.threshold),
+            model="fis",
+            evaluated_at=utc_now_iso(),
+        )
+        with contextlib.closing(TrustStore(args.store)) as store:
+            banned = put_keeping_ban(store, record).classification == "banned"
     result = {
         "provider_id": args.provider_id,
         "performance": assessment.performance,
@@ -148,18 +155,6 @@ def cmd_eval_provider(args) -> int:
         "trust": 0.0 if banned else assessment.trust,
         "banned": banned,
     }
-    if args.store:
-        with contextlib.closing(TrustStore(args.store)) as store:
-            store.put(
-                TrustRecord(
-                    subject_id=args.provider_id,
-                    subject_kind="provider",
-                    trust=assessment.trust,
-                    classification="banned" if banned else user.classify(assessment.trust, args.threshold),
-                    model="fis",
-                    evaluated_at=utc_now_iso(),
-                )
-            )
     print(json.dumps(result, indent=2))
     return 0
 
@@ -177,30 +172,24 @@ def cmd_compare(args) -> int:
     return 0
 
 
-_SURFACE_ENGINES = ("performance", "elasticity", "provider-trust")
+_SURFACE_ENGINES = {
+    "performance": provider.build_performance_fis,
+    "elasticity": provider.build_elasticity_fis,
+    "provider-trust": provider.build_provider_trust_fis,
+}
+
+
+def _name_value(item: str) -> tuple[str, float]:
+    name, sep, value = item.partition("=")
+    if not sep:
+        raise argparse.ArgumentTypeError(f"needs name=value, got {item!r}")
+    return name, float(value)
 
 
 def cmd_surface(args) -> int:
-    if args.engine and args.user_model:
-        raise FuzzyTrustError("give either --engine or --user-model, not both")
-    if args.engine:
-        if args.engine == "performance":
-            fis = provider.build_performance_fis()
-        elif args.engine == "elasticity":
-            fis = provider.build_elasticity_fis(args.completion)
-        else:
-            fis = provider.build_provider_trust_fis()
-    elif args.user_model:
-        fis = user.load_user_model(args.user_model).fis
-    else:
-        raise FuzzyTrustError("one of --engine or --user-model is required")
+    fis = _SURFACE_ENGINES[args.engine]() if args.engine else user.load_user_model(args.user_model).fis
 
-    fixed = {}
-    for item in args.fixed or []:
-        name, _, value = item.partition("=")
-        if not _:
-            raise FuzzyTrustError(f"--fixed needs name=value, got {item!r}")
-        fixed[name] = float(value)
+    fixed = dict(args.fixed or [])
     for variable in fis.inputs:
         if variable.name not in (args.x, args.y) and variable.name not in fixed:
             lo, hi = variable.domain
@@ -291,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--security", type=float, required=True, help="score in 0..1")
     p.add_argument("--usability", type=float, required=True, help="score in 0..1")
     p.add_argument("--negative-feedback", type=float, default=0.0, help="negative feedback ratio 0..1")
-    p.add_argument("--completion", choices=provider.COMPLETION_STRATEGIES, default="nearest_published")
     p.add_argument("--threshold", type=float, default=user.DEFAULT_THRESHOLD)
     p.add_argument("--store", help="append the record to this trust store")
     p.set_defaults(func=cmd_eval_provider)
@@ -305,13 +293,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("surface", help="export a response-surface grid CSV")
-    p.add_argument("--engine", choices=_SURFACE_ENGINES, help="built-in provider engine")
-    p.add_argument("--user-model", help="user model JSON instead of a built-in engine")
+    engine = p.add_mutually_exclusive_group(required=True)
+    engine.add_argument("--engine", choices=_SURFACE_ENGINES, help="built-in provider engine")
+    engine.add_argument("--user-model", help="user model JSON instead of a built-in engine")
     p.add_argument("--x", required=True, help="variable on the x axis")
     p.add_argument("--y", required=True, help="variable on the y axis")
-    p.add_argument("--fixed", action="append", metavar="NAME=VALUE", help="pin another input")
+    p.add_argument("--fixed", action="append", type=_name_value, metavar="NAME=VALUE", help="pin another input")
     p.add_argument("--resolution", type=int, default=25)
-    p.add_argument("--completion", choices=provider.COMPLETION_STRATEGIES, default="nearest_published")
     p.add_argument("--out", required=True, help="grid CSV to write")
     p.set_defaults(func=cmd_surface)
 
@@ -336,12 +324,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "ingest" and bool(args.window_start) != bool(args.window_end):
+        parser.error("ingest: --window-start and --window-end must be given together")
     try:
         return args.func(args)
-    except FuzzyTrustError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (FuzzyTrustError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

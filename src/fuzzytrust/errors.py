@@ -35,7 +35,7 @@ class ZeroTotalRequestsError(FuzzyTrustError):
 
 
 class IncompletePolicyError(FuzzyTrustError):
-    """A rule completion policy failed to cover the full input lattice."""
+    """A completion rule contradicts a published rule."""
 
 
 class OutOfRangeError(FuzzyTrustError):

@@ -150,56 +150,12 @@ class Triangular:
         return {"shape": "triangular", "left": self.left, "apex": self.apex, "right": self.right}
 
 
-@dataclass(frozen=True)
-class ShoulderLeft:
-    """Degree 1 up to ``flat_until``, linear fall to 0 at ``falls_to``."""
-
-    flat_until: float
-    falls_to: float
-
-    def __post_init__(self):
-        if not (self.flat_until < self.falls_to):
-            raise ValueError("shoulder_left needs flat_until < falls_to")
-
-    def __call__(self, x) -> float | np.ndarray:
-        x = np.asarray(x, dtype=float)
-        with np.errstate(over="ignore"):  # see Triangular
-            fall = (self.falls_to - x) / (self.falls_to - self.flat_until)
-        return _eval_result(np.clip(fall, 0.0, 1.0))
-
-    def to_dict(self) -> dict:
-        return {"shape": "shoulder_left", "flat_until": self.flat_until, "falls_to": self.falls_to}
-
-
-@dataclass(frozen=True)
-class ShoulderRight:
-    """Degree 0 up to ``rises_from``, linear rise to 1 at ``flat_after``."""
-
-    rises_from: float
-    flat_after: float
-
-    def __post_init__(self):
-        if not (self.rises_from < self.flat_after):
-            raise ValueError("shoulder_right needs rises_from < flat_after")
-
-    def __call__(self, x) -> float | np.ndarray:
-        x = np.asarray(x, dtype=float)
-        with np.errstate(over="ignore"):  # see Triangular
-            rise = (x - self.rises_from) / (self.flat_after - self.rises_from)
-        return _eval_result(np.clip(rise, 0.0, 1.0))
-
-    def to_dict(self) -> dict:
-        return {"shape": "shoulder_right", "rises_from": self.rises_from, "flat_after": self.flat_after}
-
-
-MembershipFunction = Union[Gaussian, TwoSidedGaussian, Triangular, ShoulderLeft, ShoulderRight]
+MembershipFunction = Union[Gaussian, TwoSidedGaussian, Triangular]
 
 _MF_SHAPES = {
     "gaussian": Gaussian,
     "two_sided_gaussian": TwoSidedGaussian,
     "triangular": Triangular,
-    "shoulder_left": ShoulderLeft,
-    "shoulder_right": ShoulderRight,
 }
 
 
@@ -237,13 +193,9 @@ class LinguisticVariable:
 
     @staticmethod
     def _support_intersects(mf: MembershipFunction, lo: float, hi: float) -> bool:
-        if isinstance(mf, (Gaussian, TwoSidedGaussian)):
-            return True  # Gaussians are positive everywhere
         if isinstance(mf, Triangular):
             return mf.left < hi and mf.right > lo
-        if isinstance(mf, ShoulderLeft):
-            return lo < mf.falls_to
-        return hi > mf.rises_from
+        return True  # Gaussians are positive everywhere
 
     @property
     def labels(self) -> tuple[str, ...]:

@@ -4,10 +4,10 @@ into a final trust engine, plus the negative-feedback ban rule.
 The workload and response-time set parameters and all published rule
 rows are compiled-in calibration constants.  The elasticity rulebase is
 published only partially (14 of 81 rows) and the trust rulebase 9 of
-15; the missing combinations are filled deterministically.  The
-elasticity fill is chosen by strategy name (``build_elasticity_fis``):
-``nearest_published`` (the default) or ``fitted_score``.  The trust fill
-is the one score rule ``trust_completion_score``.
+15; the missing combinations are filled deterministically.  An
+elasticity row takes the consequent of the nearest published row
+(``build_elasticity_fis``); a trust row takes the one score rule
+``trust_completion_score``.
 """
 
 from __future__ import annotations
@@ -111,10 +111,9 @@ TRUST_PUBLISHED_RULES = (
 )
 
 ELASTICITY_INPUTS = ("scalability", "availability", "security", "usability")
-# Level-index distance weights of the nearest_published fill, in
+# Level-index distance weights of the elasticity fill, in
 # ELASTICITY_INPUTS order: security counts double.
 ELASTICITY_COMPLETION_WEIGHTS = (1.0, 1.0, 2.0, 1.0)
-COMPLETION_STRATEGIES = ("nearest_published", "fitted_score")
 
 # Set geometry for the unit-interval variables.  Input Gaussians are
 # sized at 0.2x the center spacing; wider lobes leak enough into
@@ -212,51 +211,21 @@ def build_performance_fis() -> FuzzyInferenceSystem:
     return FuzzyInferenceSystem(inputs=(workload, response), output=output, rules=rules)
 
 
-def _nearest_published_fill(
-    combo: tuple[int, ...],
-    published: dict[tuple[int, ...], int],
-    weights: tuple[float, ...],
-) -> int:
-    best_dist = None
-    best_output = None
-    for levels, out_idx in published.items():
-        dist = sum(w * abs(a - b) for w, a, b in zip(weights, combo, levels))
-        if best_dist is None or dist < best_dist or (dist == best_dist and out_idx < best_output):
-            best_dist = dist
-            best_output = out_idx
-    return best_output
-
-
-def _fitted_score_fill(published: dict[tuple[int, ...], int]):
-    """Least-squares affine score over level indices, rounded to an output index."""
-    import numpy as np
-
-    combos = np.array([list(k) for k in published], dtype=float)
-    outputs = np.array([published[k] for k in published], dtype=float)
-    design = np.hstack([combos, np.ones((len(combos), 1))])
-    coef, *_ = np.linalg.lstsq(design, outputs, rcond=None)
-
-    def fill(combo: tuple[int, ...], n_out: int) -> int:
-        score = float(np.dot(coef[:-1], combo) + coef[-1])
-        return min(max(int(round(score)), 0), n_out - 1)
-
-    return fill
+def _nearest_published_fill(combo: tuple[int, ...], published: dict[tuple[int, ...], int]) -> int:
+    return min(
+        (sum(w * abs(a - b) for w, a, b in zip(ELASTICITY_COMPLETION_WEIGHTS, combo, levels)), out_idx)
+        for levels, out_idx in published.items()
+    )[1]
 
 
 @lru_cache(maxsize=None)
-def build_elasticity_fis(strategy: str = "nearest_published") -> FuzzyInferenceSystem:
+def build_elasticity_fis() -> FuzzyInferenceSystem:
     """Scalability/availability/security/usability engine: all 81
-    level combinations, the 14 published rows verbatim and the rest
-    filled by ``strategy``.
-
-    ``nearest_published`` copies the consequent of the closest published
-    row under the ``ELASTICITY_COMPLETION_WEIGHTS`` level-index distance;
-    ``fitted_score`` fits an affine level score to the published rows by
-    least squares and rounds its prediction.  Published rows are never
-    overridden and ties resolve toward the lower output index.
+    level combinations, the 14 published rows verbatim and each other
+    row the consequent of the closest published row under the
+    ``ELASTICITY_COMPLETION_WEIGHTS`` level-index distance, ties toward
+    the lower output index.
     """
-    if strategy not in COMPLETION_STRATEGIES:
-        raise ValueError(f"unknown completion strategy {strategy!r}")
     inputs = tuple(
         LinguisticVariable(name, (0.0, 1.0), _unit_gaussian_sets(THREE_LEVELS, INPUT_SIGMA_3))
         for name in ELASTICITY_INPUTS
@@ -268,22 +237,13 @@ def build_elasticity_fis(strategy: str = "nearest_published") -> FuzzyInferenceS
         combo = tuple(THREE_LEVELS.index(level) for level in (sc, a, s, u))
         published[combo] = FIVE_QUALITY.index(e)
 
-    fitted = _fitted_score_fill(published) if strategy == "fitted_score" else None
-
     rules = []
     for combo in itertools.product(range(3), repeat=4):
-        if combo in published:
-            out_idx = published[combo]
-        elif strategy == "nearest_published":
-            out_idx = _nearest_published_fill(combo, published, ELASTICITY_COMPLETION_WEIGHTS)
-        else:
-            out_idx = fitted(combo, len(FIVE_QUALITY))
+        out_idx = published[combo] if combo in published else _nearest_published_fill(combo, published)
         antecedents = tuple(
             (name, THREE_LEVELS[level]) for name, level in zip(ELASTICITY_INPUTS, combo)
         )
         rules.append(FuzzyRule(antecedents, ("elasticity", FIVE_QUALITY[out_idx])))
-    if len(rules) != 81:
-        raise IncompletePolicyError(f"expected 81 elasticity rules, built {len(rules)}")
     return FuzzyInferenceSystem(inputs=inputs, output=output, rules=tuple(rules))
 
 
@@ -344,35 +304,34 @@ class ProviderAssessment:
     trust: float
 
 
-def evaluate_provider(
-    metrics: ProviderMetrics,
-    elasticity_fis: FuzzyInferenceSystem | None = None,
-) -> ProviderAssessment:
+def _stage(name: str, fis: FuzzyInferenceSystem, inputs: dict[str, float]) -> float:
+    """``fis.infer(inputs)``; a degenerate output names the cascade stage."""
+    try:
+        return fis.infer(inputs)
+    except DegenerateOutputError as exc:
+        raise DegenerateOutputError(f"{name} stage: {exc}") from exc
+
+
+def evaluate_provider(metrics: ProviderMetrics) -> ProviderAssessment:
     """Run the full cascade; every stage output lies in [0, 1]."""
-    elasticity_fis = elasticity_fis or build_elasticity_fis()
-    try:
-        performance = build_performance_fis().infer(
-            {"workload": metrics.workload, "response_time": metrics.response_time}
-        )
-    except DegenerateOutputError as exc:
-        raise DegenerateOutputError(f"performance stage: {exc}") from exc
-    try:
-        elasticity = elasticity_fis.infer(
-            {
-                "scalability": metrics.scalability,
-                "availability": metrics.availability,
-                "security": metrics.security,
-                "usability": metrics.usability,
-            }
-        )
-    except DegenerateOutputError as exc:
-        raise DegenerateOutputError(f"elasticity stage: {exc}") from exc
-    try:
-        trust = build_provider_trust_fis().infer(
-            {"performance": performance, "elasticity": elasticity}
-        )
-    except DegenerateOutputError as exc:
-        raise DegenerateOutputError(f"trust stage: {exc}") from exc
+    performance = _stage(
+        "performance",
+        build_performance_fis(),
+        {"workload": metrics.workload, "response_time": metrics.response_time},
+    )
+    elasticity = _stage(
+        "elasticity",
+        build_elasticity_fis(),
+        {
+            "scalability": metrics.scalability,
+            "availability": metrics.availability,
+            "security": metrics.security,
+            "usability": metrics.usability,
+        },
+    )
+    trust = _stage(
+        "trust", build_provider_trust_fis(), {"performance": performance, "elasticity": elasticity}
+    )
     return ProviderAssessment(performance=performance, elasticity=elasticity, trust=trust)
 
 

@@ -72,7 +72,7 @@ from .errors import (
     ZeroTotalRequestsError,
 )
 from .provider import feedback_ban
-from .store import JsonlLog, TrustRecord, TrustStore, utc_now_iso
+from .store import JsonlLog, TrustRecord, TrustStore, put_keeping_ban, utc_now_iso
 from .user import (
     DEFAULT_THRESHOLD,
     UserBehaviorCounters,
@@ -218,31 +218,27 @@ class TrustService:
         subject is not banned; every decision appends one audit record."""
         if not isinstance(user_id, str) or not user_id:
             raise ValueError(f"user_id must be a non-empty string, got {user_id!r}")
-        threshold = self.config.threshold
-        try:
-            record = self.store.get("user", user_id)
-        except NotFoundError:
-            record = None
         if counters is not None:
             trust, model = self.evaluate_counters(counters)
             evaluated_at = utc_now_iso()
-        elif record is None:
-            raise NoTrustAvailableError(f"no stored trust for {user_id!r} and no fresh counters")
         else:
-            trust, model, evaluated_at = record.trust, record.model, record.evaluated_at
-        banned = record is not None and record.classification == "banned"
-
-        decision = "grant" if (trust > threshold and not banned) else "deny"
-        self.store.put(
+            try:
+                stored = self.store.get("user", user_id)
+            except NotFoundError:
+                raise NoTrustAvailableError(f"no stored trust for {user_id!r} and no fresh counters") from None
+            trust, model, evaluated_at = stored.trust, stored.model, stored.evaluated_at
+        record = put_keeping_ban(
+            self.store,
             TrustRecord(
                 subject_id=user_id,
                 subject_kind="user",
                 trust=trust,
-                classification="banned" if banned else classify(trust, threshold),
+                classification=classify(trust, self.config.threshold),
                 model=model,
                 evaluated_at=utc_now_iso(),
-            )
+            ),
         )
+        decision = "grant" if record.classification == "trusted" else "deny"
         return DecisionResponse(decision=decision, trust=trust, model=model, evaluated_at=evaluated_at)
 
     def user_trust(self, user_id: str) -> dict:

@@ -44,7 +44,7 @@ import stat
 import tempfile
 import threading
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import NamedTuple
@@ -328,6 +328,20 @@ class TrustStore:
     def __len__(self) -> int:
         """Total records appended (not unique subjects)."""
         return len(self._log)
+
+
+def put_keeping_ban(store: TrustStore, record: TrustRecord) -> TrustRecord:
+    """Append ``record`` and return what was appended.  A subject whose
+    latest stored record is ``banned`` stays banned: the appended record
+    is then ``banned`` whatever ``record`` says."""
+    try:
+        banned = store.get(record.subject_kind, record.subject_id).classification == "banned"
+    except NotFoundError:
+        banned = False
+    if banned:
+        record = replace(record, classification="banned")
+    store.put(record)
+    return record
 
 
 def check_format(data, fmt: str, version: int = 1) -> None:

@@ -135,7 +135,7 @@ def fit_user_clusters(matrix: np.ndarray, cfg: ClusterConfig | None = None) -> C
     return fcm_fit(normalized, cfg, norm_params)
 
 
-def build_user_fis(model: ClusterModel, defuzz_resolution: int = 1001) -> FuzzyInferenceSystem:
+def build_user_fis(model: ClusterModel) -> FuzzyInferenceSystem:
     """One Gaussian input set and one triangular trust set per cluster,
     and the diagonal rulebase "all inputs in cluster i -> trust in
     cluster i"."""
@@ -167,9 +167,7 @@ def build_user_fis(model: ClusterModel, defuzz_resolution: int = 1001) -> FuzzyI
         )
         for i in range(model.c)
     )
-    return FuzzyInferenceSystem(
-        inputs=tuple(inputs), output=output, rules=rules, defuzz_resolution=defuzz_resolution
-    )
+    return FuzzyInferenceSystem(inputs=tuple(inputs), output=output, rules=rules)
 
 
 @dataclass(frozen=True)

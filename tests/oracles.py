@@ -23,8 +23,6 @@ from fuzzytrust.fuzzy import (
     FuzzyRule,
     Gaussian,
     LinguisticVariable,
-    ShoulderLeft,
-    ShoulderRight,
     Triangular,
     TwoSidedGaussian,
 )
@@ -52,18 +50,6 @@ def oracle_degree(mf, x: float) -> float:
         if x < mf.apex:
             return (x - mf.left) / (mf.apex - mf.left)
         return (mf.right - x) / (mf.right - mf.apex)
-    if isinstance(mf, ShoulderLeft):
-        if x <= mf.flat_until:
-            return 1.0
-        if x >= mf.falls_to:
-            return 0.0
-        return (mf.falls_to - x) / (mf.falls_to - mf.flat_until)
-    if isinstance(mf, ShoulderRight):
-        if x >= mf.flat_after:
-            return 1.0
-        if x <= mf.rises_from:
-            return 0.0
-        return (x - mf.rises_from) / (mf.flat_after - mf.rises_from)
     raise TypeError(f"unknown membership function {type(mf)}")
 
 
@@ -89,18 +75,6 @@ def _oracle_degree_grid(mf, xs: np.ndarray) -> np.ndarray:
             out[mask] = (mf.right - xs[mask]) / (mf.right - mf.apex)
         elif mf.apex > mf.left:
             out[xs == mf.apex] = 1.0
-        return out
-    if isinstance(mf, ShoulderLeft):
-        out = np.ones_like(xs)
-        out[xs >= mf.falls_to] = 0.0
-        mask = (xs > mf.flat_until) & (xs < mf.falls_to)
-        out[mask] = (mf.falls_to - xs[mask]) / (mf.falls_to - mf.flat_until)
-        return out
-    if isinstance(mf, ShoulderRight):
-        out = np.zeros_like(xs)
-        out[xs >= mf.flat_after] = 1.0
-        mask = (xs > mf.rises_from) & (xs < mf.flat_after)
-        out[mask] = (xs[mask] - mf.rises_from) / (mf.flat_after - mf.rises_from)
         return out
     raise TypeError(f"unknown membership function {type(mf)}")
 
@@ -132,44 +106,40 @@ def oracle_infer(fis: FuzzyInferenceSystem, inputs: dict[str, float], samples: i
 
 def random_fis(rng: np.random.Generator, max_rules: int = 100) -> FuzzyInferenceSystem:
     """Random well-conditioned system: <=4 inputs, <=5 sets per variable,
-    <=``max_rules`` rules, all five shape families represented."""
+    <=``max_rules`` rules, each set drawn from the three shape families
+    (Gaussian, triangular, two-sided Gaussian)."""
     n_inputs = int(rng.integers(1, 5))
 
     def random_domain():
         lo = float(rng.uniform(-50.0, 50.0))
         return (lo, lo + float(rng.uniform(1.0, 100.0)))
 
-    def random_set(domain, for_output: bool):
+    def random_set(domain):
         lo, hi = domain
         span = hi - lo
         center = float(rng.uniform(lo, hi))
-        kind = rng.integers(0, 5 if not for_output else 3)
+        kind = rng.integers(0, 3)
         if kind == 0:
             return Gaussian(center, float(rng.uniform(0.05, 0.3)) * span)
         if kind == 1:
             halfwidth = float(rng.uniform(0.08, 0.5)) * span
             return Triangular(center - halfwidth, center, center + halfwidth)
-        if kind == 2:
-            plateau = float(rng.uniform(0.05, 0.3)) * span
-            return TwoSidedGaussian(
-                center - plateau / 2,
-                float(rng.uniform(0.05, 0.3)) * span,
-                center + plateau / 2,
-                float(rng.uniform(0.05, 0.3)) * span,
-            )
-        width = float(rng.uniform(0.1, 0.4)) * span
-        if kind == 3:
-            return ShoulderLeft(center, center + width)
-        return ShoulderRight(center - width, center)
+        plateau = float(rng.uniform(0.05, 0.3)) * span
+        return TwoSidedGaussian(
+            center - plateau / 2,
+            float(rng.uniform(0.05, 0.3)) * span,
+            center + plateau / 2,
+            float(rng.uniform(0.05, 0.3)) * span,
+        )
 
-    def random_variable(name, for_output=False):
+    def random_variable(name):
         domain = random_domain()
         n_sets = int(rng.integers(2, 6))
-        sets = tuple((f"{name}_s{i}", random_set(domain, for_output)) for i in range(n_sets))
+        sets = tuple((f"{name}_s{i}", random_set(domain)) for i in range(n_sets))
         return LinguisticVariable(name, domain, sets)
 
     inputs = tuple(random_variable(f"in{i}") for i in range(n_inputs))
-    output = random_variable("out", for_output=True)
+    output = random_variable("out")
 
     n_rules = 1 + int((max_rules - 1) * rng.random() ** 2)
     rules = []

@@ -15,8 +15,6 @@ PUBLIC_NAMES = [
     "LinguisticVariable",
     "MembershipFunction",
     "ProviderMetrics",
-    "ShoulderLeft",
-    "ShoulderRight",
     "Triangular",
     "TrustRecord",
     "TrustStore",

@@ -1,10 +1,13 @@
 """The command line, called in-process through ``cli.main``."""
 
+import contextlib
 import json
 
 import pytest
 
-from fuzzytrust import cli
+from fuzzytrust import cli, provider
+from fuzzytrust.service import ServiceConfig, TrustService
+from fuzzytrust.store import TrustRecord, TrustStore
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -64,19 +67,62 @@ def test_bad_log_names_the_file(tmp_path, capsys):
     assert f"error: {log}, line 2: unparseable status 'abc'" in err
 
 
-def test_provider_completion_strategies(tmp_path, capsys):
-    metrics = ("--workload", 50, "--response-time", 20, "--scalability", 0.9, "--availability", 0.1,
-               "--security", 0.5, "--usability", 0.3)
-    results = {}
-    for strategy in ("nearest_published", "fitted_score"):
-        code, out, _ = run(capsys, "eval-provider", *metrics, "--completion", strategy)
-        assert code == 0
-        results[strategy] = json.loads(out)
-    assert all(0.0 <= r["elasticity"] <= 1.0 for r in results.values())
+PROVIDER_METRICS = {"workload": 50.0, "response_time": 20.0, "scalability": 0.9, "availability": 0.1,
+                    "security": 0.5, "usability": 0.3}
+PROVIDER_FLAGS = [arg for name, value in PROVIDER_METRICS.items() for arg in (f"--{name.replace('_', '-')}", value)]
+
+
+def test_eval_provider_and_elasticity_surface(tmp_path, capsys):
+    code, out, _ = run(capsys, "eval-provider", *PROVIDER_FLAGS)
+    assert code == 0
+    result = json.loads(out)
+    expected = provider.evaluate_provider(provider.ProviderMetrics(**PROVIDER_METRICS))
+    assert (result["performance"], result["elasticity"], result["trust"]) == (
+        expected.performance, expected.elasticity, expected.trust
+    )
     out_file = tmp_path / "grid.csv"
     code, _, _ = run(capsys, "surface", "--engine", "elasticity", "--x", "scalability", "--y", "security",
-                     "--resolution", 3, "--completion", "fitted_score", "--out", out_file)
+                     "--resolution", 3, "--out", out_file)
     assert code == 0 and len(out_file.read_text().splitlines()) == 10
+
+
+def test_store_writes_keep_a_stored_ban(tmp_path, capsys):
+    store_path = tmp_path / "store.jsonl"
+    with contextlib.closing(TrustStore(store_path)) as store:
+        for subject_id, kind in (("u1", "user"), ("p1", "provider")):
+            store.put(TrustRecord(subject_id, kind, 0.9, "banned", "fis", "2026-01-01T00:00:00+00:00"))
+    code, out, _ = run(capsys, "eval-user", "--user-id", "u1", "--bad", 0, "--bogus", 0, "--unauthorized", 0,
+                       "--total", 100, "--store", store_path)
+    assert code == 0 and json.loads(out)["classification"] == "banned"
+    code, out, _ = run(capsys, "eval-provider", "--provider-id", "p1", *PROVIDER_FLAGS, "--store", store_path)
+    result = json.loads(out)
+    assert code == 0 and (result["banned"], result["trust"]) == (True, 0.0)
+    with contextlib.closing(TrustService(ServiceConfig(store_path=str(store_path)))) as svc:
+        assert svc.decide("u1").decision == "deny"
+        assert svc.provider_trust("p1")["banned"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["surface", "--engine", "elasticity", "--user-model", "user.json"],
+        ["surface"],
+        ["surface", "--engine", "performance", "--fixed", "workload"],
+        ["ingest", "--window-start", "2026-01-01T00:00:00"],
+        ["ingest", "--window-end", "2026-01-01T00:00:00"],
+    ],
+    ids=["surface-both-engines", "surface-no-engine", "surface-fixed-without-value",
+         "ingest-start-only", "ingest-end-only"],
+)
+def test_usage_errors_exit_2(tmp_path, capsys, argv):
+    if argv[0] == "surface":
+        argv = argv + ["--x", "workload", "--y", "response_time", "--out", tmp_path / "grid.csv"]
+    else:
+        argv = argv + ["--log", tmp_path / "log.csv", "--out", tmp_path / "counters.csv"]
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([str(a) for a in argv])
+    assert exit_info.value.code == 2
+    assert "usage:" in capsys.readouterr().err
 
 
 def test_corrupt_store(tmp_path, capsys):

@@ -15,8 +15,6 @@ from fuzzytrust.fuzzy import (
     FuzzyRule,
     Gaussian,
     LinguisticVariable,
-    ShoulderLeft,
-    ShoulderRight,
     Triangular,
     TwoSidedGaussian,
 )
@@ -57,17 +55,6 @@ class TestMembershipFunctions:
         assert float(mf(10.0)) < 1.0
         assert float(mf(55.0)) < 1.0
 
-    def test_shoulders(self):
-        left = ShoulderLeft(0.2, 0.6)
-        assert float(left(0.0)) == 1.0
-        assert float(left(0.2)) == 1.0
-        assert float(left(0.4)) == pytest.approx(0.5)
-        assert float(left(0.7)) == 0.0
-        right = ShoulderRight(0.4, 0.8)
-        assert float(right(1.0)) == 1.0
-        assert float(right(0.6)) == pytest.approx(0.5)
-        assert float(right(0.3)) == 0.0
-
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             Gaussian(0.0, 0.0)
@@ -77,10 +64,6 @@ class TestMembershipFunctions:
             Triangular(1.0, 0.5, 0.0)
         with pytest.raises(ValueError):
             Triangular(0.5, 0.5, 0.5)
-        with pytest.raises(ValueError):
-            ShoulderLeft(0.5, 0.5)
-        with pytest.raises(ValueError):
-            ShoulderRight(0.9, 0.1)
 
     def test_non_finite_input_rejected(self):
         fis = single_rule_fis((("mid", Triangular(0.0, 0.5, 1.0)),), "mid")
@@ -116,8 +99,6 @@ class TestMembershipFunctions:
             mf = Triangular(0.0, 5e-324, 1.0)
             assert [float(mf(x)) for x in (0.5, 1e-300, -1e-300)] == [0.5, 1.0, 0.0]
             assert mf(np.array([0.5, 1e-300, -1e-300])).tolist() == [0.5, 1.0, 0.0]
-            assert float(ShoulderLeft(0.0, 5e-324)(-1.0)) == 1.0
-            assert float(ShoulderRight(0.0, 5e-324)(1.0)) == 1.0
 
     @given(
         lc=st.floats(-1e3, 1e3),
@@ -501,7 +482,7 @@ class TestInferBatch:
 @given(seed=st.integers(0, 10**6), n=st.integers(1, 40))
 def test_property_batch_rows_independent_of_order_and_chunking(seed, n):
     """Each row's result is the same whether it is inferred alone, in a
-    reversed batch, or with one row per chunk (random_fis covers all five
+    reversed batch, or with one row per chunk (random_fis covers all three
     shape families and rules that leave out inputs)."""
     rng = np.random.default_rng(seed)
     fis = random_fis(rng, max_rules=40)

@@ -866,6 +866,15 @@ class TestPreviousFormats:
         assert model.norm_params == cluster.norm_params
         assert model.evaluate(UserBehaviorCounters("u", uar=3, bor=1, bar=2, tr=51)) == pytest.approx(0.75)
 
+    def test_shoulder_shape_names_the_file_and_the_shape(self, tmp_path):
+        # fis/1 no longer reads shoulder_left / shoulder_right sets
+        path = tmp_path / "user.json"
+        gaussian = '"shape": "gaussian", "center": 0.2, "sigma": 0.25'
+        path.write_text(USER_DOC.replace(gaussian, '"shape": "shoulder_left", "flat_until": 0.2, "falls_to": 0.6'))
+        with pytest.raises(ValueError, match="unknown membership shape 'shoulder_left'") as err:
+            load_user_model(path)
+        assert str(path) in str(err.value)
+
     def test_wrong_document_names_the_file(self, tmp_path):
         path = tmp_path / "user.json"
         path.write_text(USER_DOC)

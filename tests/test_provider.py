@@ -187,32 +187,10 @@ class TestElasticityFis:
         assert build_elasticity_fis.__wrapped__() == build_elasticity_fis.__wrapped__()
 
     @pytest.mark.parametrize(
-        "args, digest",
-        [
-            ((), "ff527e14a45b7e08f4e22fc3bd166bd0c10cf5f8f2946ff7cbb273622785cc8f"),
-            (("nearest_published",), "ff527e14a45b7e08f4e22fc3bd166bd0c10cf5f8f2946ff7cbb273622785cc8f"),
-            (("fitted_score",), "258cada7368fe478483fe67f384de06fd175a77871deb796839cfbb4121b990c"),
-        ],
-        ids=["default", "nearest_published", "fitted_score"],
+        "digest", ["ff527e14a45b7e08f4e22fc3bd166bd0c10cf5f8f2946ff7cbb273622785cc8f"], ids=["default"]
     )
-    def test_rulebase_pinned(self, args, digest):
-        assert rulebase_sha256(build_elasticity_fis.__wrapped__(*args)) == digest
-
-    def test_fitted_score_policy_also_covers_and_preserves(self):
-        fis = build_elasticity_fis("fitted_score")
-        mapping = rulebase_map(fis)
-        assert len(mapping) == 81
-        for combo, expected in ELASTICITY_TABLE.items():
-            assert mapping[combo] == expected
-
-    def test_policies_differ_somewhere(self):
-        near = rulebase_map(build_elasticity_fis())
-        fitted = rulebase_map(build_elasticity_fis("fitted_score"))
-        assert near != fitted  # both valid completions, different heuristics
-
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError, match="magic"):
-            build_elasticity_fis("magic")
+    def test_rulebase_pinned(self, digest):
+        assert rulebase_sha256(build_elasticity_fis.__wrapped__()) == digest
 
     def test_prototype_argmax_round_trips_published_rows(self):
         fis = build_elasticity_fis()
@@ -314,7 +292,9 @@ class TestEvaluateProvider:
         )
         assert evaluate_provider(metrics) == evaluate_provider(metrics)
 
-    def test_degenerate_stage_is_identified(self):
+    def test_degenerate_stage_is_identified(self, monkeypatch):
+        import fuzzytrust.provider as prov
+
         # an elasticity engine with a coverage hole: triangular inputs miss x=1
         inputs = tuple(
             LinguisticVariable(name, (0.0, 1.0), (("lo", Triangular(0.0, 0.0, 0.5)),))
@@ -333,8 +313,9 @@ class TestEvaluateProvider:
         metrics = ProviderMetrics(
             workload=50.0, response_time=50.0, scalability=1.0, availability=1.0, security=1.0, usability=1.0
         )
+        monkeypatch.setattr(prov, "build_elasticity_fis", lambda: broken)
         with pytest.raises(DegenerateOutputError, match="elasticity stage"):
-            evaluate_provider(metrics, elasticity_fis=broken)
+            evaluate_provider(metrics)
 
 
 class TestFeedbackBan:
@@ -360,7 +341,7 @@ class TestCompletionPolicyInternals:
         )
         prov.build_elasticity_fis.cache_clear()
         try:
-            fis = prov.build_elasticity_fis()  # still completes: the strategy fills from 3 rows
+            fis = prov.build_elasticity_fis()  # still completes: the fill copies from 3 rows
             assert len(fis.rules) == 81
         finally:
             prov.build_elasticity_fis.cache_clear()

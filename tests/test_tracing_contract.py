@@ -2,8 +2,10 @@
 
 ``instrument`` looks up the traced methods with ``vars(cls)[attr]`` and
 notes ``len(store)`` after each store load, so renaming or moving one of
-them breaks ``bench/run.py --trace 1``.  It monkeypatches modules, so it
-runs in a subprocess.
+them breaks ``bench/run.py --trace 1``.  The per-engine inference spans
+need each provider cascade stage and each user evaluation to go through
+``FuzzyInferenceSystem.infer``.  ``instrument`` monkeypatches modules, so
+the check runs in a subprocess.
 """
 
 import os
@@ -15,9 +17,13 @@ ROOT = Path(__file__).resolve().parent.parent
 
 SCRIPT = """
 import sys
+from collections import Counter
+
+import numpy as np
 from spans import Tracer, instrument
-from fuzzytrust import service
-from fuzzytrust.user import UserBehaviorCounters
+from fuzzytrust import provider, service
+from fuzzytrust.clustering import ClusterConfig, ClusterModel
+from fuzzytrust.user import UserBehaviorCounters, UserTrustModel
 
 tracer = Tracer()
 instrument(tracer)
@@ -31,6 +37,25 @@ expected = {"store.load", "store.put", "store.get", "service.ledger_load", "serv
             "service.decide.fresh", "service.decide.stored", "service.provider_feedback"}
 assert expected <= names, sorted(expected - names)
 assert tracer.notes["store.records_loaded"] == [0], tracer.notes
+
+tracer.spans.clear()
+provider.evaluate_provider(provider.ProviderMetrics(50.0, 20.0, 0.9, 0.1, 0.5, 0.3))
+counts = Counter(span[0] for span in tracer.spans)
+stages = ("fuzzy.infer.performance", "fuzzy.infer.elasticity", "fuzzy.infer.provider_trust")
+assert [counts[name] for name in ("provider.evaluate_provider", *stages)] == [1, 1, 1, 1], counts
+clusters = ClusterModel(
+    centers=np.array([[0.05, 0.05, 0.05, 0.3, 0.9], [0.7, 0.6, 0.8, 0.7, 0.3]]),
+    spreads=np.full((2, 5), 0.08),
+    norm_params=((0.0, 100.0),) * 3 + ((0.0, 500.0), (0.0, 1.0)),
+    m=2.0,
+    objective_trace=(1.0,),
+    config=ClusterConfig(c=2),
+)
+UserTrustModel.from_cluster_model(clusters).evaluate(UserBehaviorCounters("u2", uar=1, bor=1, bar=1, tr=50))
+names = {span[0] for span in tracer.spans}
+expected = {"provider.evaluate_provider", *stages, "user.evaluate", "fuzzy.infer.user", "fuzzy.aggregate",
+            "fuzzy.fuzzify"}
+assert expected <= names, sorted(expected - names)
 """
 
 
