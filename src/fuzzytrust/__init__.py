@@ -30,14 +30,12 @@ from .provider import (
 )
 from .store import TrustRecord, TrustStore
 from .user import (
-    TrustWeights,
     UserBehaviorCounters,
     UserTrustModel,
     baseline_trust,
     build_user_fis,
     classify,
     fit_user_clusters,
-    request_rates,
 )
 
 __version__ = "0.1.0"
@@ -57,7 +55,6 @@ __all__ = [
     "Triangular",
     "TrustRecord",
     "TrustStore",
-    "TrustWeights",
     "TwoSidedGaussian",
     "UserBehaviorCounters",
     "UserTrustModel",
@@ -76,5 +73,4 @@ __all__ = [
     "generate_corpus",
     "ingest_log",
     "normalize",
-    "request_rates",
 ]

@@ -11,6 +11,10 @@
     fuzzytrust gate            counters -> grant/deny
     fuzzytrust serve           run the trust management HTTP service
 
+``serve --store`` is required and ``gate --store`` defaults to
+``trust-store.jsonl``; provider feedback goes to ``<store>.feedback``.
+Flags are the only configuration, and the baseline weights are fixed.
+
 Exit codes: 0 success, 1 data/model errors, 2 usage errors.
 """
 
@@ -19,7 +23,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import sys
 from datetime import datetime
 
@@ -28,14 +31,7 @@ from .errors import FuzzyTrustError
 from .store import TrustRecord, TrustStore, load_artifact, put_keeping_ban, save_artifact, utc_now_iso
 
 
-def _weights(args) -> user.TrustWeights:
-    return user.TrustWeights(w1=args.w1, w2=args.w2, w3=args.w3)
-
-
-def _add_weight_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--w1", type=float, default=0.5, help="weight of the unauthorized-request rate")
-    p.add_argument("--w2", type=float, default=0.2, help="weight of the bogus-request rate")
-    p.add_argument("--w3", type=float, default=0.3, help="weight of the bad-request rate")
+_UNSEEN_BY_SERVICE = "a service already running on it sees the record only once restarted"
 
 
 def _add_counter_flags(p: argparse.ArgumentParser) -> None:
@@ -70,16 +66,15 @@ def cmd_gen_corpus(args) -> int:
         seed=args.seed,
     )
     train, test = ingest.generate_corpus(spec)
-    weights = _weights(args)
-    ingest.write_corpus_csv(args.train_out, train, weights)
-    ingest.write_corpus_csv(args.test_out, test, weights)
+    ingest.write_corpus_csv(args.train_out, train)
+    ingest.write_corpus_csv(args.test_out, test)
     print(f"wrote {len(train)} training rows to {args.train_out} and {len(test)} test rows to {args.test_out}")
     return 0
 
 
 def cmd_fit(args) -> int:
     counters = ingest.read_counters_csv(args.train)
-    matrix = ingest.corpus_matrix(counters, _weights(args))
+    matrix = ingest.corpus_matrix(counters)
     cfg = clustering.ClusterConfig(
         c=args.clusters, m=args.fuzzifier, tol=args.tol, max_iter=args.max_iter, seed=args.seed
     )
@@ -105,11 +100,8 @@ def cmd_build_user_fis(args) -> int:
 
 def cmd_eval_user(args) -> int:
     counters = _counters(args)
-    if args.user_model:
-        model = user.load_user_model(args.user_model)
-        trust, provenance = model.evaluate(counters), "fis"
-    else:
-        trust, provenance = user.baseline_trust(user.request_rates(counters), _weights(args)), "baseline"
+    model = user.load_user_model(args.user_model) if args.user_model else None
+    trust, provenance = user.evaluate_counters(counters, model)
     record = TrustRecord(
         subject_id=counters.user_id,
         subject_kind="user",
@@ -164,7 +156,7 @@ def cmd_compare(args) -> int:
     if not test_set:
         raise FuzzyTrustError(f"{args.test}: no test users")
     model = user.load_user_model(args.user_model)
-    report = evaluation.compare(test_set, model, threshold=args.threshold, weights=_weights(args))
+    report = evaluation.compare(test_set, model, threshold=args.threshold)
     if args.out:
         save_artifact(report, args.out)
     print(json.dumps(report.to_dict(include_rows=False), indent=2))
@@ -202,10 +194,8 @@ def cmd_surface(args) -> int:
 
 
 def cmd_gate(args) -> int:
-    config = service.ServiceConfig.from_env(
-        store_path=args.store or os.environ.get(service.ENV_STORE) or args.default_store,
-        user_model_path=args.user_model,
-        threshold=args.threshold,
+    config = service.ServiceConfig(
+        store_path=args.store, user_model_path=args.user_model, threshold=args.threshold
     )
     counters = _counters(args)
     with contextlib.closing(service.TrustService(config)) as svc:
@@ -215,7 +205,7 @@ def cmd_gate(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    config = service.ServiceConfig.from_env(
+    config = service.ServiceConfig(
         store_path=args.store,
         user_model_path=args.user_model,
         threshold=args.threshold,
@@ -244,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-train", type=int, default=1000)
     p.add_argument("--benign-fraction", type=float, default=0.75)
     p.add_argument("--seed", type=int, default=0)
-    _add_weight_flags(p)
     p.set_defaults(func=cmd_gen_corpus)
 
     p = sub.add_parser("fit", help="fit the behavior cluster model")
@@ -255,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--max-iter", type=int, default=300)
     p.add_argument("--seed", type=int, default=0)
-    _add_weight_flags(p)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("build-user-fis", help="turn a cluster model into a deployable user model")
@@ -267,8 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_counter_flags(p)
     p.add_argument("--user-model", help="user model JSON; baseline formula when omitted")
     p.add_argument("--threshold", type=float, default=user.DEFAULT_THRESHOLD)
-    p.add_argument("--store", help="append the record to this trust store")
-    _add_weight_flags(p)
+    p.add_argument("--store", help=f"append the record to this trust store; {_UNSEEN_BY_SERVICE}")
     p.set_defaults(func=cmd_eval_user)
 
     p = sub.add_parser("eval-provider", help="evaluate one provider's trust")
@@ -281,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--usability", type=float, required=True, help="score in 0..1")
     p.add_argument("--negative-feedback", type=float, default=0.0, help="negative feedback ratio 0..1")
     p.add_argument("--threshold", type=float, default=user.DEFAULT_THRESHOLD)
-    p.add_argument("--store", help="append the record to this trust store")
+    p.add_argument("--store", help=f"append the record to this trust store; {_UNSEEN_BY_SERVICE}")
     p.set_defaults(func=cmd_eval_provider)
 
     p = sub.add_parser("compare", help="fuzzy model vs baseline over a test corpus")
@@ -289,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--user-model", required=True, help="user model JSON")
     p.add_argument("--threshold", type=float, default=user.DEFAULT_THRESHOLD)
     p.add_argument("--out", help="write the full report JSON here")
-    _add_weight_flags(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("surface", help="export a response-surface grid CSV")
@@ -306,16 +292,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gate", help="one-shot access decision for fresh counters")
     _add_counter_flags(p)
     p.add_argument("--user-model", help="user model JSON; baseline formula when omitted")
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--store", help=f"trust store path (or {service.ENV_STORE})")
-    p.set_defaults(func=cmd_gate, default_store="trust-store.jsonl")
+    p.add_argument("--threshold", type=float, default=service.ServiceConfig.threshold)
+    p.add_argument("--store", default="trust-store.jsonl", help=f"trust store; {_UNSEEN_BY_SERVICE}")
+    p.set_defaults(func=cmd_gate)
 
     p = sub.add_parser("serve", help="run the trust management HTTP service")
-    p.add_argument("--host", default=None)
-    p.add_argument("--port", type=int, default=None)
-    p.add_argument("--store", help=f"trust store path (or {service.ENV_STORE})")
-    p.add_argument("--user-model", help=f"user model JSON (or {service.ENV_USER_MODEL})")
-    p.add_argument("--threshold", type=float, default=None)
+    p.add_argument("--host", default=service.ServiceConfig.host)
+    p.add_argument("--port", type=int, default=service.ServiceConfig.port)
+    p.add_argument("--store", required=True, help="trust store; the feedback ledger is <store>.feedback")
+    p.add_argument("--user-model", help="user model JSON; baseline formula when omitted")
+    p.add_argument("--threshold", type=float, default=service.ServiceConfig.threshold)
     p.set_defaults(func=cmd_serve)
 
     return parser

@@ -15,16 +15,7 @@ import numpy as np
 from scipy import stats
 
 from .errors import FuzzyTrustError
-from .user import (
-    DEFAULT_THRESHOLD,
-    DEFAULT_WEIGHTS,
-    TrustWeights,
-    UserBehaviorCounters,
-    UserTrustModel,
-    baseline_trust,
-    classify,
-    request_rates,
-)
+from .user import DEFAULT_THRESHOLD, UserBehaviorCounters, UserTrustModel, baseline_trust, classify
 
 POSITIVE_CLASS = "untrusted"
 
@@ -160,7 +151,6 @@ def compare(
     test_set: Sequence[UserBehaviorCounters],
     model: UserTrustModel,
     threshold: float = DEFAULT_THRESHOLD,
-    weights: TrustWeights = DEFAULT_WEIGHTS,
 ) -> EvaluationReport:
     """Evaluate ``model`` against the baseline formula over a test set,
     scoring every user in one ``evaluate_batch`` call; baseline classes
@@ -173,7 +163,7 @@ def compare(
     predictions = model.evaluate_batch(test_set).tolist()
     rows = []
     for counters, predicted in zip(test_set, predictions):
-        truth = baseline_trust(request_rates(counters), weights)
+        truth = baseline_trust(counters)
         rows.append(
             UserComparison(
                 user_id=counters.user_id,

@@ -21,13 +21,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 
 from .errors import EmptyWindowError, InvalidSpecError, ParseError
-from .user import (
-    DEFAULT_WEIGHTS,
-    TrustWeights,
-    UserBehaviorCounters,
-    baseline_trust,
-    request_rates,
-)
+from .user import UserBehaviorCounters, baseline_trust
 
 # status -> slot in a user's tally [uar, bor, bar, tr]: 401 and 403 are
 # unauthorized, 404 bogus and 400 bad; every status also adds to tr
@@ -226,21 +220,14 @@ def generate_corpus(spec: CorpusSpec) -> tuple[list[UserBehaviorCounters], list[
     return build(users[: spec.n_train], "train"), build(users[spec.n_train :], "test")
 
 
-def corpus_matrix(
-    counters: list[UserBehaviorCounters],
-    weights: TrustWeights = DEFAULT_WEIGHTS,
-) -> np.ndarray:
+def corpus_matrix(counters: list[UserBehaviorCounters]) -> np.ndarray:
     """n x 5 matrix (bad, bogus, unauthorized, total, trust) with the
     baseline trust as the label column."""
-    rows = []
-    for c in counters:
-        trust = baseline_trust(request_rates(c), weights)
-        rows.append([c.bar, c.bor, c.uar, c.tr, trust])
-    return np.array(rows, dtype=float)
+    return np.array([[c.bar, c.bor, c.uar, c.tr, baseline_trust(c)] for c in counters], dtype=float)
 
 
-def write_corpus_csv(path, counters, weights: TrustWeights = DEFAULT_WEIGHTS) -> None:
-    matrix = corpus_matrix(counters, weights)
+def write_corpus_csv(path, counters) -> None:
+    matrix = corpus_matrix(counters)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bad", "bogus", "unauthorized", "total", "trust"])

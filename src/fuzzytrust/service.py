@@ -21,6 +21,10 @@ that carries ``threshold`` is refused with 400, as is a body that is not
 a JSON object or whose ``user_id`` is not a non-empty string.  Path ids
 are percent-decoded (``/trust/user/a%20b`` is user ``a b``); an id that
 does not decode as UTF-8 is refused with 400.
+The service is the store's single writer: it reads the store and the
+feedback ledger once, at start, so a record another process appends to
+them later (a ban written by ``fuzzytrust eval-user --store``, say) does
+not count until the service restarts.
 A provider whose latest stored record is ``banned``, or whose
 negative-feedback share in the ledger exceeds 40%, is reported banned
 with trust 0 while its stored values stay intact.
@@ -57,7 +61,6 @@ holds one thread.
 from __future__ import annotations
 
 import json
-import os
 import threading
 from dataclasses import dataclass
 from http import HTTPStatus
@@ -77,10 +80,9 @@ from .user import (
     DEFAULT_THRESHOLD,
     UserBehaviorCounters,
     UserTrustModel,
-    baseline_trust,
     classify,
+    evaluate_counters,
     load_user_model,
-    request_rates,
 )
 
 SCHEMA = "tmm/1"
@@ -88,15 +90,11 @@ LEDGER_VERSION = 1
 MAX_BODY_BYTES = 1 << 16  # a /decide or /feedback body is under 200 bytes
 IDLE_TIMEOUT_S = 15.0  # a kept-alive connection waits this long for its next request
 
-ENV_STORE = "FUZZYTRUST_STORE"
-ENV_FEEDBACK = "FUZZYTRUST_FEEDBACK"
-ENV_USER_MODEL = "FUZZYTRUST_USER_MODEL"
-ENV_THRESHOLD = "FUZZYTRUST_THRESHOLD"
-ENV_BIND = "FUZZYTRUST_BIND"
-
 
 @dataclass(frozen=True)
 class ServiceConfig:
+    """The service's whole configuration; the CLI builds it from flags."""
+
     store_path: str
     feedback_path: str | None = None  # defaults to <store>.feedback
     user_model_path: str | None = None
@@ -104,24 +102,9 @@ class ServiceConfig:
     host: str = "127.0.0.1"
     port: int = 8321
 
-    @classmethod
-    def from_env(cls, **overrides) -> "ServiceConfig":
-        store = overrides.pop("store_path", None) or os.environ.get(ENV_STORE)
-        if not store:
-            raise ModelLoadFailureError(f"no store path given (flag or {ENV_STORE})")
-        values = {
-            "store_path": store,
-            "feedback_path": os.environ.get(ENV_FEEDBACK),
-            "user_model_path": os.environ.get(ENV_USER_MODEL),
-        }
-        if os.environ.get(ENV_THRESHOLD):
-            values["threshold"] = float(os.environ[ENV_THRESHOLD])
-        if os.environ.get(ENV_BIND):
-            host, _, port = os.environ[ENV_BIND].rpartition(":")
-            values["host"] = host or "127.0.0.1"
-            values["port"] = int(port)
-        values.update({k: v for k, v in overrides.items() if v is not None})
-        return cls(**values)
+    def __post_init__(self):
+        if not 0.0 <= self.threshold <= 1.0:  # NaN fails too
+            raise ValueError(f"threshold must lie in [0, 1], got {self.threshold}")
 
 
 @dataclass(frozen=True)
@@ -207,19 +190,13 @@ class TrustService:
         self.store.close()
         self.feedback.close()
 
-    def evaluate_counters(self, counters: UserBehaviorCounters) -> tuple[float, str]:
-        """(trust, model provenance) for fresh behavior counters."""
-        if self.user_model is not None:
-            return self.user_model.evaluate(counters), "fis"
-        return baseline_trust(request_rates(counters)), "baseline"
-
     def decide(self, user_id: str, counters: UserBehaviorCounters | None = None) -> DecisionResponse:
         """Grant iff trust strictly exceeds the configured threshold and the
         subject is not banned; every decision appends one audit record."""
         if not isinstance(user_id, str) or not user_id:
             raise ValueError(f"user_id must be a non-empty string, got {user_id!r}")
         if counters is not None:
-            trust, model = self.evaluate_counters(counters)
+            trust, model = evaluate_counters(counters, self.user_model)
             evaluated_at = utc_now_iso()
         else:
             try:
@@ -269,13 +246,15 @@ class TrustService:
 
 
 def _counters_from_payload(user_id: str, payload: dict) -> UserBehaviorCounters:
-    return UserBehaviorCounters(
-        user_id=user_id,
-        uar=int(payload["unauthorized"]),
-        bor=int(payload["bogus"]),
-        bar=int(payload["bad"]),
-        tr=int(payload["total"]),
-    )
+    """Counters from a /decide body.  Each count must be a JSON integer: a
+    float, a bool or a string is refused, not truncated or coerced."""
+    counts = {}
+    for field, key in (("uar", "unauthorized"), ("bor", "bogus"), ("bar", "bad"), ("tr", "total")):
+        value = payload[key]
+        if type(value) is not int:
+            raise ValueError(f"counters.{key} must be a JSON integer, got {value!r}")
+        counts[field] = value
+    return UserBehaviorCounters(user_id=user_id, **counts)
 
 
 def _content_length(value: str) -> int:

@@ -27,6 +27,11 @@ versioned JSON documents.
   stays the source of truth: it is never rewritten, and deleting the
   snapshot costs only a full replay.
 
+Single writer: a ``TrustStore`` reads its log once, when it opens, and
+then sees only the records appended through itself.  Records another
+process (or another ``TrustStore`` on the same file) appends later stay
+invisible to it until it is reopened, a ban included.
+
 Durability: every appended line is flushed and nothing is fsynced, so a
 line survives a crash of the process, not necessarily of the host.  An
 unreadable line is reported with its file and line on the next open.  If

@@ -1,10 +1,13 @@
-"""User-side trust: request-rate bookkeeping, the weighted baseline
-formula, and the cluster-derived Mamdani model.
+"""User-side trust: the weighted baseline formula and the
+cluster-derived Mamdani model.
 
 The baseline model scores a user as 1 minus a weighted sum of their
-unauthorized/bogus/bad request rates.  The fuzzy model clusters users
-jointly over (bad, bogus, unauthorized, total, trust) and emits one
-rule per cluster: inputs near cluster i imply trust near cluster i.
+unauthorized/bogus/bad request rates.  The weights are fixed at the
+paper's (0.5, 0.2, 0.3), so the labels a model is fitted to, the truth
+``compare`` scores it against and the service's baseline decisions all
+come from one formula.  The fuzzy model clusters users jointly over
+(bad, bogus, unauthorized, total, trust) and emits one rule per
+cluster: inputs near cluster i imply trust near cluster i.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ from .fuzzy import FuzzyInferenceSystem, FuzzyRule, Gaussian, LinguisticVariable
 from .store import check_format, load_artifact, save_artifact
 
 DEFAULT_THRESHOLD = 0.5
+# Severity of the unauthorized, bogus and bad request rates; they sum to 1.
+W_UNAUTHORIZED, W_BOGUS, W_BAD = 0.5, 0.2, 0.3
 TRUST_OUTPUT_MIN_HALFWIDTH = 0.05
 
 # The joint feature matrix (``ingest.corpus_matrix``) has columns bad,
@@ -61,53 +66,23 @@ class UserBehaviorCounters:
             )
 
 
-@dataclass(frozen=True)
-class RequestRates:
-    uarr: float
-    borr: float
-    barr: float
-
-    def __post_init__(self):
-        for name in ("uarr", "borr", "barr"):
-            value = getattr(self, name)
-            if not (0.0 <= value <= 1.0):
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
-
-
-@dataclass(frozen=True)
-class TrustWeights:
-    """Relative severity of unauthorized (w1), bogus (w2) and bad (w3)
-    requests; must be non-negative and sum to 1."""
-
-    w1: float = 0.5
-    w2: float = 0.2
-    w3: float = 0.3
-
-    def __post_init__(self):
-        if min(self.w1, self.w2, self.w3) < 0.0:
-            raise ValueError("weights must be non-negative")
-        if abs(self.w1 + self.w2 + self.w3 - 1.0) > 1e-9:
-            raise ValueError(f"weights must sum to 1, got {self.w1 + self.w2 + self.w3}")
-
-
-DEFAULT_WEIGHTS = TrustWeights()
-
-
-def request_rates(counters: UserBehaviorCounters) -> RequestRates:
-    """Per-category request rates; undefined (error) when TR is zero."""
-    if counters.tr == 0:
+def baseline_trust(counters: UserBehaviorCounters) -> float:
+    """Weighted-rate trust 1 - (W_UNAUTHORIZED*UARR + W_BOGUS*BORR + W_BAD*BARR),
+    each rate a count over TR; undefined (error) when TR is zero."""
+    tr = counters.tr
+    if tr == 0:
         raise ZeroTotalRequestsError(f"user {counters.user_id!r} has no requests in the window")
-    return RequestRates(
-        uarr=counters.uar / counters.tr,
-        borr=counters.bor / counters.tr,
-        barr=counters.bar / counters.tr,
+    return 1.0 - (
+        W_UNAUTHORIZED * (counters.uar / tr) + W_BOGUS * (counters.bor / tr) + W_BAD * (counters.bar / tr)
     )
 
 
-def baseline_trust(rates: RequestRates, weights: TrustWeights = DEFAULT_WEIGHTS) -> float:
-    """Weighted-rate trust: 1 - (w1*UARR + w2*BORR + w3*BARR)."""
-    negative = weights.w1 * rates.uarr + weights.w2 * rates.borr + weights.w3 * rates.barr
-    return 1.0 - negative
+def evaluate_counters(counters: UserBehaviorCounters, model: UserTrustModel | None) -> tuple[float, str]:
+    """(trust, provenance) for fresh counters: the fitted model's value and
+    ``"fis"``, or the baseline formula's and ``"baseline"`` without one."""
+    if model is not None:
+        return model.evaluate(counters), "fis"
+    return baseline_trust(counters), "baseline"
 
 
 def classify(trust: float, threshold: float = DEFAULT_THRESHOLD) -> str:

@@ -18,7 +18,6 @@ PUBLIC_NAMES = [
     "Triangular",
     "TrustRecord",
     "TrustStore",
-    "TrustWeights",
     "TwoSidedGaussian",
     "UserBehaviorCounters",
     "UserTrustModel",
@@ -37,7 +36,6 @@ PUBLIC_NAMES = [
     "generate_corpus",
     "ingest_log",
     "normalize",
-    "request_rates",
 ]
 
 

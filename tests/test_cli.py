@@ -1,13 +1,16 @@
 """The command line, called in-process through ``cli.main``."""
 
+import argparse
 import contextlib
+import csv
 import json
 
 import pytest
 
-from fuzzytrust import cli, provider
+from fuzzytrust import cli, ingest, provider, service
 from fuzzytrust.service import ServiceConfig, TrustService
 from fuzzytrust.store import TrustRecord, TrustStore
+from fuzzytrust.user import baseline_trust
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -35,6 +38,15 @@ def test_pipeline_compare(pipeline, capsys):
     assert code == 0
     report = json.loads(out[: out.rindex("}") + 1])
     assert report["n"] == 20
+
+
+def test_corpus_trust_column_is_the_baseline(pipeline):
+    counters = ingest.read_counters_csv(pipeline["train.csv"])
+    with open(pipeline["train.csv"], newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(counters) == 60
+    for row, c in zip(rows, counters):
+        assert float(row["trust"]) == baseline_trust(c)
 
 
 def test_user_model_given_as_cluster_model(pipeline, tmp_path, capsys):
@@ -110,19 +122,59 @@ def test_store_writes_keep_a_stored_ban(tmp_path, capsys):
         ["surface", "--engine", "performance", "--fixed", "workload"],
         ["ingest", "--window-start", "2026-01-01T00:00:00"],
         ["ingest", "--window-end", "2026-01-01T00:00:00"],
+        ["serve", "--port", "0"],
     ],
     ids=["surface-both-engines", "surface-no-engine", "surface-fixed-without-value",
-         "ingest-start-only", "ingest-end-only"],
+         "ingest-start-only", "ingest-end-only", "serve-no-store"],
 )
-def test_usage_errors_exit_2(tmp_path, capsys, argv):
+def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setattr(service, "serve", lambda config: pytest.fail("the service was started"))
     if argv[0] == "surface":
         argv = argv + ["--x", "workload", "--y", "response_time", "--out", tmp_path / "grid.csv"]
-    else:
+    elif argv[0] == "ingest":
         argv = argv + ["--log", tmp_path / "log.csv", "--out", tmp_path / "counters.csv"]
     with pytest.raises(SystemExit) as exit_info:
         cli.main([str(a) for a in argv])
     assert exit_info.value.code == 2
     assert "usage:" in capsys.readouterr().err
+
+
+BASELINE_09 = ["--bad", 0, "--bogus", 0, "--unauthorized", 20, "--total", 100]  # baseline trust 0.9
+
+
+def test_gate_threshold(tmp_path, capsys):
+    store = tmp_path / "store.jsonl"
+    code, out, _ = run(capsys, "gate", *BASELINE_09, "--store", store)
+    assert code == 0 and (json.loads(out)["decision"], json.loads(out)["trust"]) == ("grant", 0.9)
+    code, out, _ = run(capsys, "gate", *BASELINE_09, "--store", store, "--threshold", 0.95)
+    assert code == 0 and json.loads(out)["decision"] == "deny"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["serve", "--port", 0, "--threshold", 1.5], ["serve", "--port", 0, "--threshold", "nan"],
+     ["gate", *BASELINE_09, "--threshold", -0.1]],
+    ids=["serve-above-1", "serve-nan", "gate-below-0"],
+)
+def test_threshold_outside_unit_interval_exits_1(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setattr(service, "serve", lambda config: pytest.fail("the service was started"))
+    store = tmp_path / "store.jsonl"
+    code, _, err = run(capsys, *argv, "--store", store)
+    assert code == 1 and "threshold must lie in [0, 1]" in err
+    assert not store.exists()
+
+
+SUBCOMMANDS = sorted(
+    next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+)
+
+
+@pytest.mark.parametrize("command", [[]] + [[name] for name in SUBCOMMANDS], ids=["top", *SUBCOMMANDS])
+def test_help_exits_0(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(command + ["--help"])
+    assert exit_info.value.code == 0
+    assert "usage:" in capsys.readouterr().out
 
 
 def test_corrupt_store(tmp_path, capsys):

@@ -37,7 +37,6 @@ from fuzzytrust.user import (
     UserTrustModel,
     baseline_trust,
     load_user_model,
-    request_rates,
 )
 
 
@@ -349,7 +348,7 @@ class TestCorpus:
         train, _ = generate_corpus(CorpusSpec(n_users=50, n_train=50, seed=3))
         matrix = corpus_matrix(train)
         for row, counters in zip(matrix, train):
-            assert row[4] == baseline_trust(request_rates(counters))
+            assert row[4] == baseline_trust(counters)
 
     def test_invalid_specs(self):
         with pytest.raises(InvalidSpecError):

@@ -141,6 +141,23 @@ class TestMalformedBodies:
         status, body = _post(server, "/decide", raw)
         assert status == 400 and body["schema"] == SCHEMA
 
+    @pytest.mark.parametrize(
+        "counters",
+        [
+            {"unauthorized": 0.9, "bogus": True, "bad": "3", "total": 10.7},
+            {**ALL_UNAUTHORIZED, "total": 160.0},
+            {**ALL_UNAUTHORIZED, "bogus": False},
+            {**ALL_UNAUTHORIZED, "bad": "0"},
+            {**ALL_UNAUTHORIZED, "unauthorized": None},
+        ],
+        ids=["mixed", "float", "bool", "string", "null"],
+    )
+    def test_count_that_is_not_a_json_integer_gets_400(self, server, counters):
+        status, body = _post(server, "/decide", _decide_body(counters=counters))
+        assert status == 400
+        assert body["schema"] == SCHEMA and "JSON integer" in body["error"]
+        assert len(server.RequestHandlerClass.service.store) == 0
+
     def test_non_object_json_on_feedback_gets_400(self, server):
         status, body = _post(server, "/feedback/provider/p1", b"[1,2]")
         assert status == 400 and "error" in body

@@ -12,8 +12,9 @@ from fuzzytrust.evaluation import compare
 from fuzzytrust.fuzzy import FuzzyInferenceSystem, FuzzyRule, Gaussian, LinguisticVariable, Triangular
 from fuzzytrust.ingest import CorpusSpec, corpus_matrix, generate_corpus
 from fuzzytrust.user import (
-    RequestRates,
-    TrustWeights,
+    W_BAD,
+    W_BOGUS,
+    W_UNAUTHORIZED,
     UserBehaviorCounters,
     UserTrustModel,
     baseline_trust,
@@ -21,7 +22,6 @@ from fuzzytrust.user import (
     classify,
     fit_user_clusters,
     load_user_model,
-    request_rates,
     save_user_model,
 )
 from oracles import oracle_infer
@@ -39,64 +39,45 @@ class TestCounters:
     def test_feature_vector_order(self):
         # corpus_matrix columns: bad, bogus, unauthorized, total, baseline trust
         c = UserBehaviorCounters(user_id="u", uar=3, bor=2, bar=1, tr=10)
-        assert corpus_matrix([c]).tolist() == [[1.0, 2.0, 3.0, 10.0, baseline_trust(request_rates(c))]]
-
-
-class TestRequestRates:
-    def test_clean_user(self):
-        c = UserBehaviorCounters(user_id="u", uar=0, bor=0, bar=0, tr=10)
-        assert request_rates(c) == RequestRates(0.0, 0.0, 0.0)
-
-    def test_direct_quotients(self):
-        c = UserBehaviorCounters(user_id="u", uar=10, bor=5, bar=20, tr=100)
-        rates = request_rates(c)
-        assert (rates.uarr, rates.borr, rates.barr) == (0.10, 0.05, 0.20)
-
-    def test_zero_total_is_an_error(self):
-        with pytest.raises(ZeroTotalRequestsError):
-            request_rates(UserBehaviorCounters(user_id="u", uar=0, bor=0, bar=0, tr=0))
-
-
-class TestWeights:
-    def test_defaults(self):
-        w = TrustWeights()
-        assert (w.w1, w.w2, w.w3) == (0.5, 0.2, 0.3)
-
-    def test_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            TrustWeights(0.5, 0.2, 0.2)
-
-    def test_non_negative(self):
-        with pytest.raises(ValueError):
-            TrustWeights(1.5, -0.2, -0.3)
+        assert corpus_matrix([c]).tolist() == [[1.0, 2.0, 3.0, 10.0, baseline_trust(c)]]
 
 
 class TestBaselineTrust:
+    def test_fixed_weights(self):
+        assert (W_UNAUTHORIZED, W_BOGUS, W_BAD) == (0.5, 0.2, 0.3)
+
     def test_no_malicious_activity(self):
-        assert baseline_trust(RequestRates(0.0, 0.0, 0.0)) == 1.0
+        assert baseline_trust(UserBehaviorCounters("u", 0, 0, 0, 10)) == 1.0
 
     def test_hand_case(self):
-        assert baseline_trust(RequestRates(0.1, 0.1, 0.1)) == pytest.approx(0.9, abs=1e-12)
+        assert baseline_trust(UserBehaviorCounters("u", 10, 10, 10, 100)) == pytest.approx(0.9, abs=1e-12)
 
     def test_all_unauthorized(self):
-        assert baseline_trust(RequestRates(1.0, 0.0, 0.0)) == pytest.approx(0.5, abs=1e-12)
+        assert baseline_trust(UserBehaviorCounters("u", 7, 0, 0, 7)) == pytest.approx(0.5, abs=1e-12)
+
+    def test_zero_total_is_an_error(self):
+        with pytest.raises(ZeroTotalRequestsError):
+            baseline_trust(UserBehaviorCounters(user_id="u", uar=0, bor=0, bar=0, tr=0))
+
+    def test_formula_exact_over_a_corpus(self):
+        train, test = generate_corpus(CorpusSpec(n_users=400, n_train=300, seed=5))
+        for c in train + test:
+            expected = 1.0 - (0.5 * (c.uar / c.tr) + 0.2 * (c.bor / c.tr) + 0.3 * (c.bar / c.tr))
+            assert baseline_trust(c) == expected, c
 
     def test_affine_slopes_via_finite_differences(self):
-        w = TrustWeights()
-        h = 0.125  # dyadic step keeps the arithmetic exact
-        base = RequestRates(0.25, 0.25, 0.25)
-        t0 = baseline_trust(base, w)
-        for attr, weight in (("uarr", w.w1), ("borr", w.w2), ("barr", w.w3)):
-            bumped = RequestRates(
-                **{k: getattr(base, k) + (h if k == attr else 0.0) for k in ("uarr", "borr", "barr")}
-            )
-            assert baseline_trust(bumped, w) - t0 == pytest.approx(-weight * h, abs=1e-12)
+        # rates 2/8 stepped by 1/8: dyadic, so the arithmetic is exact
+        base = {"uar": 2, "bor": 2, "bar": 2}
+        t0 = baseline_trust(UserBehaviorCounters("u", tr=8, **base))
+        for field, weight in (("uar", W_UNAUTHORIZED), ("bor", W_BOGUS), ("bar", W_BAD)):
+            bumped = UserBehaviorCounters("u", tr=8, **{**base, field: base[field] + 1})
+            assert baseline_trust(bumped) - t0 == pytest.approx(-weight * 0.125, abs=1e-12)
 
     def test_monotone_in_each_malicious_count(self):
         tr = 100
         previous = 1.1
         for uar in range(0, tr + 1, 5):
-            trust = baseline_trust(request_rates(UserBehaviorCounters("u", uar, 0, 0, tr)))
+            trust = baseline_trust(UserBehaviorCounters("u", uar, 0, 0, tr))
             assert trust <= previous
             previous = trust
 
@@ -104,8 +85,7 @@ class TestBaselineTrust:
         rng = np.random.default_rng(0)
         for _ in range(500):
             parts = rng.multinomial(100, [0.25, 0.25, 0.25, 0.25])
-            rates = request_rates(UserBehaviorCounters("u", *parts[:3], tr=100))
-            assert 0.0 <= baseline_trust(rates) <= 1.0
+            assert 0.0 <= baseline_trust(UserBehaviorCounters("u", *parts[:3], tr=100)) <= 1.0
 
 
 class TestClassify:
