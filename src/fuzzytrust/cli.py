@@ -160,7 +160,6 @@ def cmd_compare(args) -> int:
     if args.out:
         save_artifact(report, args.out)
     print(json.dumps(report.to_dict(include_rows=False), indent=2))
-    print(f"summary csv (time,mae%,rmse%,precision,recall,f1): {report.summary_csv_row()}")
     return 0
 
 

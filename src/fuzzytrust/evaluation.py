@@ -1,5 +1,6 @@
 """Comparison harness between the weighted baseline model and the fuzzy
-model, with regression and thresholded-classification metrics.
+model: regression errors, thresholded-classification metrics, class
+agreement and Spearman rank correlation, all computed with numpy alone.
 
 "untrusted" is the positive class throughout: the model exists to
 detect misbehaving users.
@@ -12,7 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from .errors import FuzzyTrustError
 from .user import DEFAULT_THRESHOLD, UserBehaviorCounters, UserTrustModel, baseline_trust, classify
@@ -81,14 +81,6 @@ class EvaluationReport:
     n_untrusted: int
     rows: tuple[UserComparison, ...]
 
-    @property
-    def mae_pct(self) -> float:
-        return 100.0 * self.mae
-
-    @property
-    def rmse_pct(self) -> float:
-        return 100.0 * self.rmse
-
     def agreement(self) -> float:
         """Fraction of users where both models give the same class."""
         same = sum(1 for r in self.rows if r.baseline_class == r.predicted_class)
@@ -109,8 +101,8 @@ class EvaluationReport:
             "n_untrusted": self.n_untrusted,
             "mae": self.mae,
             "rmse": self.rmse,
-            "mae_pct": self.mae_pct,
-            "rmse_pct": self.rmse_pct,
+            "mae_pct": 100.0 * self.mae,
+            "rmse_pct": 100.0 * self.rmse,
             "precision": self.precision,
             "recall": self.recall,
             "f1": self.f1,
@@ -132,19 +124,21 @@ class EvaluationReport:
             ]
         return data
 
-    def summary_csv_row(self) -> str:
-        """time, MAE %, RMSE %, precision, recall, F1 on one line."""
-        return ",".join(
-            f"{v:.4f}"
-            for v in (self.wall_time_seconds, self.mae_pct, self.rmse_pct, self.precision, self.recall, self.f1)
-        )
+def _average_ranks(values: Sequence[float]) -> np.ndarray:
+    """1-based ranks; tied values share the mean of the ranks they span."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    return ((ends - counts + 1 + ends) / 2)[inverse]
 
 
 def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Spearman rho; 0 when either series is constant (no ranking signal)."""
+    """Spearman rho, the Pearson correlation of average ranks; 0 when
+    either series is constant (no ranking signal)."""
     if np.ptp(xs) == 0.0 or np.ptp(ys) == 0.0:
         return 0.0
-    return float(stats.spearmanr(xs, ys).statistic)
+    # [1, 0], not [0, 1]: the two can differ in the last bit, and [1, 0] is
+    # the value scipy.stats.spearmanr gives
+    return float(np.corrcoef(_average_ranks(xs), _average_ranks(ys))[1, 0])
 
 
 def compare(

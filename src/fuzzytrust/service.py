@@ -105,6 +105,8 @@ class ServiceConfig:
     def __post_init__(self):
         if not 0.0 <= self.threshold <= 1.0:  # NaN fails too
             raise ValueError(f"threshold must lie in [0, 1], got {self.threshold}")
+        if not 0 <= self.port <= 65535:
+            raise ValueError(f"port must lie in 0..65535, got {self.port}")
 
 
 @dataclass(frozen=True)

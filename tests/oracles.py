@@ -10,6 +10,10 @@ The FCM oracle is the plain alternating loop (Bezdek, Ehrlich & Full,
 *Computers & Geosciences* 10(2-3), 1984) with an (n, c, d) difference
 array and masked membership copies on every iteration; ``fcm_fit`` must
 give its model dictionary exactly.
+
+The Spearman oracle ranks by sorting and walking runs of equal values
+(tied values share the mean of their ranks), then takes the Pearson
+correlation of the ranks, all in plain Python floats.
 """
 
 from __future__ import annotations
@@ -205,3 +209,28 @@ def oracle_fcm(X: np.ndarray, cfg, norm_params) -> dict:
         "objective_trace": trace,
         "config": cfg.to_dict(),
     }
+
+
+def oracle_spearman(xs, ys) -> float:
+    """Spearman rho with average ranks for ties, in plain Python."""
+
+    def ranks(values):
+        values = [float(v) for v in values]
+        order = sorted(range(len(values)), key=lambda i: values[i])
+        out = [0.0] * len(values)
+        start = 0
+        while start < len(order):
+            end = start
+            while end + 1 < len(order) and values[order[end + 1]] == values[order[start]]:
+                end += 1
+            for i in order[start : end + 1]:
+                out[i] = (start + 1 + end + 1) / 2.0  # mean of ranks start+1 .. end+1
+            start = end + 1
+        return out
+
+    rx, ry = ranks(xs), ranks(ys)
+    mx, my = sum(rx) / len(rx), sum(ry) / len(ry)
+    cov = sum((a - mx) * (b - my) for a, b in zip(rx, ry))
+    vx = sum((a - mx) ** 2 for a in rx)
+    vy = sum((b - my) ** 2 for b in ry)
+    return cov / math.sqrt(vx * vy)

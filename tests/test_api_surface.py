@@ -1,7 +1,15 @@
 """The package's public names, pinned: a change to ``fuzzytrust.__all__``
-has to change this list too."""
+has to change this list too.  Importing the package, its CLI or its
+service loads no scipy: numpy is the one runtime dependency."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import fuzzytrust
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 PUBLIC_NAMES = [
     "ClusterConfig",
@@ -46,3 +54,14 @@ def test_public_names_pinned():
 def test_every_public_name_resolves():
     missing = [name for name in fuzzytrust.__all__ if not hasattr(fuzzytrust, name)]
     assert missing == []
+
+
+def test_importing_the_package_loads_no_scipy():
+    script = (
+        "import sys, fuzzytrust, fuzzytrust.cli, fuzzytrust.service\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr

@@ -36,8 +36,9 @@ def pipeline(tmp_path, capsys):
 def test_pipeline_compare(pipeline, capsys):
     code, out, _ = run(capsys, "compare", "--test", pipeline["test.csv"], "--user-model", pipeline["user.json"])
     assert code == 0
-    report = json.loads(out[: out.rindex("}") + 1])
+    report = json.loads(out)  # stdout is one JSON document and nothing else
     assert report["n"] == 20
+    assert report["mae_pct"] == 100 * report["mae"] and report["rmse_pct"] == 100 * report["rmse"]
 
 
 def test_corpus_trust_column_is_the_baseline(pipeline):
@@ -151,16 +152,20 @@ def test_gate_threshold(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["serve", "--port", 0, "--threshold", 1.5], ["serve", "--port", 0, "--threshold", "nan"],
-     ["gate", *BASELINE_09, "--threshold", -0.1]],
-    ids=["serve-above-1", "serve-nan", "gate-below-0"],
+    "argv, message",
+    [(["serve", "--port", 0, "--threshold", 1.5], "threshold must lie in [0, 1]"),
+     (["serve", "--port", 0, "--threshold", "nan"], "threshold must lie in [0, 1]"),
+     (["gate", *BASELINE_09, "--threshold", -0.1], "threshold must lie in [0, 1]"),
+     (["serve", "--port", 99999], "port must lie in 0..65535"),
+     (["serve", "--port", -1], "port must lie in 0..65535")],
+    ids=["serve-above-1", "serve-nan", "gate-below-0", "serve-port-above-65535", "serve-port-negative"],
 )
-def test_threshold_outside_unit_interval_exits_1(tmp_path, capsys, monkeypatch, argv):
+def test_threshold_outside_unit_interval_exits_1(tmp_path, capsys, monkeypatch, argv, message):
+    """A threshold or port out of range is an error line, before any bind."""
     monkeypatch.setattr(service, "serve", lambda config: pytest.fail("the service was started"))
     store = tmp_path / "store.jsonl"
     code, _, err = run(capsys, *argv, "--store", store)
-    assert code == 1 and "threshold must lie in [0, 1]" in err
+    assert code == 1 and f"error: {message}" in err
     assert not store.exists()
 
 
