@@ -28,7 +28,7 @@ from datetime import datetime
 
 from . import clustering, evaluation, ingest, provider, service, user
 from .errors import FuzzyTrustError
-from .store import TrustRecord, TrustStore, load_artifact, put_keeping_ban, save_artifact, utc_now_iso
+from .store import TrustStore, load_artifact, save_artifact
 
 
 _UNSEEN_BY_SERVICE = "a service already running on it sees the record only once restarted"
@@ -98,21 +98,17 @@ def cmd_build_user_fis(args) -> int:
     return 0
 
 
+def _store(path):
+    """The trust store at ``path``, closed on exit; None without ``--store``."""
+    return contextlib.closing(TrustStore(path)) if path else contextlib.nullcontext()
+
+
 def cmd_eval_user(args) -> int:
     counters = _counters(args)
     model = user.load_user_model(args.user_model) if args.user_model else None
     trust, provenance = user.evaluate_counters(counters, model)
-    record = TrustRecord(
-        subject_id=counters.user_id,
-        subject_kind="user",
-        trust=trust,
-        classification=user.classify(trust, args.threshold),
-        model=provenance,
-        evaluated_at=utc_now_iso(),
-    )
-    if args.store:
-        with contextlib.closing(TrustStore(args.store)) as store:
-            record = put_keeping_ban(store, record)
+    with _store(args.store) as store:
+        record = service.record_decision(store, "user", counters.user_id, trust, provenance, args.threshold)
     print(json.dumps(record.to_dict(), indent=2))
     return 0
 
@@ -125,21 +121,14 @@ def cmd_eval_provider(args) -> int:
         availability=args.availability,
         security=args.security,
         usability=args.usability,
-        negative_feedback_ratio=args.negative_feedback,
     )
     assessment = provider.evaluate_provider(metrics)
-    banned = provider.feedback_ban(metrics.negative_feedback_ratio)
-    if args.store:
-        record = TrustRecord(
-            subject_id=args.provider_id,
-            subject_kind="provider",
-            trust=assessment.trust,
-            classification="banned" if banned else user.classify(assessment.trust, args.threshold),
-            model="fis",
-            evaluated_at=utc_now_iso(),
+    banned = provider.feedback_ban(args.negative_feedback)
+    with _store(args.store) as store:
+        record = service.record_decision(
+            store, "provider", args.provider_id, assessment.trust, "fis", args.threshold, banned=banned
         )
-        with contextlib.closing(TrustStore(args.store)) as store:
-            banned = put_keeping_ban(store, record).classification == "banned"
+    banned = record.classification == "banned"
     result = {
         "provider_id": args.provider_id,
         "performance": assessment.performance,

@@ -151,14 +151,13 @@ class ProviderMetrics:
     availability: float
     security: float
     usability: float
-    negative_feedback_ratio: float = 0.0
 
     def __post_init__(self):
         for name, hi in (("workload", 100.0), ("response_time", 100.0)):
             value = getattr(self, name)
             if not (0.0 <= value <= hi):
                 raise OutOfRangeError(f"{name} must be in [0, {hi:g}], got {value}")
-        for name in ("scalability", "availability", "security", "usability", "negative_feedback_ratio"):
+        for name in ("scalability", "availability", "security", "usability"):
             value = getattr(self, name)
             if not (0.0 <= value <= 1.0):
                 raise OutOfRangeError(f"{name} must be in [0, 1], got {value}")

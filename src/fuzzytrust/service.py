@@ -13,21 +13,24 @@ fitted fuzzy model when one is configured, else from the baseline
 formula; with no fresh counters the latest stored record is served.
 Users and providers are separate namespaces: the store is looked up by
 (kind, id), so a user decision under a provider's id neither reads nor
-hides the provider's record.  A user whose latest stored record is
-``banned`` is denied with or without fresh counters, and the record each
-decision appends keeps the ban.
+hides the provider's record.
 The decision threshold is the service's configuration: a /decide body
 that carries ``threshold`` is refused with 400, as is a body that is not
-a JSON object or whose ``user_id`` is not a non-empty string.  Path ids
-are percent-decoded (``/trust/user/a%20b`` is user ``a b``); an id that
-does not decode as UTF-8 is refused with 400.
+a JSON object or whose ``user_id`` is not a non-empty string.
+Routes match the path alone: a query string is not part of it (RFC 3986
+§3.4), so ``/healthz?probe=1`` is ``/healthz``.  Path ids are
+percent-decoded (``/trust/user/a%20b`` is user ``a b``, ``a%3Fb`` is
+``a?b``); an id that does not decode as UTF-8 is refused with 400.
 The service is the store's single writer: it reads the store and the
 feedback ledger once, at start, so a record another process appends to
 them later (a ban written by ``fuzzytrust eval-user --store``, say) does
 not count until the service restarts.
-A provider whose latest stored record is ``banned``, or whose
-negative-feedback share in the ledger exceeds 40%, is reported banned
-with trust 0 while its stored values stay intact.
+Ban rule: a subject whose latest stored record is ``banned`` stays
+banned in every record ``record_decision`` appends (the CLI's writes
+too), and is denied with or without fresh counters.  A provider is
+also banned while its negative-feedback share in the ledger exceeds
+40%; both provider routes report that, /trust/provider with trust 0
+while the stored values stay intact.
 
 HTTP: the server speaks HTTP/1.1 and keeps each connection open for the
 client's next request (RFC 9112 §9.3) unless the client asks to close or
@@ -65,17 +68,16 @@ import threading
 from dataclasses import dataclass
 from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import unquote
+from urllib.parse import unquote, urlsplit
 
 from .errors import (
     FuzzyTrustError,
     ModelLoadFailureError,
     NoTrustAvailableError,
     NotFoundError,
-    ZeroTotalRequestsError,
 )
 from .provider import feedback_ban
-from .store import JsonlLog, TrustRecord, TrustStore, put_keeping_ban, utc_now_iso
+from .store import JsonlLog, TrustRecord, TrustStore, utc_now_iso
 from .user import (
     DEFAULT_THRESHOLD,
     UserBehaviorCounters,
@@ -126,7 +128,30 @@ class DecisionResponse:
         }
 
 
-def _feedback_slot(feedback: str) -> int:  # tally index: 0 positive, 1 negative
+def _stored_ban(store: TrustStore | None, kind: str, subject_id: str) -> bool:
+    """Whether the subject's latest stored record is ``banned``."""
+    try:
+        return store is not None and store.get(kind, subject_id).classification == "banned"
+    except NotFoundError:
+        return False
+
+
+def record_decision(store: TrustStore | None, kind: str, subject_id: str, trust: float, model: str,
+                    threshold: float, banned: bool = False) -> TrustRecord:
+    """One decision's record, appended to ``store`` unless None: ``classify``
+    (its range check first), made ``banned`` by ``banned`` or a stored ban."""
+    classification = classify(trust, threshold)
+    if banned or _stored_ban(store, kind, subject_id):
+        classification = "banned"
+    record = TrustRecord(subject_id, kind, trust, classification, model, utc_now_iso())
+    if store is not None:
+        store.put(record)
+    return record
+
+
+def _feedback_slot(provider_id, feedback) -> int:  # tally index: 0 positive, 1 negative
+    if not isinstance(provider_id, str) or not provider_id:
+        raise ValueError(f"provider_id must be a non-empty str, got {provider_id!r}")
     if feedback not in ("positive", "negative"):
         raise ValueError(f"feedback must be positive or negative, got {feedback!r}")
     return int(feedback == "negative")
@@ -147,11 +172,12 @@ class FeedbackLedger:
     def _fold(self, data: dict) -> None:
         if data["v"] != LEDGER_VERSION:
             raise ValueError(f"unsupported ledger version {data['v']!r}")
-        self._tallies.setdefault(data["provider_id"], [0, 0])[_feedback_slot(data["feedback"])] += 1
+        slot = _feedback_slot(data["provider_id"], data["feedback"])
+        self._tallies.setdefault(data["provider_id"], [0, 0])[slot] += 1
 
     def record(self, provider_id: str, feedback: str) -> float:
         """Validate, append, then tally: a failed write changes nothing."""
-        slot = _feedback_slot(feedback)
+        slot = _feedback_slot(provider_id, feedback)
         with self._lock:
             self._log.append(
                 {"v": LEDGER_VERSION, "provider_id": provider_id, "feedback": feedback, "at": utc_now_iso()}
@@ -206,17 +232,7 @@ class TrustService:
             except NotFoundError:
                 raise NoTrustAvailableError(f"no stored trust for {user_id!r} and no fresh counters") from None
             trust, model, evaluated_at = stored.trust, stored.model, stored.evaluated_at
-        record = put_keeping_ban(
-            self.store,
-            TrustRecord(
-                subject_id=user_id,
-                subject_kind="user",
-                trust=trust,
-                classification=classify(trust, self.config.threshold),
-                model=model,
-                evaluated_at=utc_now_iso(),
-            ),
-        )
+        record = record_decision(self.store, "user", user_id, trust, model, self.config.threshold)
         decision = "grant" if record.classification == "trusted" else "deny"
         return DecisionResponse(decision=decision, trust=trust, model=model, evaluated_at=evaluated_at)
 
@@ -225,12 +241,16 @@ class TrustService:
         data["schema"] = SCHEMA
         return data
 
+    def _provider_banned(self, provider_id: str, ratio: float) -> bool:
+        """The provider ban rule: a stored ``banned`` record or ``feedback_ban``."""
+        return _stored_ban(self.store, "provider", provider_id) or feedback_ban(ratio)
+
     def provider_trust(self, provider_id: str) -> dict:
         data = self.store.get("provider", provider_id).to_dict()
         ratio = self.feedback.negative_ratio(provider_id)
         data["schema"] = SCHEMA
         data["negative_feedback_ratio"] = ratio
-        data["banned"] = data["classification"] == "banned" or feedback_ban(ratio)
+        data["banned"] = self._provider_banned(provider_id, ratio)
         if data["banned"]:
             # the ban overrides the reported value but not the stored one
             data["trust"] = 0.0
@@ -243,7 +263,7 @@ class TrustService:
             "schema": SCHEMA,
             "provider_id": provider_id,
             "negative_feedback_ratio": ratio,
-            "banned": feedback_ban(ratio),
+            "banned": self._provider_banned(provider_id, ratio),
         }
 
 
@@ -348,62 +368,55 @@ class _Handler(BaseHTTPRequestHandler):
             return None
 
     def do_GET(self):
-        if self._read_body() is None:
+        self._answer(self._get)
+
+    def do_POST(self):
+        self._answer(self._post)
+
+    def _answer(self, route) -> None:
+        """Read the body, then answer 200 with ``route(path, body)``; its
+        exceptions map onto statuses here, for every route."""
+        raw = self._read_body()
+        if raw is None:
             return
-        path = self.path.rstrip("/") or "/"
         try:
-            if path == "/healthz":
-                self._send(200, {"schema": SCHEMA, "status": "ok"})
-            elif path.startswith("/trust/user/"):
-                self._send(200, self.service.user_trust(_path_id(path, "/trust/user/")))
-            elif path.startswith("/trust/provider/"):
-                self._send(200, self.service.provider_trust(_path_id(path, "/trust/provider/")))
-            else:
-                self._error(404, f"unknown path {path}")
-        except NotFoundError as exc:
+            self._send(200, route(urlsplit(self.path).path.rstrip("/") or "/", raw))
+        except (NotFoundError, NoTrustAvailableError) as exc:
             self._error(404, str(exc))
-        except ValueError as exc:
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             self._error(400, f"bad request: {exc}")
         except FuzzyTrustError as exc:
             self._error(400, str(exc))
         except Exception:
             self._internal_error()
 
-    def do_POST(self):
-        raw = self._read_body()
-        if raw is None:
-            return
-        path = self.path.rstrip("/")
+    def _get(self, path: str, raw: bytes) -> dict:
+        if path == "/healthz":
+            return {"schema": SCHEMA, "status": "ok"}
+        if path.startswith("/trust/user/"):
+            return self.service.user_trust(_path_id(path, "/trust/user/"))
+        if path.startswith("/trust/provider/"):
+            return self.service.provider_trust(_path_id(path, "/trust/provider/"))
+        raise NotFoundError(f"unknown path {path}")
+
+    def _post(self, path: str, raw: bytes) -> dict:
         try:
             payload = json.loads(raw) if raw else {}
-            if not isinstance(payload, dict):
-                raise ValueError(f"body must be a JSON object, got {type(payload).__name__}")
         except (ValueError, RecursionError) as exc:
-            self._error(400, f"malformed JSON body: {exc}")
-            return
-        try:
-            if path == "/decide":
-                if "threshold" in payload:
-                    raise ValueError("the decision threshold is set by the service, not the request")
-                user_id = payload.get("user_id", "")
-                counters = None
-                if payload.get("counters") is not None:
-                    counters = _counters_from_payload(user_id, payload["counters"])
-                response = self.service.decide(user_id, counters=counters)
-                self._send(200, response.to_dict())
-            elif path.startswith("/feedback/provider/"):
-                provider_id = _path_id(path, "/feedback/provider/")
-                self._send(200, self.service.provider_feedback(provider_id, payload.get("feedback", "")))
-            else:
-                self._error(404, f"unknown path {path}")
-        except NoTrustAvailableError as exc:
-            self._error(404, str(exc))
-        except (ZeroTotalRequestsError, ValueError, KeyError, TypeError, OverflowError) as exc:
-            self._error(400, f"bad request: {exc}")
-        except FuzzyTrustError as exc:
-            self._error(400, str(exc))
-        except Exception:
-            self._internal_error()
+            raise ValueError(f"malformed JSON body: {exc}") from None
+        if not isinstance(payload, dict):
+            raise ValueError(f"body must be a JSON object, got {type(payload).__name__}")
+        if path == "/decide":
+            if "threshold" in payload:
+                raise ValueError("the decision threshold is set by the service, not the request")
+            user_id = payload.get("user_id", "")
+            counters = None
+            if payload.get("counters") is not None:
+                counters = _counters_from_payload(user_id, payload["counters"])
+            return self.service.decide(user_id, counters=counters).to_dict()
+        if path.startswith("/feedback/provider/"):
+            return self.service.provider_feedback(_path_id(path, "/feedback/provider/"), payload.get("feedback", ""))
+        raise NotFoundError(f"unknown path {path}")
 
 
 def create_http_server(service: TrustService) -> ThreadingHTTPServer:

@@ -30,7 +30,7 @@ versioned JSON documents.
 Single writer: a ``TrustStore`` reads its log once, when it opens, and
 then sees only the records appended through itself.  Records another
 process (or another ``TrustStore`` on the same file) appends later stay
-invisible to it until it is reopened, a ban included.
+invisible to it until it is reopened.
 
 Durability: every appended line is flushed and nothing is fsynced, so a
 line survives a crash of the process, not necessarily of the host.  An
@@ -49,7 +49,7 @@ import stat
 import tempfile
 import threading
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import NamedTuple
@@ -333,20 +333,6 @@ class TrustStore:
     def __len__(self) -> int:
         """Total records appended (not unique subjects)."""
         return len(self._log)
-
-
-def put_keeping_ban(store: TrustStore, record: TrustRecord) -> TrustRecord:
-    """Append ``record`` and return what was appended.  A subject whose
-    latest stored record is ``banned`` stays banned: the appended record
-    is then ``banned`` whatever ``record`` says."""
-    try:
-        banned = store.get(record.subject_kind, record.subject_id).classification == "banned"
-    except NotFoundError:
-        banned = False
-    if banned:
-        record = replace(record, classification="banned")
-    store.put(record)
-    return record
 
 
 def check_format(data, fmt: str, version: int = 1) -> None:

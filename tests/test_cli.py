@@ -157,14 +157,19 @@ def test_gate_threshold(tmp_path, capsys):
      (["serve", "--port", 0, "--threshold", "nan"], "threshold must lie in [0, 1]"),
      (["gate", *BASELINE_09, "--threshold", -0.1], "threshold must lie in [0, 1]"),
      (["serve", "--port", 99999], "port must lie in 0..65535"),
-     (["serve", "--port", -1], "port must lie in 0..65535")],
-    ids=["serve-above-1", "serve-nan", "gate-below-0", "serve-port-above-65535", "serve-port-negative"],
+     (["serve", "--port", -1], "port must lie in 0..65535"),
+     (["eval-provider", *PROVIDER_FLAGS, "--threshold", 1.5], "trust and threshold must lie in [0, 1]"),
+     (["eval-provider", *PROVIDER_FLAGS, "--negative-feedback", 2.0], "negative feedback ratio must be in [0, 1]")],
+    ids=["serve-above-1", "serve-nan", "gate-below-0", "serve-port-above-65535", "serve-port-negative",
+         "eval-provider-above-1-without-store", "eval-provider-feedback-above-1-without-store"],
 )
 def test_threshold_outside_unit_interval_exits_1(tmp_path, capsys, monkeypatch, argv, message):
-    """A threshold or port out of range is an error line, before any bind."""
+    """A threshold, port or feedback ratio out of range is an error line, before any bind."""
     monkeypatch.setattr(service, "serve", lambda config: pytest.fail("the service was started"))
     store = tmp_path / "store.jsonl"
-    code, _, err = run(capsys, *argv, "--store", store)
+    if argv[0] != "eval-provider":  # those cases run without --store
+        argv = [*argv, "--store", store]
+    code, _, err = run(capsys, *argv)
     assert code == 1 and f"error: {message}" in err
     assert not store.exists()
 

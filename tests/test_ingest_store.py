@@ -776,7 +776,11 @@ class TestStoreSnapshot:
 class TestFeedbackLedger:
     @pytest.mark.parametrize(
         "bad_line",
-        ["{broken json", json.dumps({"v": 1, "provider_id": "p1", "feedback": "meh", "at": "2026-01-01T00:00:00+00:00"})],
+        ["{broken json"]
+        + [
+            json.dumps({"v": 1, "provider_id": provider_id, "feedback": feedback, "at": "2026-01-01T00:00:00+00:00"})
+            for provider_id, feedback in (("p1", "meh"), (7, "negative"), ("", "negative"), (None, "negative"))
+        ],
     )
     def test_corrupt_line_reported(self, tmp_path, bad_line):
         path = tmp_path / "feedback.jsonl"

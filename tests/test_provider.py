@@ -241,8 +241,6 @@ class TestProviderMetrics:
             ProviderMetrics(workload=101, response_time=10, scalability=0.5, availability=0.5, security=0.5, usability=0.5)
         with pytest.raises(OutOfRangeError):
             ProviderMetrics(workload=10, response_time=10, scalability=1.5, availability=0.5, security=0.5, usability=0.5)
-        with pytest.raises(OutOfRangeError):
-            ProviderMetrics(workload=10, response_time=10, scalability=0.5, availability=0.5, security=0.5, usability=0.5, negative_feedback_ratio=2.0)
 
 
 class TestEvaluateProvider:

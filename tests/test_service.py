@@ -204,6 +204,20 @@ class TestStoredState:
         service.close()
 
 
+class TestProviderBan:
+    @pytest.mark.parametrize(
+        "classification, feedback", [("banned", "positive"), ("trusted", "negative")], ids=["stored", "feedback"]
+    )
+    def test_both_provider_routes_report_the_ban(self, server, classification, feedback):
+        server.RequestHandlerClass.service.store.put(_record("p1", "provider", 0.8, classification))
+        status, body = _post(server, "/feedback/provider/p1", json.dumps({"feedback": feedback}).encode())
+        assert status == 200 and body["banned"] is True
+        with _connect(server) as sock:
+            response, data = _exchange(sock, _request("GET", "/trust/provider/p1"))
+            reported = _json(response, data, 200)
+            assert (reported["banned"], reported["trust"], reported["classification"]) == (True, 0.0, "banned")
+
+
 # ---------------------------------------------------------------------------
 # raw requests on kept-alive connections
 
@@ -361,6 +375,18 @@ class TestPathIds:
             raw = _request("POST", "/feedback/provider/p%2F1", [("Content-Length", len(feedback))], feedback)
             response, body = _exchange(sock, raw, "POST")
             assert _json(response, body, 200)["provider_id"] == "p/1"
+
+    def test_query_string_is_not_part_of_the_path(self, server):
+        store = server.RequestHandlerClass.service.store
+        store.put(_record("u1", "user", 0.7, "trusted"))
+        store.put(_record("a?b", "user", 0.6, "trusted"))
+        with _connect(server) as sock:
+            response, body = _exchange(sock, _request("GET", "/healthz?probe=1"))
+            assert _json(response, body, 200)["status"] == "ok"
+            response, body = _exchange(sock, _request("GET", "/trust/user/u1?fields=trust"))
+            assert _json(response, body, 200)["subject_id"] == "u1"
+            response, body = _exchange(sock, _request("GET", "/trust/user/a%3Fb"))
+            assert _json(response, body, 200)["subject_id"] == "a?b"
 
     def test_undecodable_ids_keep_the_connection(self, server):
         with _connect(server) as sock:

@@ -23,6 +23,7 @@ import numpy as np
 from spans import Tracer, instrument
 from fuzzytrust import provider, service
 from fuzzytrust.clustering import ClusterConfig, ClusterModel
+from fuzzytrust.store import TrustRecord
 from fuzzytrust.user import UserBehaviorCounters, UserTrustModel
 
 tracer = Tracer()
@@ -30,11 +31,13 @@ instrument(tracer)
 svc = service.TrustService(service.ServiceConfig(store_path=sys.argv[1]))
 svc.decide("u1", counters=UserBehaviorCounters("u1", uar=0, bor=0, bar=0, tr=10))
 svc.decide("u1")
+svc.store.put(TrustRecord("p1", "provider", 0.8, "trusted", "fis", "2026-01-01T00:00:00+00:00"))
 svc.provider_feedback("p1", "positive")
+svc.provider_trust("p1")
 svc.close()
 names = {span[0] for span in tracer.spans}
 expected = {"store.load", "store.put", "store.get", "service.ledger_load", "service.ledger_record",
-            "service.decide.fresh", "service.decide.stored", "service.provider_feedback"}
+            "service.decide.fresh", "service.decide.stored", "service.provider_feedback", "service.provider_trust"}
 assert expected <= names, sorted(expected - names)
 assert tracer.notes["store.records_loaded"] == [0], tracer.notes
 
