@@ -13,9 +13,9 @@ There is one inference path, ``FuzzyInferenceSystem.infer_batch``; a
 scalar ``infer`` is a batch of one row.  On first use a system compiles
 itself into arrays, once:
 
-- per input variable, a parameter table of its sets when they are all
-  Gaussian or all two-sided Gaussian (other variables evaluate each set
-  on the whole input column);
+- per input variable, one entry per run of consecutive same-shape sets:
+  the shape's formula (the one its set call uses) and the run's
+  parameters as arrays, so a column takes one formula call per run;
 - a rule -> antecedent-column index matrix into the (N, total sets)
   degree matrix, padded with an extra column that always holds degree 1;
 - the rules sorted by consequent label, so the per-label max firing
@@ -33,6 +33,7 @@ depend on the other rows or on the chunking.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -52,36 +53,57 @@ _EXP_CLAMP = 700.0
 _CHUNK_FLOATS = 2**18
 
 
-def _eval_result(out: np.ndarray) -> float | np.ndarray:
-    return float(out) if out.ndim == 0 else out
+def _is_finite_number(value) -> bool:
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a real number, or an int past the float range
+        return False
 
 
-def _gauss(x: np.ndarray, center, denom) -> np.ndarray:
-    """Gaussian degree with ``denom`` = 2 * sigma**2."""
-    return np.exp(-np.minimum((x - center) ** 2 / denom, _EXP_CLAMP))
+class _Shape:
+    """Base of the membership shapes.  Each declares its ``fis/1`` tag ``shape``,
+    its ``support`` and its one formula ``degrees(x, *params())``, vectorized
+    over parameter arrays for the compiled fuzzify table and the set call."""
+
+    support = (-math.inf, math.inf)  # a Gaussian is positive everywhere
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not _is_finite_number(value):
+                raise ValueError(f"{self.shape} {name} must be a finite number, got {value!r}")
+
+    def __call__(self, x) -> float | np.ndarray:
+        out = self.degrees(np.asarray(x, dtype=float), *self.params())
+        return float(out) if out.ndim == 0 else out
+
+    def to_dict(self) -> dict:
+        return {"shape": self.shape, **vars(self)}
 
 
 @dataclass(frozen=True)
-class Gaussian:
+class Gaussian(_Shape):
     """Classic bell curve: degree 1 at ``center``, spread ``sigma``."""
 
     center: float
     sigma: float
 
+    shape = "gaussian"
+
     def __post_init__(self):
+        super().__post_init__()
         if not (self.sigma > 0.0):
             raise ValueError(f"gaussian sigma must be > 0, got {self.sigma}")
 
-    def __call__(self, x) -> float | np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return _eval_result(_gauss(x, self.center, 2.0 * self.sigma * self.sigma))
+    def params(self) -> tuple:
+        return self.center, 2.0 * self.sigma * self.sigma
 
-    def to_dict(self) -> dict:
-        return {"shape": "gaussian", "center": self.center, "sigma": self.sigma}
+    @staticmethod
+    def degrees(x, center, denom) -> np.ndarray:  # denom = 2 * sigma**2
+        return np.exp(-np.minimum((x - center) ** 2 / denom, _EXP_CLAMP))
 
 
 @dataclass(frozen=True)
-class TwoSidedGaussian:
+class TwoSidedGaussian(_Shape):
     """Plateau of degree 1 between the two centers, Gaussian lobes outside."""
 
     left_center: float
@@ -89,33 +111,27 @@ class TwoSidedGaussian:
     right_center: float
     right_sigma: float
 
+    shape = "two_sided_gaussian"
+
     def __post_init__(self):
+        super().__post_init__()
         if not (self.left_sigma > 0.0 and self.right_sigma > 0.0):
             raise ValueError("two-sided gaussian lobes need sigma > 0")
         if self.left_center > self.right_center:
             raise ValueError("left_center must not exceed right_center")
 
-    def __call__(self, x) -> float | np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = np.ones_like(x)
-        lo = x < self.left_center
-        hi = x > self.right_center
-        out = np.where(lo, _gauss(x, self.left_center, 2.0 * self.left_sigma * self.left_sigma), out)
-        out = np.where(hi, _gauss(x, self.right_center, 2.0 * self.right_sigma * self.right_sigma), out)
-        return _eval_result(out)
+    def params(self) -> tuple:
+        ls, rs = self.left_sigma, self.right_sigma
+        return self.left_center, 2.0 * ls * ls, self.right_center, 2.0 * rs * rs
 
-    def to_dict(self) -> dict:
-        return {
-            "shape": "two_sided_gaussian",
-            "left_center": self.left_center,
-            "left_sigma": self.left_sigma,
-            "right_center": self.right_center,
-            "right_sigma": self.right_sigma,
-        }
+    @staticmethod
+    def degrees(x, left, left_denom, right, right_denom) -> np.ndarray:
+        # on the plateau x - clip(x) is exactly 0, so the degree is exactly 1
+        return Gaussian.degrees(x, np.clip(x, left, right), np.where(x < left, left_denom, right_denom))
 
 
 @dataclass(frozen=True)
-class Triangular:
+class Triangular(_Shape):
     """Linear rise to 1 at ``apex``, linear fall; zero outside [left, right].
 
     ``left == apex`` or ``apex == right`` gives a half-triangle whose
@@ -126,37 +142,35 @@ class Triangular:
     apex: float
     right: float
 
+    shape = "triangular"
+
     def __post_init__(self):
+        super().__post_init__()
         if not (self.left <= self.apex <= self.right):
             raise ValueError("triangular needs left <= apex <= right")
         if self.left == self.right:
             raise ValueError("triangular support must have positive width")
 
-    def __call__(self, x) -> float | np.ndarray:
-        x = np.asarray(x, dtype=float)
-        with np.errstate(over="ignore"):  # a slope over a subnormal width is inf, then clipped
-            if self.apex > self.left:
-                rise = (x - self.left) / (self.apex - self.left)
-            else:
-                rise = np.where(x >= self.apex, 1.0, 0.0)
-            if self.right > self.apex:
-                fall = (self.right - x) / (self.right - self.apex)
-            else:
-                fall = np.where(x <= self.apex, 1.0, 0.0)
-        out = np.clip(np.minimum(rise, fall), 0.0, 1.0)
-        return _eval_result(out)
+    @property
+    def support(self) -> tuple[float, float]:
+        return self.left, self.right
 
-    def to_dict(self) -> dict:
-        return {"shape": "triangular", "left": self.left, "apex": self.apex, "right": self.right}
+    def params(self) -> tuple:
+        return self.left, self.apex, self.right
+
+    @staticmethod
+    def degrees(x, left, apex, right) -> np.ndarray:
+        # a half-triangle's slope divides by zero and is discarded for the
+        # step; a slope over a subnormal width is inf, then clipped
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            rise = np.where(apex > left, (x - left) / (apex - left), x >= apex)
+            fall = np.where(right > apex, (right - x) / (right - apex), x <= apex)
+        return np.clip(np.minimum(rise, fall), 0.0, 1.0)
 
 
 MembershipFunction = Union[Gaussian, TwoSidedGaussian, Triangular]
 
-_MF_SHAPES = {
-    "gaussian": Gaussian,
-    "two_sided_gaussian": TwoSidedGaussian,
-    "triangular": Triangular,
-}
+_MF_SHAPES = {cls.shape: cls for cls in (Gaussian, TwoSidedGaussian, Triangular)}
 
 
 def mf_from_dict(data: Mapping) -> MembershipFunction:
@@ -177,9 +191,13 @@ class LinguisticVariable:
     sets: tuple[tuple[str, MembershipFunction], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "domain", (float(self.domain[0]), float(self.domain[1])))
-        object.__setattr__(self, "sets", tuple((label, mf) for label, mf in self.sets))
         lo, hi = self.domain
+        for end in (lo, hi):
+            if not _is_finite_number(end):
+                raise ValueError(f"variable {self.name!r}: domain end must be a finite number, got {end!r}")
+        lo, hi = float(lo), float(hi)
+        object.__setattr__(self, "domain", (lo, hi))
+        object.__setattr__(self, "sets", tuple((label, mf) for label, mf in self.sets))
         if not (lo < hi):
             raise ValueError(f"variable {self.name!r}: domain must satisfy lo < hi")
         if not self.sets:
@@ -188,14 +206,9 @@ class LinguisticVariable:
         if len(set(labels)) != len(labels):
             raise ValueError(f"variable {self.name!r}: duplicate set labels")
         for label, mf in self.sets:
-            if not self._support_intersects(mf, lo, hi):
+            low, high = mf.support
+            if not (low < hi and high > lo):
                 raise ValueError(f"variable {self.name!r}: set {label!r} has no support in the domain")
-
-    @staticmethod
-    def _support_intersects(mf: MembershipFunction, lo: float, hi: float) -> bool:
-        if isinstance(mf, Triangular):
-            return mf.left < hi and mf.right > lo
-        return True  # Gaussians are positive everywhere
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -208,38 +221,22 @@ class LinguisticVariable:
         raise KeyError(f"variable {self.name!r} has no set {label!r}")
 
     @cached_property
-    def _table(self) -> tuple | None:
-        """Per-set parameter arrays when every set is Gaussian or every set
-        is two-sided Gaussian; None for any other variable."""
-        mfs = [mf for _, mf in self.sets]
-        if all(type(mf) is Gaussian for mf in mfs):
-            return (
-                Gaussian,
-                np.array([mf.center for mf in mfs]),
-                np.array([2.0 * mf.sigma * mf.sigma for mf in mfs]),
-            )
-        if all(type(mf) is TwoSidedGaussian for mf in mfs):
-            return (
-                TwoSidedGaussian,
-                np.array([mf.left_center for mf in mfs]),
-                np.array([2.0 * mf.left_sigma * mf.left_sigma for mf in mfs]),
-                np.array([mf.right_center for mf in mfs]),
-                np.array([2.0 * mf.right_sigma * mf.right_sigma for mf in mfs]),
-            )
-        return None
+    def _table(self) -> tuple[tuple, ...]:
+        """(formula, parameter arrays) per run of consecutive same-shape sets, in order."""
+        return tuple(
+            (shape.degrees, tuple(np.array(p, dtype=float) for p in zip(*(mf.params() for mf in run))))
+            for shape, run in itertools.groupby((mf for _, mf in self.sets), key=type)
+        )
 
     def fuzzify(self, x: np.ndarray) -> np.ndarray:
         """Degrees of the in-domain inputs ``x`` (shape (N,)) in every set,
         shape (N, n_sets), columns in set declaration order."""
-        table = self._table
-        if table is None:
-            return np.stack([mf(x) for _, mf in self.sets], axis=1)
         col = x[:, None]
-        if table[0] is Gaussian:
-            return _gauss(col, table[1], table[2])
-        _, left, left_denom, right, right_denom = table
-        lobe_hi = np.where(col > right, _gauss(col, right, right_denom), 1.0)
-        return np.where(col < left, _gauss(col, left, left_denom), lobe_hi)
+        table = self._table
+        if len(table) == 1:  # the common case, kept free of a list and a copy: it runs once per input per chunk
+            degrees, params = table[0]
+            return degrees(col, *params)
+        return np.concatenate([degrees(col, *params) for degrees, params in table], axis=1)
 
     def to_dict(self) -> dict:
         return {
@@ -266,7 +263,8 @@ class FuzzyRule:
 
     def __post_init__(self):
         object.__setattr__(self, "antecedents", tuple((v, s) for v, s in self.antecedents))
-        object.__setattr__(self, "consequent", (self.consequent[0], self.consequent[1]))
+        var, label = self.consequent
+        object.__setattr__(self, "consequent", (var, label))
         if not self.antecedents:
             raise ValueError("rule needs at least one antecedent")
 
@@ -323,8 +321,8 @@ class FuzzyInferenceSystem:
             raise ValueError("system needs at least one input variable")
         if not self.rules:
             raise ValueError("system needs at least one rule")
-        if self.defuzz_resolution < 2:
-            raise ValueError("defuzz_resolution must be >= 2")
+        if type(self.defuzz_resolution) is not int or self.defuzz_resolution < 2:
+            raise ValueError(f"defuzz_resolution must be an integer >= 2, got {self.defuzz_resolution!r}")
         names = [v.name for v in self.inputs]
         if len(set(names)) != len(names):
             raise ValueError("duplicate input variable names")
@@ -491,7 +489,7 @@ class FuzzyInferenceSystem:
             inputs=tuple(LinguisticVariable.from_dict(v) for v in data["inputs"]),
             output=LinguisticVariable.from_dict(data["output"]),
             rules=tuple(FuzzyRule.from_dict(r) for r in data["rules"]),
-            defuzz_resolution=int(data.get("defuzz_resolution", 1001)),
+            defuzz_resolution=data.get("defuzz_resolution", 1001),
         )
 
 

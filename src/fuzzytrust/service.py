@@ -225,7 +225,7 @@ class TrustService:
             raise ValueError(f"user_id must be a non-empty string, got {user_id!r}")
         if counters is not None:
             trust, model = evaluate_counters(counters, self.user_model)
-            evaluated_at = utc_now_iso()
+            evaluated_at = None  # the stamp of the record appended below
         else:
             try:
                 stored = self.store.get("user", user_id)
@@ -234,6 +234,7 @@ class TrustService:
             trust, model, evaluated_at = stored.trust, stored.model, stored.evaluated_at
         record = record_decision(self.store, "user", user_id, trust, model, self.config.threshold)
         decision = "grant" if record.classification == "trusted" else "deny"
+        evaluated_at = evaluated_at or record.evaluated_at
         return DecisionResponse(decision=decision, trust=trust, model=model, evaluated_at=evaluated_at)
 
     def user_trust(self, user_id: str) -> dict:

@@ -65,6 +65,34 @@ class TestMembershipFunctions:
         with pytest.raises(ValueError):
             Triangular(0.5, 0.5, 0.5)
 
+    @pytest.mark.parametrize(
+        "mf", [Gaussian(0.5, 0.1), TwoSidedGaussian(0.2, 0.1, 0.6, 0.1), Triangular(0.0, 0.5, 1.0)]
+    )
+    def test_every_field_must_be_a_finite_number(self, mf):
+        for field in dataclasses.fields(mf):
+            for bad in (math.nan, math.inf, -math.inf, 10**400, "0.5", None, True):
+                with pytest.raises(ValueError, match=f"{field.name} must be a finite number"):
+                    dataclasses.replace(mf, **{field.name: bad})
+
+    def test_domain_ends_must_be_finite_numbers(self):
+        sets = (("on", Gaussian(0.5, 0.2)),)
+        for bad in (math.nan, math.inf, -math.inf, 10**400, "0.5", None):
+            for domain in ((bad, 1.0), (0.0, bad)):
+                with pytest.raises(ValueError, match="domain end must be a finite number"):
+                    LinguisticVariable("x", domain, sets)
+
+    def test_pairs_must_have_two_elements(self):
+        sets = (("on", Gaussian(0.5, 0.2)),)
+        for domain in ((0.0,), (0.0, 0.5, 1.0)):
+            with pytest.raises(ValueError, match="unpack"):
+                LinguisticVariable("x", domain, sets)
+        with pytest.raises(ValueError, match="unpack"):
+            FuzzyRule((("x", "on"),), ("y",))
+
+    def test_every_shape_gives_nan_on_nan(self):
+        for mf in (Gaussian(0.5, 0.1), TwoSidedGaussian(0.2, 0.1, 0.6, 0.1), Triangular(0.0, 0.5, 1.0)):
+            assert math.isnan(mf(math.nan))
+
     def test_non_finite_input_rejected(self):
         fis = single_rule_fis((("mid", Triangular(0.0, 0.5, 1.0)),), "mid")
         for x in (math.nan, math.inf):
@@ -284,6 +312,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             LinguisticVariable("x", (0.0, 1.0), (("far", Triangular(2.0, 3.0, 4.0)),))
 
+    def test_defuzz_resolution_must_be_an_integer(self):
+        fis = single_rule_fis((("mid", Triangular(0.4, 0.5, 0.6)),), "mid")
+        for bad in ("7", 2.9, 7.0, True):
+            with pytest.raises(ValueError, match="defuzz_resolution must be an integer"):
+                dataclasses.replace(fis, defuzz_resolution=bad)
+            with pytest.raises(ValueError, match="defuzz_resolution must be an integer"):
+                FuzzyInferenceSystem.from_dict({**fis.to_dict(), "defuzz_resolution": bad})
+
     def test_rule_needs_antecedents(self):
         with pytest.raises(ValueError):
             FuzzyRule((), ("y", "mid"))
@@ -467,13 +503,17 @@ class TestInferBatch:
             two.infer_batch([0.5, 0.5])
 
     def test_table_and_per_set_fuzzify_agree_bit_for_bit(self):
-        x = np.linspace(-20.0, 120.0, 301)
-        for mfs in (
-            (Gaussian(10.0, 4.0), Gaussian(50.0, 0.5), Gaussian(90.0, 30.0)),
-            (TwoSidedGaussian(0.0, 5.0, 20.0, 3.0), TwoSidedGaussian(40.0, 1.0, 40.0, 9.0)),
+        x = np.concatenate([np.linspace(-20.0, 120.0, 301), [5e-324, -5e-324, 1e-300]])
+        for runs, mfs in (
+            (1, (Gaussian(10.0, 4.0), Gaussian(50.0, 0.5), Gaussian(90.0, 30.0))),
+            (1, (TwoSidedGaussian(0.0, 5.0, 20.0, 3.0), TwoSidedGaussian(40.0, 1.0, 40.0, 9.0))),
+            (1, (Triangular(0.0, 0.0, 30.0), Triangular(20.0, 50.0, 80.0), Triangular(70.0, 100.0, 100.0),
+                 Triangular(0.0, 5e-324, 1.0))),
+            (4, (Gaussian(10.0, 4.0), Triangular(20.0, 50.0, 80.0), Gaussian(90.0, 30.0),
+                 TwoSidedGaussian(40.0, 1.0, 60.0, 9.0))),
         ):
             var = LinguisticVariable("v", (0.0, 100.0), tuple((f"s{i}", mf) for i, mf in enumerate(mfs)))
-            assert var._table is not None
+            assert len(var._table) == runs
             expected = np.stack([mf(x) for mf in mfs], axis=1)
             assert np.array_equal(var.fuzzify(x), expected)
 

@@ -11,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fuzzytrust import cli
 from fuzzytrust.errors import (
     EmptyWindowError,
     InvalidSpecError,
+    ModelLoadFailureError,
     NotFoundError,
     ParseError,
     StoreCorruptError,
@@ -885,3 +887,34 @@ class TestPreviousFormats:
             load_artifact(ClusterModel, path)
         assert str(path) in str(err.value)
 
+
+class TestRefusedModelDocuments:
+    """A user model the inference core cannot run is refused when it loads:
+    ``load_user_model`` raises ``ValueError`` naming the file, the service
+    does not start, and ``eval-user`` prints an ``error:`` line."""
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ('"center": 0.2', '"center": NaN'),
+            ('"sigma": 0.25', '"sigma": Infinity'),
+            ('"apex": 0.75', '"apex": "0.75"'),
+            ('"domain": [0.0, 1.0]', '"domain": [-Infinity, 1.0]'),
+            ('"domain": [0.0, 1.0]', '"domain": [0.0]'),
+            ('"then": ["trust", "cluster_1"]', '"then": ["trust"]'),
+            ('"defuzz_resolution": 101', '"defuzz_resolution": "7"'),
+            ('"defuzz_resolution": 101', '"defuzz_resolution": 2.9'),
+        ],
+    )
+    def test_refused_with_the_file_named(self, tmp_path, capsys, old, new):
+        path = tmp_path / "user.json"
+        assert old in USER_DOC
+        path.write_text(USER_DOC.replace(old, new, 1))
+        with pytest.raises(ValueError) as err:
+            load_user_model(path)
+        assert str(path) in str(err.value)
+        with pytest.raises(ModelLoadFailureError, match="cannot load user model"):
+            TrustService(ServiceConfig(store_path=str(tmp_path / "s.jsonl"), user_model_path=str(path)))
+        argv = ["eval-user", "--bad", "0", "--bogus", "0", "--unauthorized", "0", "--total", "10"]
+        assert cli.main(argv + ["--user-model", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from fuzzytrust import service as service_module
 from fuzzytrust.store import TrustRecord, TrustStore
 from fuzzytrust.service import MAX_BODY_BYTES, SCHEMA, ServiceConfig, TrustService, create_http_server
 from fuzzytrust.user import UserBehaviorCounters
@@ -192,6 +193,16 @@ class TestStoredState:
         assert service.decide("u1").decision == "deny"
         assert service.user_trust("u1")["classification"] == "banned"
         service.close()
+
+    def test_fresh_decision_answers_the_stamp_it_stored(self, tmp_path, monkeypatch):
+        stamps = (f"2026-01-01T00:00:{s:02d}+00:00" for s in range(60))
+        monkeypatch.setattr(service_module, "utc_now_iso", lambda: next(stamps))
+        service = TrustService(ServiceConfig(store_path=str(tmp_path / "s.jsonl")))
+        counters = UserBehaviorCounters("u1", uar=0, bor=0, bar=0, tr=100)
+        try:
+            assert service.decide("u1", counters=counters).evaluated_at == service.user_trust("u1")["evaluated_at"]
+        finally:
+            service.close()
 
     def test_stored_provider_ban_is_reported(self, tmp_path):
         # eval-provider --store keeps the cascade's trust beside a "banned" classification
