@@ -8,24 +8,29 @@ versioned JSON documents.
   ``save_artifact``: ``fis``, ``cluster-model`` and ``user-trust-model``
   (read back by ``load_artifact``, checked by ``check_format``) and
   ``evaluation-report``.
-- Trust-store snapshot ``store-snapshot/1``: ``<store>.snapshot`` lets an
-  open skip the part of the log it covers.  Its first line is
-  ``{"format": "store-snapshot", "version": 1, "log_bytes", "log_sha256",
-  "lines", "records", "subjects"}``: the length of a newline-terminated
-  prefix of the log, the hex SHA-256 of that prefix, the lines and the
-  non-blank lines in it, and the number of lines that follow.  Each
-  following line is the latest record of one (kind, id) in that prefix,
-  in the store's record format.  Both are streamed, never held whole.
-  An open trusts the snapshot only if every line parses, the format and
-  version match, the counts agree, the records are valid and distinct,
-  the prefix is no longer than the log and still hashes to that digest.
-  Then the index starts from the snapshot and only the log's tail is
-  replayed; otherwise the whole log is, and a corrupt line is reported
-  as ever.  After an open whose replay grew the newline-terminated
-  prefix, the snapshot is rewritten: a temporary file in the same
-  directory, then ``os.replace``.  A failed write is ignored.  The log
-  stays the source of truth: it is never rewritten, and deleting the
-  snapshot costs only a full replay.
+- Trust-store snapshot ``store-snapshot/2``: ``<store>.snapshot`` lets
+  an open skip the part of the log it covers.  Its first line is
+  ``{"format": "store-snapshot", "version": 2, "log_bytes",
+  "log_sha256", "lines", "records", "subjects"}``: the length of a
+  newline-terminated prefix of the log, the hex SHA-256 of that prefix,
+  the lines and the non-blank lines in it, and the number of subjects in
+  it.  Each following line is a JSON array of at most
+  ``SNAPSHOT_ROWS_PER_LINE`` rows ``[subject_kind, subject_id, trust,
+  classification, model, evaluated_at]``, the latest record of one
+  (kind, id) each, users before providers.  Both directions stream the
+  body a line at a time, never whole.  An open trusts the snapshot only
+  if every line parses and keeps to the cap, the format and version
+  match, every row is a valid record of a distinct subject, the rows
+  number ``subjects``, ``subjects <= records <= lines``, and the prefix
+  is no longer than the log and still hashes to that digest.  Then the
+  index starts from the snapshot and only the log's tail is replayed;
+  otherwise the whole log is, and a corrupt line is reported as ever.
+  So a ``store-snapshot/1`` file (a record object per line) is ignored
+  once and then replaced.  After an open whose replay grew the
+  newline-terminated prefix, the snapshot is rewritten: a temporary file
+  in the same directory, then ``os.replace``.  A failed write is
+  ignored.  The log stays the source of truth: it is never rewritten,
+  and deleting the snapshot costs only a full replay.
 
 Single writer: a ``TrustStore`` reads its log once, when it opens, and
 then sees only the records appended through itself.  Records another
@@ -51,6 +56,7 @@ import threading
 from collections.abc import Mapping
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import islice
 from pathlib import Path
 from typing import NamedTuple
 
@@ -58,9 +64,10 @@ from .errors import NotFoundError, StoreCorruptError
 
 RECORD_VERSION = 1
 SNAPSHOT_FORMAT = "store-snapshot"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 SNAPSHOT_SUFFIX = ".snapshot"
 HASH_CHUNK_BYTES = 1 << 16
+SNAPSHOT_ROWS_PER_LINE = 256  # bounds what one snapshot line holds in memory, read or written
 
 SUBJECT_KINDS = ("user", "provider")
 CLASSIFICATIONS = ("trusted", "untrusted", "banned")
@@ -158,7 +165,7 @@ class TrustRecord:
             raise ValueError(f"classification must be one of {CLASSIFICATIONS}, got {self.classification!r}")
         if self.model not in MODELS:
             raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
-        if not (0.0 <= self.trust <= 1.0):
+        if not (0.0 <= _real(self.trust) <= 1.0):
             raise ValueError(f"trust must lie in [0, 1], got {self.trust}")
 
     def to_dict(self) -> dict:
@@ -179,11 +186,19 @@ class TrustRecord:
         return cls(
             subject_id=data["subject_id"],
             subject_kind=data["subject_kind"],
-            trust=float(data["trust"]),
+            trust=_real(data["trust"]),
             classification=data["classification"],
             model=data["model"],
             evaluated_at=data["evaluated_at"],
         )
+
+
+def _real(trust) -> float:
+    """``trust`` as a float if it is an int or a float, not a bool; else
+    ``ValueError``."""
+    if isinstance(trust, bool) or not isinstance(trust, (int, float)):
+        raise ValueError(f"trust must be a real number, got {trust!r}")
+    return float(trust)
 
 
 def _instant(evaluated_at: str) -> datetime:
@@ -252,26 +267,30 @@ class TrustStore:
         """Index the records of a snapshot that passes every check and return
         the log position it covers with that prefix's running digest; else
         leave the index empty and return the log's start and None."""
-        header = {}
+        header, index = {}, self._index
 
-        def seed(data: dict) -> None:
+        def seed(data) -> None:
             if header:
-                record = TrustRecord.from_dict(data)
-                self._index(record, _instant(record.evaluated_at))
+                if len(data) > SNAPSHOT_ROWS_PER_LINE:
+                    raise ValueError(f"a snapshot line holds more than {SNAPSHOT_ROWS_PER_LINE} rows")
+                for kind, subject_id, trust, classification, model, evaluated_at in data:
+                    record = TrustRecord(subject_id, kind, trust, classification, model, evaluated_at)
+                    index(record, _instant(evaluated_at))
+                header["rows"] += len(data)
                 return
             check_format(data, SNAPSHOT_FORMAT, SNAPSHOT_VERSION)
             covered = LogPosition(_count(data["log_bytes"]), _count(data["lines"]), _count(data["records"]))
             digest = _sha256(path, 0, covered.offset)  # ValueError if the log is shorter
             if digest.hexdigest() != data["log_sha256"]:
                 raise ValueError("the log prefix has changed")
-            header.update(covered=covered, digest=digest, subjects=_count(data["subjects"]))
+            header.update(covered=covered, digest=digest, subjects=_count(data["subjects"]), rows=0)
 
         try:
-            snapshot = JsonlLog(self._snapshot_path, seed)
+            JsonlLog(self._snapshot_path, seed)
             if not header:
                 raise ValueError("no snapshot")
             covered, indexed = header["covered"], sum(map(len, self._latest.values()))
-            if not len(snapshot) - 1 == indexed == header["subjects"] <= covered.records <= covered.lines:
+            if not header["rows"] == indexed == header["subjects"] <= covered.records <= covered.lines:
                 raise ValueError("the snapshot's counts disagree")
             return covered, header["digest"]
         except (OSError, ValueError, StoreCorruptError, RecursionError):
@@ -300,9 +319,12 @@ class TrustStore:
             with open(fd, "w", encoding="utf-8") as fh:
                 os.chmod(tmp, stat.S_IMODE(path.stat().st_mode))  # readable by whoever may read the log
                 fh.write(json.dumps(header) + "\n")
-                for by_id in self._latest.values():
-                    for _, record in by_id.values():
-                        fh.write(json.dumps(record.to_dict()) + "\n")
+                records = (record for by_id in self._latest.values() for _, record in by_id.values())
+                while rows := [
+                    [r.subject_kind, r.subject_id, r.trust, r.classification, r.model, r.evaluated_at]
+                    for r in islice(records, SNAPSHOT_ROWS_PER_LINE)
+                ]:
+                    fh.write(json.dumps(rows) + "\n")
             os.replace(tmp, target)
         except (OSError, ValueError):
             if tmp is not None:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import random
 import stat
@@ -521,6 +522,10 @@ class TestTrustStore:
             record(model="oracle")
         with pytest.raises(ValueError):
             record(subject="")
+        for trust in (True, "0.5"):
+            with pytest.raises(ValueError):
+                record(trust=trust)
+        assert record(trust=1).trust == 1 and record(trust=np.float64(0.5)).trust == 0.5
 
     def test_non_str_subject_id_is_never_written(self, tmp_path):
         path = tmp_path / "store.jsonl"
@@ -538,6 +543,22 @@ class TestTrustStore:
         with pytest.raises(StoreCorruptError) as err:
             TrustStore(path)
         assert err.value.line == 2 and str(path) in str(err.value)
+
+    @pytest.mark.parametrize("trust", ["0.25", True])
+    def test_non_real_trust_in_the_log_is_a_corrupt_line(self, tmp_path, trust):
+        path = tmp_path / "store.jsonl"
+        path.write_text(
+            json.dumps(record().to_dict()) + "\n" + json.dumps({**record().to_dict(), "trust": trust}) + "\n"
+        )
+        with pytest.raises(StoreCorruptError) as err:
+            TrustStore(path)
+        assert err.value.line == 2 and str(path) in str(err.value)
+
+    def test_integer_trust_in_the_log_replays_as_a_float(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        path.write_text(json.dumps({**record().to_dict(), "trust": 1}) + "\n")
+        trust = TrustStore(path).get("user", "alice").trust
+        assert trust == 1.0 and type(trust) is float
 
     @given(
         trust=st.floats(0, 1),
@@ -652,7 +673,7 @@ class TestStoreSnapshot:
         assert store.get("provider", "bob").trust == 0.4
         assert stat.S_IMODE(_snapshot(path).stat().st_mode) == stat.S_IMODE(path.stat().st_mode)
         header = json.loads(_snapshot(path).read_text().splitlines()[0])
-        assert (header["format"], header["version"], header["log_bytes"]) == ("store-snapshot", 1, path.stat().st_size)
+        assert (header["format"], header["version"], header["log_bytes"]) == ("store-snapshot", 2, path.stat().st_size)
         assert (header["lines"], header["records"], header["subjects"]) == (5, 5, 2)
 
     @settings(max_examples=60, deadline=None)
@@ -692,29 +713,46 @@ class TestStoreSnapshot:
             "lines",
             "duplicate",
             "non-str-id",
+            "arity",
+            "v1-record",
+            "subjects",
+            "non-real-trust",
+            "over-cap",
         ],
     )
-    def test_a_snapshot_failing_a_check_is_ignored(self, tmp_path, replay_starts, tamper):
+    def test_a_snapshot_failing_a_check_is_ignored(self, tmp_path, replay_starts, monkeypatch, tamper):
         path = tmp_path / "store.jsonl"
         _three_records(path)
         snapshot = _snapshot(path)
         lines = snapshot.read_text().splitlines()
-        header = json.loads(lines[0])
+        header, (alice, bob) = json.loads(lines[0]), json.loads(lines[1])  # one body line of two rows
+
+        def write(header, *body):
+            snapshot.write_text("\n".join(map(json.dumps, [header, *body])) + "\n")
+
         if tamper == "stale":  # alice's latest trust edited in place, same length
             path.write_text(path.read_text().replace('"trust": 0.8', '"trust": 0.3', 1))
         elif tamper == "truncated":
             snapshot.write_text(snapshot.read_text()[:-40])
-        elif tamper == "line-lost":  # bob's whole line
-            snapshot.write_text("\n".join(lines[:-1]) + "\n")
+        elif tamper == "line-lost":  # the whole body line
+            write(header)
         elif tamper == "not-json":
             snapshot.write_text("not json\n")
-        elif tamper in ("format", "version", "records", "lines"):  # fewer records than subjects, or than lines
-            value = {"format": "trust-store", "version": 2, "records": 1, "lines": 3}[tamper]
-            snapshot.write_text("\n".join([json.dumps({**header, tamper: value}), *lines[1:]]) + "\n")
-        elif tamper == "duplicate":  # a second alice line, at the same instant
-            snapshot.write_text("\n".join([*lines, lines[1].replace('"trust": 0.8', '"trust": 0.1')]) + "\n")
-        elif tamper == "non-str-id":  # bob's record under the id 5
-            snapshot.write_text("\n".join([*lines[:-1], lines[-1].replace('"subject_id": "bob"', '"subject_id": 5')]) + "\n")
+        elif tamper in ("format", "version", "records", "lines", "subjects"):  # records < subjects, lines < records, rows != subjects
+            value = {"format": "trust-store", "version": 3, "records": 1, "lines": 3, "subjects": 3}[tamper]
+            write({**header, tamper: value}, [alice, bob])
+        elif tamper == "duplicate":  # a second alice row, at the same instant
+            write(header, [alice, bob, [*alice[:2], 0.1, *alice[3:]]])
+        elif tamper == "non-str-id":  # bob's row under the id 5
+            write(header, [alice, [bob[0], 5, *bob[2:]]])
+        elif tamper == "arity":  # bob's row without its stamp
+            write(header, [alice, bob[:-1]])
+        elif tamper == "v1-record":  # bob's row as a store-snapshot/1 line
+            write(header, [alice], TrustRecord(bob[1], bob[0], *bob[2:]).to_dict())
+        elif tamper == "non-real-trust":  # alice's trust as a string
+            write(header, [[*alice[:2], str(alice[2]), *alice[3:]], bob])
+        elif tamper == "over-cap":  # the body line holds more rows than a line may
+            monkeypatch.setattr(store_module, "SNAPSHOT_ROWS_PER_LINE", 1)
         else:  # the log lost its last record after the snapshot was written
             text = path.read_text()
             path.write_text(text[: text.rindex("{")])
@@ -729,6 +767,47 @@ class TestStoreSnapshot:
         replay_starts.clear()
         TrustStore(path)  # the full scan wrote a snapshot that holds
         assert replay_starts[0].offset == path.stat().st_size
+
+    def test_a_v1_snapshot_is_replaced_by_v2(self, tmp_path, replay_starts):
+        path = tmp_path / "store.jsonl"
+        subjects = [("user", "alice"), ("provider", "bob")]
+        _three_records(path)
+        log = path.read_bytes()
+        v1_header = {
+            "format": "store-snapshot",
+            "version": 1,
+            "log_bytes": len(log),
+            "log_sha256": hashlib.sha256(log).hexdigest(),
+            "lines": 4,
+            "records": 4,
+            "subjects": 2,
+        }
+        latest = [TrustStore(path).get(*subject).to_dict() for subject in subjects]
+        _snapshot(path).write_text("\n".join(map(json.dumps, [v1_header, *latest])) + "\n")
+        replay_starts.clear()
+        store = TrustStore(path)
+        assert replay_starts == [LogPosition()]
+        assert _state(store, subjects) == _full_scan_state(path, subjects)
+        assert json.loads(_snapshot(path).read_text().splitlines()[0])["version"] == 2
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(record(trust=0.9, at="2026-01-04T00:00:00+00:00").to_dict()) + "\n")
+        replay_starts.clear()
+        store = TrustStore(path)
+        assert replay_starts == [LogPosition(len(log), 4, 4)]
+        assert _state(store, subjects) == _full_scan_state(path, subjects)
+
+    def test_snapshot_body_lines_hold_at_most_the_cap(self, tmp_path, replay_starts):
+        path = tmp_path / "store.jsonl"
+        cap = store_module.SNAPSHOT_ROWS_PER_LINE
+        subjects = [("user", f"u{i}") for i in range(3 * cap + 1)]
+        path.write_text("".join(json.dumps(record(subject=subject).to_dict()) + "\n" for _, subject in subjects))
+        TrustStore(path)
+        body = _snapshot(path).read_text().splitlines()[1:]
+        assert [len(json.loads(line)) for line in body] == [cap, cap, cap, 1]
+        replay_starts.clear()
+        store = TrustStore(path)
+        assert replay_starts == [LogPosition(path.stat().st_size, len(subjects), len(subjects))]
+        assert _state(store, subjects) == _full_scan_state(path, subjects)
 
     def test_corrupt_line_in_the_tail_names_its_line(self, tmp_path, replay_starts):
         path = tmp_path / "store.jsonl"
