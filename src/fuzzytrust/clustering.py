@@ -114,15 +114,12 @@ def normalize(data: np.ndarray) -> tuple[np.ndarray, tuple[tuple[float, float], 
 
 def apply_normalization(data: np.ndarray, norm_params) -> np.ndarray:
     """Scale columns with stored (min, max), clamping into [0, 1]."""
-    data = np.asarray(data, dtype=float)
-    out = np.empty_like(data)
-    for j, (mn, mx) in enumerate(norm_params):
-        col = data[..., j]
-        if mx > mn:
-            out[..., j] = np.clip((col - mn) / (mx - mn), 0.0, 1.0)
-        else:
-            out[..., j] = 0.5
-    return out
+    mn, mx = np.array(norm_params, dtype=float).reshape(-1, 2).T
+    varying = mx > mn
+    # a constant column is scaled as (x - 0) / (1 - 0), which cannot overflow, then set to 0.5
+    mn, mx = np.where(varying, mn, 0.0), np.where(varying, mx, 1.0)
+    scaled = (np.asarray(data, dtype=float) - mn) / (mx - mn)
+    return np.where(varying, np.minimum(np.maximum(scaled, 0.0), 1.0), 0.5)
 
 
 def _membership_from_sq_distances(d2: np.ndarray, m: float) -> np.ndarray:

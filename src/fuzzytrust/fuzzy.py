@@ -20,15 +20,25 @@ itself into arrays, once:
   degree matrix, padded with an extra column that always holds degree 1;
 - the rules sorted by consequent label, so the per-label max firing
   strength is one ``np.maximum.reduceat``;
-- the output grid and the output sets sampled on it.
+- the fired output sets sampled on the output grid, each on its
+  ``support`` only, and kept over their joint span: the grid columns
+  outside which every one of them is 0.0.
+
+The clip-max runs over (rows, fired labels, span) and is written into a
+zeroed (rows, resolution) aggregate, so the area and the moment of the
+centroid are still summed over every grid point, in grid order.  A
+fitted user engine's triangles span about half the grid; the provider
+engines span all of it.
 
 ``infer_batch`` maps an (N, n_inputs) matrix to N crisp values and
-returns NaN for a row whose aggregate has zero area (no rule fired);
-``infer`` raises ``DegenerateOutputError`` there instead.  Rows are
-processed in chunks whose (rows, labels, resolution) clip-max temporary
-holds at most ``_CHUNK_FLOATS`` floats (2 MB), or one row when a single
-row needs more.  Every reduction is row-wise, so a row's result does not
-depend on the other rows or on the chunking.
+returns NaN for a row whose aggregate has zero area (no rule fired, or
+no fired set is non-zero on any grid point); ``infer`` raises
+``DegenerateOutputError`` there instead.  Rows are processed in chunks
+in which neither the (rows, labels, span) clip-max temporary nor the
+(rows, resolution) aggregate holds more than ``_CHUNK_FLOATS`` floats
+(2 MB), or one row when a single row needs more.  Every reduction is
+row-wise, so a row's result does not depend on the other rows or on the
+chunking.
 """
 
 from __future__ import annotations
@@ -49,7 +59,7 @@ from .store import check_format
 # instead of producing a spurious zero-area aggregate.
 _EXP_CLAMP = 700.0
 
-# Upper bound on the floats in one chunk's clip-max temporary (2 MB).
+# Upper bound on the floats in one chunk's clip-max temporary and in its aggregate (2 MB).
 _CHUNK_FLOATS = 2**18
 
 
@@ -127,7 +137,7 @@ class TwoSidedGaussian(_Shape):
     @staticmethod
     def degrees(x, left, left_denom, right, right_denom) -> np.ndarray:
         # on the plateau x - clip(x) is exactly 0, so the degree is exactly 1
-        return Gaussian.degrees(x, np.clip(x, left, right), np.where(x < left, left_denom, right_denom))
+        return Gaussian.degrees(x, np.minimum(np.maximum(x, left), right), np.where(x < left, left_denom, right_denom))
 
 
 @dataclass(frozen=True)
@@ -165,7 +175,7 @@ class Triangular(_Shape):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             rise = np.where(apex > left, (x - left) / (apex - left), x >= apex)
             fall = np.where(right > apex, (right - x) / (right - apex), x <= apex)
-        return np.clip(np.minimum(rise, fall), 0.0, 1.0)
+        return np.minimum(np.maximum(np.minimum(rise, fall), 0.0), 1.0)
 
 
 MembershipFunction = Union[Gaussian, TwoSidedGaussian, Triangular]
@@ -367,14 +377,23 @@ class FuzzyInferenceSystem:
             antecedents[r, : len(rule.antecedents)] = [columns[a] for a in rule.antecedents]
         fired = [labels.index(rule.consequent[1]) for rule in ordered]
         starts = [r for r in range(len(fired)) if r == 0 or fired[r] != fired[r - 1]]
-        grid = np.stack([self.output.sets[fired[r]][1](self._output_xs) for r in starts])
+        xs = self._output_xs
+        grid = np.zeros((len(starts), len(xs)))
+        for row, r in zip(grid, starts):  # each set sampled on its support only: it is 0.0 outside
+            mf = self.output.sets[fired[r]][1]
+            low, high = mf.support
+            inside = slice(xs.searchsorted(low, "left"), xs.searchsorted(high, "right"))
+            row[inside] = mf(xs[inside])
+        fires = np.flatnonzero(grid.any(axis=0))
+        span = slice(int(fires[0]), int(fires[-1]) + 1) if fires.size else slice(0, 0)
         return _CompiledRules(
             lo=np.array([v.domain[0] for v in self.inputs]),
             hi=np.array([v.domain[1] for v in self.inputs]),
             offsets=tuple(int(o) for o in offsets),
             antecedents=antecedents,
             label_starts=np.array(starts, dtype=np.intp),
-            label_grid=grid,
+            span=span,
+            label_grid=grid[:, span].copy(),
         )
 
     def aggregate(self, rows: np.ndarray) -> np.ndarray:
@@ -387,7 +406,9 @@ class FuzzyInferenceSystem:
         degrees[:, -1] = 1.0
         strengths = degrees[:, c.antecedents].min(axis=2)  # min-AND, (n, rules)
         clip = np.maximum.reduceat(strengths, c.label_starts, axis=1)  # (n, fired labels)
-        return np.minimum(clip[:, :, None], c.label_grid).max(axis=1)
+        agg = np.zeros((len(rows), self.defuzz_resolution))
+        np.minimum(clip[:, :, None], c.label_grid).max(axis=1, out=agg[:, c.span])
+        return agg
 
     def infer_batch(self, X) -> np.ndarray:
         """Crisp outputs (N,) for input rows X (N, n_inputs), columns in
@@ -405,9 +426,9 @@ class FuzzyInferenceSystem:
             row, col = np.argwhere(~finite)[0]
             raise ValueError(f"variable {names[col]!r}: non-finite input {X[row, col]}")
         c = self._compiled
-        X = np.clip(X, c.lo, c.hi)
+        X = np.minimum(np.maximum(X, c.lo), c.hi)
         xs = self._output_xs
-        step = max(1, _CHUNK_FLOATS // c.label_grid.size)
+        step = max(1, _CHUNK_FLOATS // max(c.label_grid.size, len(xs)))
         out = np.full(len(X), math.nan)
         for start in range(0, len(X), step):
             agg = self.aggregate(X[start : start + step])
@@ -502,5 +523,6 @@ class _CompiledRules:
     offsets: tuple[int, ...]  # input j's sets are degree columns offsets[j]:offsets[j + 1]
     antecedents: np.ndarray  # (rules, max antecedents) degree columns, rules by consequent
     label_starts: np.ndarray  # first rule of each fired label, for np.maximum.reduceat
-    label_grid: np.ndarray  # (fired labels, resolution) output sets on the output grid
+    span: slice  # the output grid columns outside which every fired set is 0.0 (empty if all are)
+    label_grid: np.ndarray  # (fired labels, span width) the fired output sets on the span's grid points
 

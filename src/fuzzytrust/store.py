@@ -167,6 +167,8 @@ class TrustRecord:
             raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
         if not (0.0 <= _real(self.trust) <= 1.0):
             raise ValueError(f"trust must lie in [0, 1], got {self.trust}")
+        if not isinstance(self.evaluated_at, str):  # the type only: a second parse would slow every replay
+            raise ValueError(f"evaluated_at must be an ISO-8601 str, got {self.evaluated_at!r}")
 
     def to_dict(self) -> dict:
         return {

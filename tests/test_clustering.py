@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,26 @@ class TestNormalize:
             normalize(np.empty((0, 3)))
         with pytest.raises(NonFiniteDataError):
             normalize(np.array([[1.0], [np.nan]]))
+
+    def test_apply_equals_the_per_column_formula_bit_for_bit(self):
+        def per_column(data, norm_params):
+            out = np.empty_like(data)
+            for j, (mn, mx) in enumerate(norm_params):
+                out[..., j] = np.clip((data[..., j] - mn) / (mx - mn), 0.0, 1.0) if mx > mn else 0.5
+            return out
+
+        rng = np.random.default_rng(41)
+        params = ((0.0, 12.0), (3.0, 3.0), (-2.5, 40.0), (1e308, 1e308), (7.0, 1.0), (0.0, 1.0))
+        data = rng.uniform(-20.0, 60.0, size=(300, len(params)))
+        data[:, 3] = rng.choice([-1e308, 0.0, 1e308], size=300)  # constant column, far off its value
+        data[:5] = [p[0] for p in params]
+        data[5:10] = [p[1] for p in params]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for rows in (data, data[0], data[:1]):
+                got, expected = apply_normalization(rows, params), per_column(rows, params)
+                assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+        assert (apply_normalization(data, params)[:, [1, 3, 4]] == 0.5).all()  # constant or inverted bounds
 
     def test_apply_clamps_unseen_values(self):
         _, params = normalize(np.array([[0.0], [10.0]]))

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import json
 import math
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fuzzytrust.fuzzy as fuzzy_module
+from fuzzytrust.clustering import ClusterConfig
 from fuzzytrust.errors import DegenerateOutputError, MissingInputError
 from fuzzytrust.fuzzy import (
     FuzzyInferenceSystem,
@@ -18,7 +20,10 @@ from fuzzytrust.fuzzy import (
     Triangular,
     TwoSidedGaussian,
 )
+from fuzzytrust.ingest import CorpusSpec, corpus_matrix, generate_corpus
+from fuzzytrust.provider import build_elasticity_fis, build_performance_fis, build_provider_trust_fis
 from fuzzytrust.store import load_artifact, save_artifact
+from fuzzytrust.user import build_user_fis, fit_user_clusters
 from oracles import OracleDegenerate, oracle_infer, random_fis, random_inputs
 
 
@@ -518,6 +523,107 @@ class TestInferBatch:
             assert np.array_equal(var.fuzzify(x), expected)
 
 
+@contextlib.contextmanager
+def _chunk_sizes():
+    """The row counts of the ``aggregate`` calls made inside the block."""
+    sizes = []
+    aggregate = FuzzyInferenceSystem.aggregate
+
+    def counted(self, rows):
+        sizes.append(len(rows))
+        return aggregate(self, rows)
+
+    FuzzyInferenceSystem.aggregate = counted
+    try:
+        yield sizes
+    finally:
+        FuzzyInferenceSystem.aggregate = aggregate
+
+
+def _dense_aggregate(fis, X):
+    """The clip-max over every output grid point, each fired set sampled on
+    the whole grid: the formula the span-trimmed ``aggregate`` replaces."""
+    c = fis._compiled
+    rows = np.minimum(np.maximum(X, c.lo), c.hi)
+    degrees = np.concatenate([v.fuzzify(rows[:, j]) for j, v in enumerate(fis.inputs)] + [np.ones((len(rows), 1))], 1)
+    strengths = degrees[:, c.antecedents].min(axis=2)
+    clip = np.maximum.reduceat(strengths, c.label_starts, axis=1)
+    labels = fis.output.labels
+    fired = sorted({labels.index(rule.consequent[1]) for rule in fis.rules})
+    full_grid = np.stack([fis.output.sets[k][1](fis._output_xs) for k in fired])
+    return np.minimum(clip[:, :, None], full_grid).max(axis=1)
+
+
+def _dense_infer(fis, X):
+    agg = _dense_aggregate(fis, X)
+    area = agg.sum(axis=1)
+    out = np.full(len(X), math.nan)
+    np.divide((agg * fis._output_xs).sum(axis=1), area, out=out, where=area != 0.0)
+    return out
+
+
+@pytest.fixture(scope="module")
+def production_engines():
+    train, _ = generate_corpus(CorpusSpec(seed=0))
+    clusters = fit_user_clusters(corpus_matrix(train), ClusterConfig(c=25, seed=0, max_iter=60))
+    return {
+        "user": build_user_fis(clusters),
+        "performance": build_performance_fis(),
+        "elasticity": build_elasticity_fis(),
+        "provider_trust": build_provider_trust_fis(),
+    }
+
+
+class TestSpanTrimmedClipMax:
+    def _check(self, fis, rng):
+        c = fis._compiled
+        step = fuzzy_module._CHUNK_FLOATS // max(c.label_grid.size, fis.defuzz_resolution)
+        for n in (1, step, step + 1, 500):
+            X = rng.uniform(c.lo - 1.0, c.hi + 1.0, size=(n, len(fis.inputs)))
+            with _chunk_sizes() as sizes:
+                batch = fis.infer_batch(X)
+            assert sizes == [step] * (n // step) + [n % step] * (n % step > 0)
+            assert np.array_equal(fis.aggregate(np.minimum(np.maximum(X, c.lo), c.hi)), _dense_aggregate(fis, X))
+            assert np.array_equal(batch, _dense_infer(fis, X), equal_nan=True)
+
+    def test_production_engines_match_the_dense_clip_max(self, production_engines):
+        rng = np.random.default_rng(23)
+        for fis in production_engines.values():
+            self._check(fis, rng)
+        # the user engine's triangles leave most of the grid at zero, so its grid is trimmed
+        user = production_engines["user"]._compiled
+        assert user.label_grid.shape == (25, user.span.stop - user.span.start)
+        assert user.label_grid.shape[1] < 1001 / 2
+
+    def test_random_systems_match_the_dense_clip_max(self):
+        rng = np.random.default_rng(29)
+        for _ in range(12):
+            self._check(random_fis(rng, max_rules=40), rng)
+
+    def test_span_is_where_some_fired_set_is_non_zero(self):
+        mid = Triangular(0.3, 0.5, 0.7)
+        fis = single_rule_fis((("low", Triangular(0.0, 0.1, 0.2)), ("mid", mid)), "mid")  # "low" never fires
+        c = fis._compiled
+        non_zero = np.flatnonzero(mid(fis._output_xs))
+        assert (c.span.start, c.span.stop) == (non_zero[0], non_zero[-1] + 1)
+        assert 0 < c.span.start and c.span.stop < 1001
+        assert np.array_equal(c.label_grid, [mid(fis._output_xs[c.span])])
+
+    def test_a_fired_set_between_grid_points_leaves_an_empty_span(self):
+        """No grid point falls inside the only output set: every row is
+        degenerate, as it was when the whole grid was sampled."""
+        fis = single_rule_fis((("tiny", Triangular(0.0001, 0.0002, 0.0003)),), "tiny")
+        assert np.array_equal(fis.infer_batch([[0.5]]), [math.nan], equal_nan=True)
+        with pytest.raises(DegenerateOutputError):
+            fis.infer({"x": 0.5})
+        assert fis._compiled.label_grid.shape == (1, 0)
+        X = np.linspace(0.0, 1.0, 600)[:, None]
+        with _chunk_sizes() as sizes:
+            assert np.isnan(fis.infer_batch(X)).all()
+        step = fuzzy_module._CHUNK_FLOATS // fis.defuzz_resolution  # bounded by the (rows, resolution) aggregate
+        assert sizes == [step, step, 600 - 2 * step]
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10**6), n=st.integers(1, 40))
 def test_property_batch_rows_independent_of_order_and_chunking(seed, n):
@@ -534,7 +640,9 @@ def test_property_batch_rows_independent_of_order_and_chunking(seed, n):
     saved = fuzzy_module._CHUNK_FLOATS
     fuzzy_module._CHUNK_FLOATS = 1
     try:
-        assert np.array_equal(fis.infer_batch(X), batch, equal_nan=True)
+        with _chunk_sizes() as sizes:
+            assert np.array_equal(fis.infer_batch(X), batch, equal_nan=True)
+        assert sizes == [1] * n  # one row per chunk
     finally:
         fuzzy_module._CHUNK_FLOATS = saved
 

@@ -525,6 +525,9 @@ class TestTrustStore:
         for trust in (True, "0.5"):
             with pytest.raises(ValueError):
                 record(trust=trust)
+        for at in (5, None, b"2026-01-01T00:00:00+00:00"):
+            with pytest.raises(ValueError, match="evaluated_at"):
+                record(at=at)
         assert record(trust=1).trust == 1 and record(trust=np.float64(0.5)).trust == 0.5
 
     def test_non_str_subject_id_is_never_written(self, tmp_path):
