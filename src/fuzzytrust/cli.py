@@ -4,15 +4,13 @@
     fuzzytrust gen-corpus      synthetic train/test corpus CSVs
     fuzzytrust fit             training corpus -> cluster model JSON
     fuzzytrust build-user-fis  cluster model -> deployable user model JSON
-    fuzzytrust eval-user       counters -> trust value
+    fuzzytrust eval-user       counters -> classified trust record
     fuzzytrust eval-provider   provider metrics -> performance/elasticity/trust
     fuzzytrust compare         fuzzy model vs baseline over a test corpus
     fuzzytrust surface         response surface of any engine -> grid CSV
-    fuzzytrust gate            counters -> grant/deny
     fuzzytrust serve           run the trust management HTTP service
 
-``serve --store`` is required and ``gate --store`` defaults to
-``trust-store.jsonl``; provider feedback goes to ``<store>.feedback``.
+``serve --store`` is required; provider feedback goes to ``<store>.feedback``.
 Flags are the only configuration, and the baseline weights are fixed.
 
 Exit codes: 0 success, 1 data/model errors, 2 usage errors.
@@ -181,17 +179,6 @@ def cmd_surface(args) -> int:
     return 0
 
 
-def cmd_gate(args) -> int:
-    config = service.ServiceConfig(
-        store_path=args.store, user_model_path=args.user_model, threshold=args.threshold
-    )
-    counters = _counters(args)
-    with contextlib.closing(service.TrustService(config)) as svc:
-        response = svc.decide(counters.user_id, counters=counters)
-    print(json.dumps(response.to_dict(), indent=2))
-    return 0
-
-
 def cmd_serve(args) -> int:
     config = service.ServiceConfig(
         store_path=args.store,
@@ -276,13 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=int, default=25)
     p.add_argument("--out", required=True, help="grid CSV to write")
     p.set_defaults(func=cmd_surface)
-
-    p = sub.add_parser("gate", help="one-shot access decision for fresh counters")
-    _add_counter_flags(p)
-    p.add_argument("--user-model", help="user model JSON; baseline formula when omitted")
-    p.add_argument("--threshold", type=float, default=service.ServiceConfig.threshold)
-    p.add_argument("--store", default="trust-store.jsonl", help=f"trust store; {_UNSEEN_BY_SERVICE}")
-    p.set_defaults(func=cmd_gate)
 
     p = sub.add_parser("serve", help="run the trust management HTTP service")
     p.add_argument("--host", default=service.ServiceConfig.host)

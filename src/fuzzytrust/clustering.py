@@ -55,11 +55,22 @@ class ClusterModel:
     def __post_init__(self):
         centers = np.asarray(self.centers, dtype=float)
         spreads = np.asarray(self.spreads, dtype=float)
+        norm_params = tuple((float(a), float(b)) for a, b in self.norm_params)
+        if centers.ndim != 2 or spreads.shape != centers.shape:
+            raise ValueError(
+                f"centers and spreads must be 2-D arrays of one shape, got {centers.shape} and {spreads.shape}"
+            )
+        if not (np.all(np.isfinite(centers)) and np.all(np.isfinite(spreads))):
+            raise ValueError("centers and spreads must be finite")
+        if not np.all(spreads > 0.0):
+            raise ValueError(f"spreads must be > 0, got {spreads.min()}")
+        if len(norm_params) != centers.shape[1]:
+            raise ValueError(f"need one norm_params pair per dimension ({centers.shape[1]}), got {len(norm_params)}")
         centers.setflags(write=False)
         spreads.setflags(write=False)
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "spreads", spreads)
-        object.__setattr__(self, "norm_params", tuple((float(a), float(b)) for a, b in self.norm_params))
+        object.__setattr__(self, "norm_params", norm_params)
         object.__setattr__(self, "objective_trace", tuple(float(v) for v in self.objective_trace))
 
     @property

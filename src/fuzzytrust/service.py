@@ -197,7 +197,8 @@ class FeedbackLedger:
 
 
 class TrustService:
-    """Protocol-independent core shared by the HTTP layer and the CLI."""
+    """Protocol-independent core behind the HTTP layer, which tests and the
+    benchmark also drive directly; the CLI writes through ``record_decision``."""
 
     def __init__(self, config: ServiceConfig):
         self.config = config
@@ -269,10 +270,15 @@ class TrustService:
 
 
 def _counters_from_payload(user_id: str, payload: dict) -> UserBehaviorCounters:
-    """Counters from a /decide body.  Each count must be a JSON integer: a
-    float, a bool or a string is refused, not truncated or coerced."""
+    """Counters from a /decide body's ``counters`` object, which must hold all
+    four counts.  Each count must be a JSON integer: a float, a bool or a
+    string is refused, not truncated or coerced."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"counters must be a JSON object, got {type(payload).__name__}")
     counts = {}
     for field, key in (("uar", "unauthorized"), ("bor", "bogus"), ("bar", "bad"), ("tr", "total")):
+        if key not in payload:
+            raise ValueError(f"counters.{key} is missing")
         value = payload[key]
         if type(value) is not int:
             raise ValueError(f"counters.{key} must be a JSON integer, got {value!r}")

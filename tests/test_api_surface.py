@@ -1,13 +1,16 @@
-"""The package's public names, pinned: a change to ``fuzzytrust.__all__``
-has to change this list too.  Importing the package, its CLI or its
-service loads no scipy: numpy is the one runtime dependency."""
+"""The package's public names and its command line, pinned: a change to
+``fuzzytrust.__all__``, or a subcommand or flag added or removed, has to
+change the lists here too.  Importing the package, its CLI or its service
+loads no scipy: numpy is the one runtime dependency."""
 
+import argparse
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import fuzzytrust
+from fuzzytrust import cli
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -47,8 +50,33 @@ PUBLIC_NAMES = [
 ]
 
 
+# each subcommand's flags as argparse ``dest``s, --help aside
+CLI_FLAGS = {
+    "build-user-fis": ["model", "out"],
+    "compare": ["out", "test", "threshold", "user_model"],
+    "eval-provider": ["availability", "negative_feedback", "provider_id", "response_time", "scalability",
+                      "security", "store", "threshold", "usability", "workload"],
+    "eval-user": ["bad", "bogus", "store", "threshold", "total", "unauthorized", "user_id", "user_model"],
+    "fit": ["clusters", "fuzzifier", "max_iter", "out", "seed", "tol", "train"],
+    "gen-corpus": ["benign_fraction", "n_train", "n_users", "seed", "test_out", "train_out"],
+    "ingest": ["log", "out", "window_end", "window_start"],
+    "serve": ["host", "port", "store", "threshold", "user_model"],
+    "surface": ["engine", "fixed", "out", "resolution", "user_model", "x", "y"],
+}
+
+
 def test_public_names_pinned():
     assert sorted(fuzzytrust.__all__) == PUBLIC_NAMES
+
+
+def test_cli_flags_pinned():
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {
+        name: sorted(a.dest for a in parser._actions if not isinstance(a, argparse._HelpAction))
+        for name, parser in sub.choices.items()
+    }
+    assert flags == CLI_FLAGS
+    assert (len(flags), sum(map(len, flags.values()))) == (9, 53)
 
 
 def test_every_public_name_resolves():

@@ -50,6 +50,17 @@ def test_corpus_trust_column_is_the_baseline(pipeline):
         assert float(row["trust"]) == baseline_trust(c)
 
 
+def test_malformed_cluster_model_names_the_file(pipeline, tmp_path, capsys):
+    document = json.loads(pipeline["clusters.json"].read_text())
+    document["spreads"] = document["spreads"][:2]  # fewer rows than centers
+    clusters = tmp_path / "short.json"
+    clusters.write_text(json.dumps(document))
+    code, _, err = run(capsys, "build-user-fis", "--model", clusters, "--out", tmp_path / "rebuilt.json")
+    assert code == 1
+    assert f"error: {clusters}: ValueError: centers and spreads must be 2-D arrays of one shape" in err
+    assert not (tmp_path / "rebuilt.json").exists()
+
+
 def test_user_model_given_as_cluster_model(pipeline, tmp_path, capsys):
     code, _, err = run(capsys, "build-user-fis", "--model", pipeline["user.json"], "--out", tmp_path / "x.json")
     assert code == 1
@@ -143,24 +154,28 @@ def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch, argv):
 BASELINE_09 = ["--bad", 0, "--bogus", 0, "--unauthorized", 20, "--total", 100]  # baseline trust 0.9
 
 
-def test_gate_threshold(tmp_path, capsys):
+def test_eval_user_threshold(tmp_path, capsys):
     store = tmp_path / "store.jsonl"
-    code, out, _ = run(capsys, "gate", *BASELINE_09, "--store", store)
-    assert code == 0 and (json.loads(out)["decision"], json.loads(out)["trust"]) == ("grant", 0.9)
-    code, out, _ = run(capsys, "gate", *BASELINE_09, "--store", store, "--threshold", 0.95)
-    assert code == 0 and json.loads(out)["decision"] == "deny"
+    code, out, _ = run(capsys, "eval-user", *BASELINE_09, "--store", store)
+    assert code == 0 and (json.loads(out)["classification"], json.loads(out)["trust"]) == ("trusted", 0.9)
+    code, out, _ = run(capsys, "eval-user", *BASELINE_09, "--store", store, "--threshold", 0.95)
+    assert code == 0 and json.loads(out)["classification"] == "untrusted"
+    lines = store.read_text().splitlines()
+    assert [(json.loads(line)["trust"], json.loads(line)["classification"]) for line in lines] == [
+        (0.9, "trusted"), (0.9, "untrusted")
+    ]
 
 
 @pytest.mark.parametrize(
     "argv, message",
     [(["serve", "--port", 0, "--threshold", 1.5], "threshold must lie in [0, 1]"),
      (["serve", "--port", 0, "--threshold", "nan"], "threshold must lie in [0, 1]"),
-     (["gate", *BASELINE_09, "--threshold", -0.1], "threshold must lie in [0, 1]"),
+     (["eval-user", *BASELINE_09, "--threshold", -0.1], "trust and threshold must lie in [0, 1]"),
      (["serve", "--port", 99999], "port must lie in 0..65535"),
      (["serve", "--port", -1], "port must lie in 0..65535"),
      (["eval-provider", *PROVIDER_FLAGS, "--threshold", 1.5], "trust and threshold must lie in [0, 1]"),
      (["eval-provider", *PROVIDER_FLAGS, "--negative-feedback", 2.0], "negative feedback ratio must be in [0, 1]")],
-    ids=["serve-above-1", "serve-nan", "gate-below-0", "serve-port-above-65535", "serve-port-negative",
+    ids=["serve-above-1", "serve-nan", "eval-user-below-0", "serve-port-above-65535", "serve-port-negative",
          "eval-provider-above-1-without-store", "eval-provider-feedback-above-1-without-store"],
 )
 def test_threshold_outside_unit_interval_exits_1(tmp_path, capsys, monkeypatch, argv, message):

@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -247,6 +248,35 @@ class TestSerialization:
         assert loaded.norm_params == model.norm_params
         assert loaded.objective_trace == model.objective_trace
         assert loaded.config == model.config
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"spreads": [[0.1, 0.1]]}, "2-D arrays of one shape"),
+            ({"centers": [0.2, 0.8], "spreads": [0.1, 0.1]}, "2-D arrays of one shape"),
+            ({"centers": [[0.2, float("nan")], [0.8, 0.8]]}, "finite"),
+            ({"spreads": [[0.1, float("inf")], [0.1, 0.1]]}, "finite"),
+            ({"spreads": [[0.1, 0.0], [0.1, 0.1]]}, "spreads must be > 0"),
+            ({"spreads": [[0.1, 0.1], [-0.1, 0.1]]}, "spreads must be > 0"),
+            ({"norm_params": [[0.0, 1.0]]}, "one norm_params pair per dimension"),
+        ],
+        ids=["spreads-short", "one-dimensional", "nan-center", "inf-spread", "zero-spread", "negative-spread",
+             "norm-params-short"],
+    )
+    def test_malformed_document_names_the_file(self, tmp_path, change, message):
+        valid = ClusterModel(
+            centers=np.array([[0.2, 0.2], [0.8, 0.8]]),
+            spreads=np.full((2, 2), 0.1),
+            norm_params=((0.0, 1.0), (0.0, 1.0)),
+            m=2.0,
+            objective_trace=(1.0,),
+            config=ClusterConfig(c=2),
+        )
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({**valid.to_dict(), **change}))
+        with pytest.raises(ValueError, match=message) as exc_info:
+            load_artifact(ClusterModel, path)
+        assert str(exc_info.value).startswith(f"{path}: ValueError: ")
 
     def test_rejects_wrong_format(self):
         with pytest.raises(ValueError):

@@ -159,6 +159,21 @@ class TestMalformedBodies:
         assert body["schema"] == SCHEMA and "JSON integer" in body["error"]
         assert len(server.RequestHandlerClass.service.store) == 0
 
+    @pytest.mark.parametrize(
+        "counters, message",
+        [
+            ([160, 0, 0, 160], "counters must be a JSON object, got list"),
+            ("160", "counters must be a JSON object, got str"),
+            ({k: v for k, v in ALL_UNAUTHORIZED.items() if k != "total"}, "counters.total is missing"),
+            ({}, "counters.unauthorized is missing"),
+        ],
+        ids=["list", "string", "no-total", "empty"],
+    )
+    def test_malformed_counters_get_400_naming_the_field(self, server, counters, message):
+        status, body = _post(server, "/decide", _decide_body(counters=counters))
+        assert (status, body) == (400, {"schema": SCHEMA, "error": f"bad request: {message}"})
+        assert len(server.RequestHandlerClass.service.store) == 0
+
     def test_non_object_json_on_feedback_gets_400(self, server):
         status, body = _post(server, "/feedback/provider/p1", b"[1,2]")
         assert status == 400 and "error" in body

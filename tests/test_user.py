@@ -192,6 +192,7 @@ class TestBuildUserFis:
             two_cluster_model,
             centers=two_cluster_model.centers[:, :4],
             spreads=two_cluster_model.spreads[:, :4],
+            norm_params=two_cluster_model.norm_params[:4],
         )
         with pytest.raises(InvalidModelError):
             build_user_fis(bad)
