@@ -55,7 +55,7 @@ class ClusterModel:
     def __post_init__(self):
         centers = np.asarray(self.centers, dtype=float)
         spreads = np.asarray(self.spreads, dtype=float)
-        norm_params = tuple((float(a), float(b)) for a, b in self.norm_params)
+        norm_params = norm_pairs(self.norm_params)
         if centers.ndim != 2 or spreads.shape != centers.shape:
             raise ValueError(
                 f"centers and spreads must be 2-D arrays of one shape, got {centers.shape} and {spreads.shape}"
@@ -121,6 +121,16 @@ def normalize(data: np.ndarray) -> tuple[np.ndarray, tuple[tuple[float, float], 
     maxs = data.max(axis=0)
     params = tuple((float(mn), float(mx)) for mn, mx in zip(mins, maxs))
     return apply_normalization(data, params), params
+
+
+def norm_pairs(norm_params) -> tuple[tuple[float, float], ...]:
+    """``norm_params`` as float pairs; ``ValueError`` unless each (min, max)
+    is finite with min <= max (min == max is a constant column)."""
+    pairs = tuple((float(lo), float(hi)) for lo, hi in norm_params)
+    for i, (lo, hi) in enumerate(pairs):
+        if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
+            raise ValueError(f"norm_params[{i}] must be a finite (min, max) with min <= max, got ({lo}, {hi})")
+    return pairs
 
 
 def apply_normalization(data: np.ndarray, norm_params) -> np.ndarray:

@@ -101,8 +101,8 @@ class Gaussian(_Shape):
 
     def __post_init__(self):
         super().__post_init__()
-        if not (self.sigma > 0.0):
-            raise ValueError(f"gaussian sigma must be > 0, got {self.sigma}")
+        if not (self.sigma > 0.0 and self.params()[1] > 0.0):  # 2 * sigma**2 may round to 0.0
+            raise ValueError(f"gaussian sigma must be > 0 with 2 * sigma**2 > 0, got {self.sigma}")
 
     def params(self) -> tuple:
         return self.center, 2.0 * self.sigma * self.sigma
@@ -125,8 +125,9 @@ class TwoSidedGaussian(_Shape):
 
     def __post_init__(self):
         super().__post_init__()
-        if not (self.left_sigma > 0.0 and self.right_sigma > 0.0):
-            raise ValueError("two-sided gaussian lobes need sigma > 0")
+        _, left_denom, _, right_denom = self.params()
+        if not (self.left_sigma > 0.0 and self.right_sigma > 0.0 and left_denom > 0.0 and right_denom > 0.0):
+            raise ValueError("two-sided gaussian lobes need sigma > 0 with 2 * sigma**2 > 0")
         if self.left_center > self.right_center:
             raise ValueError("left_center must not exceed right_center")
 

@@ -8,9 +8,10 @@ Endpoints:
     POST /decide                     {"user_id": ..., "counters": {...}?}
     POST /feedback/provider/{id}     {"feedback": "positive" | "negative"}
 
-Every body carries ``"schema": "tmm/1"``.  Decisions come from the
-fitted fuzzy model when one is configured, else from the baseline
-formula; with no fresh counters the latest stored record is served.
+Every body carries ``"schema": "tmm/1"`` as its first key, written by the
+HTTP layer alone.  Decisions come from the fitted fuzzy model when one is
+configured, else from the baseline formula; with no fresh counters the
+latest stored record is served.
 Users and providers are separate namespaces: the store is looked up by
 (kind, id), so a user decision under a provider's id neither reads nor
 hides the provider's record.
@@ -111,23 +112,6 @@ class ServiceConfig:
             raise ValueError(f"port must lie in 0..65535, got {self.port}")
 
 
-@dataclass(frozen=True)
-class DecisionResponse:
-    decision: str  # "grant" | "deny"
-    trust: float
-    model: str  # "baseline" | "fis"
-    evaluated_at: str
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "decision": self.decision,
-            "trust": self.trust,
-            "model": self.model,
-            "evaluated_at": self.evaluated_at,
-        }
-
-
 def _stored_ban(store: TrustStore | None, kind: str, subject_id: str) -> bool:
     """Whether the subject's latest stored record is ``banned``."""
     try:
@@ -198,7 +182,9 @@ class FeedbackLedger:
 
 class TrustService:
     """Protocol-independent core behind the HTTP layer, which tests and the
-    benchmark also drive directly; the CLI writes through ``record_decision``."""
+    benchmark also drive directly; the CLI writes through ``record_decision``.
+    Its methods return plain dicts: the ``tmm/1`` envelope is written by
+    ``_Handler._send`` alone."""
 
     def __init__(self, config: ServiceConfig):
         self.config = config
@@ -219,9 +205,10 @@ class TrustService:
         self.store.close()
         self.feedback.close()
 
-    def decide(self, user_id: str, counters: UserBehaviorCounters | None = None) -> DecisionResponse:
-        """Grant iff trust strictly exceeds the configured threshold and the
-        subject is not banned; every decision appends one audit record."""
+    def decide(self, user_id: str, counters: UserBehaviorCounters | None = None) -> dict:
+        """``{decision, trust, model, evaluated_at}``: grant iff trust strictly
+        exceeds the configured threshold and the subject is not banned; every
+        decision appends one audit record."""
         if not isinstance(user_id, str) or not user_id:
             raise ValueError(f"user_id must be a non-empty string, got {user_id!r}")
         if counters is not None:
@@ -235,13 +222,11 @@ class TrustService:
             trust, model, evaluated_at = stored.trust, stored.model, stored.evaluated_at
         record = record_decision(self.store, "user", user_id, trust, model, self.config.threshold)
         decision = "grant" if record.classification == "trusted" else "deny"
-        evaluated_at = evaluated_at or record.evaluated_at
-        return DecisionResponse(decision=decision, trust=trust, model=model, evaluated_at=evaluated_at)
+        return {"decision": decision, "trust": trust, "model": model,
+                "evaluated_at": evaluated_at or record.evaluated_at}
 
     def user_trust(self, user_id: str) -> dict:
-        data = self.store.get("user", user_id).to_dict()  # NotFoundError propagates
-        data["schema"] = SCHEMA
-        return data
+        return self.store.get("user", user_id).to_dict()  # NotFoundError propagates
 
     def _provider_banned(self, provider_id: str, ratio: float) -> bool:
         """The provider ban rule: a stored ``banned`` record or ``feedback_ban``."""
@@ -250,7 +235,6 @@ class TrustService:
     def provider_trust(self, provider_id: str) -> dict:
         data = self.store.get("provider", provider_id).to_dict()
         ratio = self.feedback.negative_ratio(provider_id)
-        data["schema"] = SCHEMA
         data["negative_feedback_ratio"] = ratio
         data["banned"] = self._provider_banned(provider_id, ratio)
         if data["banned"]:
@@ -261,12 +245,8 @@ class TrustService:
 
     def provider_feedback(self, provider_id: str, feedback: str) -> dict:
         ratio = self.feedback.record(provider_id, feedback)
-        return {
-            "schema": SCHEMA,
-            "provider_id": provider_id,
-            "negative_feedback_ratio": ratio,
-            "banned": self._provider_banned(provider_id, ratio),
-        }
+        return {"provider_id": provider_id, "negative_feedback_ratio": ratio,
+                "banned": self._provider_banned(provider_id, ratio)}
 
 
 def _counters_from_payload(user_id: str, payload: dict) -> UserBehaviorCounters:
@@ -314,7 +294,9 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
     def _send(self, status: int, body: dict, **headers: str) -> None:
-        data = json.dumps(body).encode("utf-8")
+        """The one place a response body is written, as ``{"schema": "tmm/1",
+        **body}``: every route, error and protocol failure goes through here."""
+        data = json.dumps({"schema": SCHEMA, **body}).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
@@ -327,7 +309,7 @@ class _Handler(BaseHTTPRequestHandler):
             self.wfile.write(data)
 
     def _error(self, status: int, message: str) -> None:
-        self._send(status, {"schema": SCHEMA, "error": message})
+        self._send(status, {"error": message})
 
     def _internal_error(self) -> None:
         """The last-resort answer to an exception no branch expects (an
@@ -345,7 +327,7 @@ class _Handler(BaseHTTPRequestHandler):
             code, message = HTTPStatus.METHOD_NOT_ALLOWED, f"method {self.command!r} not allowed"
             headers["Allow"] = "GET, POST"
         self.close_connection = True
-        self._send(code, {"schema": SCHEMA, "error": message or HTTPStatus(code).phrase}, **headers)
+        self._send(code, {"error": message or HTTPStatus(code).phrase}, **headers)
 
     def handle_expect_100(self):
         answered = super().handle_expect_100()
@@ -399,7 +381,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _get(self, path: str, raw: bytes) -> dict:
         if path == "/healthz":
-            return {"schema": SCHEMA, "status": "ok"}
+            return {"status": "ok"}
         if path.startswith("/trust/user/"):
             return self.service.user_trust(_path_id(path, "/trust/user/"))
         if path.startswith("/trust/provider/"):
@@ -420,7 +402,7 @@ class _Handler(BaseHTTPRequestHandler):
             counters = None
             if payload.get("counters") is not None:
                 counters = _counters_from_payload(user_id, payload["counters"])
-            return self.service.decide(user_id, counters=counters).to_dict()
+            return self.service.decide(user_id, counters=counters)
         if path.startswith("/feedback/provider/"):
             return self.service.provider_feedback(_path_id(path, "/feedback/provider/"), payload.get("feedback", ""))
         raise NotFoundError(f"unknown path {path}")

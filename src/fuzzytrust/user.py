@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .clustering import ClusterConfig, ClusterModel, apply_normalization, fcm_fit, normalize
+from .clustering import ClusterConfig, ClusterModel, apply_normalization, fcm_fit, norm_pairs, normalize
 from .errors import DegenerateOutputError, InvalidModelError, ZeroTotalRequestsError
 from .fuzzy import FuzzyInferenceSystem, FuzzyRule, Gaussian, LinguisticVariable, Triangular
 from .store import check_format, load_artifact, save_artifact
@@ -154,7 +154,7 @@ class UserTrustModel:
     norm_params: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "norm_params", tuple((float(a), float(b)) for a, b in self.norm_params))
+        object.__setattr__(self, "norm_params", norm_pairs(self.norm_params))
         if len(self.norm_params) < 4:
             raise InvalidModelError("user trust model needs normalization parameters for 4 features")
         if sorted(self.fis.input_names) != sorted(_FEATURE_OF_INPUT):

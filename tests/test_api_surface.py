@@ -1,9 +1,11 @@
-"""The package's public names and its command line, pinned: a change to
-``fuzzytrust.__all__``, or a subcommand or flag added or removed, has to
-change the lists here too.  Importing the package, its CLI or its service
-loads no scipy: numpy is the one runtime dependency."""
+"""The package's public names, its command line and its config objects'
+fields, pinned: a change to ``fuzzytrust.__all__``, or a subcommand, flag
+or config field added or removed, has to change the lists here too.
+Importing the package, its CLI or its service loads no scipy: numpy is the
+one runtime dependency."""
 
 import argparse
+import dataclasses
 import os
 import subprocess
 import sys
@@ -11,6 +13,7 @@ from pathlib import Path
 
 import fuzzytrust
 from fuzzytrust import cli
+from fuzzytrust.service import ServiceConfig
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -65,6 +68,15 @@ CLI_FLAGS = {
 }
 
 
+# each config object's fields, in declaration order
+CONFIG_FIELDS = {
+    ServiceConfig: ["store_path", "feedback_path", "user_model_path", "threshold", "host", "port"],
+    fuzzytrust.ClusterConfig: ["c", "m", "tol", "max_iter", "seed"],
+    fuzzytrust.CorpusSpec: ["n_users", "n_train", "benign_fraction", "benign_rate", "malicious_dominant",
+                            "malicious_background", "total_requests", "seed"],
+}
+
+
 def test_public_names_pinned():
     assert sorted(fuzzytrust.__all__) == PUBLIC_NAMES
 
@@ -77,6 +89,12 @@ def test_cli_flags_pinned():
     }
     assert flags == CLI_FLAGS
     assert (len(flags), sum(map(len, flags.values()))) == (9, 53)
+
+
+def test_config_fields_pinned():
+    fields = {config: [f.name for f in dataclasses.fields(config)] for config in CONFIG_FIELDS}
+    assert fields == CONFIG_FIELDS
+    assert [len(names) for names in fields.values()] == [6, 5, 8]
 
 
 def test_every_public_name_resolves():

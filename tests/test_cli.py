@@ -61,6 +61,28 @@ def test_malformed_cluster_model_names_the_file(pipeline, tmp_path, capsys):
     assert not (tmp_path / "rebuilt.json").exists()
 
 
+def test_cluster_model_with_infinite_norm_params(pipeline, tmp_path, capsys):
+    document = json.loads(pipeline["clusters.json"].read_text())
+    document["norm_params"][1] = [float("inf"), 3.0]
+    clusters = tmp_path / "inf.json"
+    clusters.write_text(json.dumps(document))
+    code, _, err = run(capsys, "build-user-fis", "--model", clusters, "--out", tmp_path / "rebuilt.json")
+    assert code == 1
+    assert f"error: {clusters}: ValueError: norm_params[1] must be a finite" in err
+    assert not (tmp_path / "rebuilt.json").exists()
+
+
+def test_user_model_with_nan_norm_params(pipeline, tmp_path, capsys):
+    document = json.loads(pipeline["user.json"].read_text())
+    document["norm_params"][0] = [5.0, float("nan")]
+    model = tmp_path / "nan.json"
+    model.write_text(json.dumps(document))
+    code, out, err = run(capsys, "eval-user", "--bad", 0, "--bogus", 0, "--unauthorized", 1, "--total", 10,
+                         "--user-model", model)
+    assert (code, out) == (1, "")
+    assert f"error: {model}: ValueError: norm_params[0] must be a finite" in err
+
+
 def test_user_model_given_as_cluster_model(pipeline, tmp_path, capsys):
     code, _, err = run(capsys, "build-user-fis", "--model", pipeline["user.json"], "--out", tmp_path / "x.json")
     assert code == 1
@@ -122,7 +144,7 @@ def test_store_writes_keep_a_stored_ban(tmp_path, capsys):
     result = json.loads(out)
     assert code == 0 and (result["banned"], result["trust"]) == (True, 0.0)
     with contextlib.closing(TrustService(ServiceConfig(store_path=str(store_path)))) as svc:
-        assert svc.decide("u1").decision == "deny"
+        assert svc.decide("u1")["decision"] == "deny"
         assert svc.provider_trust("p1")["banned"] is True
 
 

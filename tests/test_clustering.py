@@ -259,9 +259,12 @@ class TestSerialization:
             ({"spreads": [[0.1, 0.0], [0.1, 0.1]]}, "spreads must be > 0"),
             ({"spreads": [[0.1, 0.1], [-0.1, 0.1]]}, "spreads must be > 0"),
             ({"norm_params": [[0.0, 1.0]]}, "one norm_params pair per dimension"),
+            ({"norm_params": [[0.0, 1.0], [float("inf"), 3.0]]}, r"norm_params\[1\] must be a finite"),
+            ({"norm_params": [[5.0, float("nan")], [0.0, 1.0]]}, r"norm_params\[0\] must be a finite"),
+            ({"norm_params": [[0.0, 1.0], [2.0, 1.0]]}, r"norm_params\[1\] must be .* min <= max"),
         ],
         ids=["spreads-short", "one-dimensional", "nan-center", "inf-spread", "zero-spread", "negative-spread",
-             "norm-params-short"],
+             "norm-params-short", "norm-params-inf", "norm-params-nan", "norm-params-inverted"],
     )
     def test_malformed_document_names_the_file(self, tmp_path, change, message):
         valid = ClusterModel(
@@ -277,6 +280,17 @@ class TestSerialization:
         with pytest.raises(ValueError, match=message) as exc_info:
             load_artifact(ClusterModel, path)
         assert str(exc_info.value).startswith(f"{path}: ValueError: ")
+
+    def test_constant_column_norm_params_are_valid(self):
+        model = ClusterModel(
+            centers=np.array([[0.2, 0.2], [0.8, 0.8]]),
+            spreads=np.full((2, 2), 0.1),
+            norm_params=((3.0, 3.0), (0.0, 1.0)),
+            m=2.0,
+            objective_trace=(1.0,),
+            config=ClusterConfig(c=2),
+        )
+        assert model.norm_params == ((3.0, 3.0), (0.0, 1.0))
 
     def test_rejects_wrong_format(self):
         with pytest.raises(ValueError):

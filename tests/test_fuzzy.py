@@ -69,6 +69,12 @@ class TestMembershipFunctions:
             Triangular(1.0, 0.5, 0.0)
         with pytest.raises(ValueError):
             Triangular(0.5, 0.5, 0.5)
+        # 2 * sigma**2 rounds to 0.0: the degree at the center would be 0/0
+        for mf in (lambda: Gaussian(0.5, 1e-300), lambda: TwoSidedGaussian(0.2, 1e-300, 0.6, 0.1),
+                   lambda: TwoSidedGaussian(0.2, 0.1, 0.6, 1e-170)):
+            with pytest.raises(ValueError, match=r"2 \* sigma\*\*2 > 0"):
+                mf()
+        assert Gaussian(0.5, 1e-160)(0.5) == 1.0  # 2 * sigma**2 is subnormal, not 0.0
 
     @pytest.mark.parametrize(
         "mf", [Gaussian(0.5, 0.1), TwoSidedGaussian(0.2, 0.1, 0.6, 0.1), Triangular(0.0, 0.5, 1.0)]

@@ -87,7 +87,7 @@ class TestDecideThreshold:
     def test_service_uses_its_config_threshold(self, tmp_path):
         service = TrustService(ServiceConfig(store_path=str(tmp_path / "s.jsonl"), threshold=0.4))
         counters = UserBehaviorCounters("u1", uar=160, bor=0, bar=0, tr=160)
-        assert service.decide("u1", counters=counters).decision == "grant"
+        assert service.decide("u1", counters=counters)["decision"] == "grant"
         service.close()
 
 
@@ -193,7 +193,7 @@ class TestStoredState:
         service = TrustService(ServiceConfig(store_path=str(tmp_path / "s.jsonl")))
         service.store.put(_record("p1", "provider", 0.8, "trusted"))
         counters = UserBehaviorCounters("p1", uar=160, bor=0, bar=0, tr=160)
-        assert service.decide("p1", counters=counters).decision == "deny"
+        assert service.decide("p1", counters=counters)["decision"] == "deny"
         provider = service.provider_trust("p1")
         assert (provider["subject_kind"], provider["trust"]) == ("provider", 0.8)
         assert service.user_trust("p1")["trust"] == 0.5
@@ -204,8 +204,8 @@ class TestStoredState:
         service.store.put(_record("u1", "user", 0.9, "banned"))
         clean = UserBehaviorCounters("u1", uar=0, bor=0, bar=0, tr=100)
         fresh = service.decide("u1", counters=clean)
-        assert (fresh.decision, fresh.trust) == ("deny", 1.0)
-        assert service.decide("u1").decision == "deny"
+        assert (fresh["decision"], fresh["trust"]) == ("deny", 1.0)
+        assert service.decide("u1")["decision"] == "deny"
         assert service.user_trust("u1")["classification"] == "banned"
         service.close()
 
@@ -215,7 +215,7 @@ class TestStoredState:
         service = TrustService(ServiceConfig(store_path=str(tmp_path / "s.jsonl")))
         counters = UserBehaviorCounters("u1", uar=0, bor=0, bar=0, tr=100)
         try:
-            assert service.decide("u1", counters=counters).evaluated_at == service.user_trust("u1")["evaluated_at"]
+            assert service.decide("u1", counters=counters)["evaluated_at"] == service.user_trust("u1")["evaluated_at"]
         finally:
             service.close()
 
@@ -228,6 +228,23 @@ class TestStoredState:
         assert provider["negative_feedback_ratio"] == 0.0
         assert service.store.get("provider", "p1").trust == 0.5  # the stored value stays intact
         service.close()
+
+
+def test_service_results_carry_no_schema(tmp_path):
+    """``TrustService`` is protocol-free: the HTTP layer adds ``tmm/1``."""
+    service = TrustService(ServiceConfig(store_path=str(tmp_path / "s.jsonl")))
+    try:
+        service.store.put(_record("p1", "provider", 0.8, "trusted"))
+        results = [
+            service.decide("u1", counters=UserBehaviorCounters("u1", uar=0, bor=0, bar=0, tr=10)),
+            service.user_trust("u1"),
+            service.provider_trust("p1"),
+            service.provider_feedback("p1", "positive"),
+        ]
+    finally:
+        service.close()
+    assert [type(result) for result in results] == [dict] * 4
+    assert not any("schema" in result for result in results)
 
 
 class TestProviderBan:
@@ -385,6 +402,30 @@ class TestKeepAlive:
             response, body = _exchange(sock, _request("HEAD", "/healthz"), "HEAD")
             assert (response.status, body, response.getheader("Allow")) == (405, b"", "GET, POST")
             assert _closed(sock)
+
+
+def test_every_body_opens_with_the_schema(server):
+    server.RequestHandlerClass.service.store.put(_record("p1", "provider", 0.8, "trusted"))
+    fresh, stored = _decide_body(), json.dumps({"user_id": "u1"}).encode()
+    feedback = json.dumps({"feedback": "positive"}).encode()
+    requests = [  # (method, path, body, status); the fresh decide stores the record the next two read
+        ("POST", "/decide", fresh, 200),
+        ("POST", "/decide", stored, 200),
+        ("GET", "/trust/user/u1", b"", 200),
+        ("GET", "/trust/provider/p1", b"", 200),
+        ("POST", "/feedback/provider/p1", feedback, 200),
+        ("GET", "/healthz", b"", 200),
+        ("GET", "/nowhere", b"", 404),
+        ("POST", "/decide", b"[]", 400),
+        ("PUT", "/decide", b"{}", 405),
+        ("POST", "/decide", b"", 413),
+    ]
+    for method, path, body, status in requests:
+        length = MAX_BODY_BYTES + 1 if status == 413 else len(body)
+        with _connect(server) as sock:
+            response, data = _exchange(sock, _request(method, path, [("Content-Length", length)], body), method)
+            assert response.status == status, (method, path)
+            assert next(iter(json.loads(data).items())) == ("schema", SCHEMA), (method, path)
 
 
 class TestPathIds:

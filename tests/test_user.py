@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -322,6 +323,21 @@ class TestUserTrustModelBundle:
         bundle = UserTrustModel.from_cluster_model(two_cluster_model)
         assert bundle.norm_params == two_cluster_model.norm_params
         assert len(bundle.fis.rules) == two_cluster_model.c
+
+    @pytest.mark.parametrize("pair", [[5.0, float("nan")], [float("-inf"), 3.0], [2.0, 1.0]],
+                             ids=["nan", "inf", "inverted"])
+    def test_bad_norm_params_name_the_file(self, tmp_path, two_cluster_user_model, pair):
+        document = two_cluster_user_model.to_dict()
+        document["norm_params"][0] = pair
+        path = tmp_path / "user-model.json"
+        path.write_text(json.dumps(document))
+        with pytest.raises(ValueError, match=r"norm_params\[0\] must be a finite \(min, max\) with min <= max") as exc_info:
+            load_user_model(path)
+        assert str(exc_info.value).startswith(f"{path}: ValueError: ")
+
+    def test_constant_column_norm_params_are_valid(self, two_cluster_user_model):
+        norm_params = ((4.0, 4.0),) + two_cluster_user_model.norm_params[1:]
+        assert UserTrustModel(two_cluster_user_model.fis, norm_params).norm_params == norm_params
 
     def test_rejects_wrong_format(self):
         with pytest.raises(ValueError):
