@@ -21,24 +21,29 @@ itself into arrays, once:
 - the rules sorted by consequent label, so the per-label max firing
   strength is one ``np.maximum.reduceat``;
 - the fired output sets sampled on the output grid, each on its
-  ``support`` only, and kept over their joint span: the grid columns
-  outside which every one of them is 0.0.
+  ``support`` only, and cut by column into tiles.  Tiles are cut only
+  where some set's non-zero run starts or ends; a small dynamic program
+  picks the cuts that minimise, summed over tiles, one numpy call's cost
+  plus labels x width.  Each tile keeps, as one dense block, only the sets
+  non-zero somewhere in it; a tile where every set is 0.0 is dropped.
+  The choice follows the engine's shape alone: one tile is the dense
+  form (each provider engine), many tiles the per-set slice.
 
-The clip-max runs over (rows, fired labels, span) and is written into a
-zeroed (rows, resolution) aggregate, so the area and the moment of the
-centroid are still summed over every grid point, in grid order.  A
-fitted user engine's triangles span about half the grid; the provider
-engines span all of it.
+The clip-max runs once per tile into a zeroed (rows, resolution)
+aggregate, so the area and the moment of the centroid are still summed
+over every grid point, in grid order.  A fitted user engine's 25 triangles
+fall into two or three tiles holding a quarter to a half of the cells of
+one dense (labels, span) block.
 
 ``infer_batch`` maps an (N, n_inputs) matrix to N crisp values and
 returns NaN for a row whose aggregate has zero area (no rule fired, or
 no fired set is non-zero on any grid point); ``infer`` raises
 ``DegenerateOutputError`` there instead.  Rows are processed in chunks
-in which neither the (rows, labels, span) clip-max temporary nor the
-(rows, resolution) aggregate holds more than ``_CHUNK_FLOATS`` floats
-(2 MB), or one row when a single row needs more.  Every reduction is
-row-wise, so a row's result does not depend on the other rows or on the
-chunking.
+in which the largest tile's (rows, labels, width) clip-max temporary and
+the (rows, resolution) aggregate together hold at most ``_CHUNK_FLOATS``
+floats (2 MB), or one row when a single row needs more.  Every
+reduction is row-wise, so a row's result does not depend on the other
+rows or on the chunking.
 """
 
 from __future__ import annotations
@@ -59,8 +64,13 @@ from .store import check_format
 # instead of producing a spurious zero-area aggregate.
 _EXP_CLAMP = 700.0
 
-# Upper bound on the floats in one chunk's clip-max temporary and in its aggregate (2 MB).
+# Upper bound on the floats that one chunk's largest clip-max temporary and its
+# aggregate hold together (2 MB).
 _CHUNK_FLOATS = 2**18
+
+# What one more clip-max tile costs beyond its labels x width elements: about
+# one numpy call, in element-ops.  It sets how finely the tiles cut the grid.
+_TILE_CALL_COST = 2300
 
 
 def _is_finite_number(value) -> bool:
@@ -220,6 +230,17 @@ class LinguisticVariable:
             low, high = mf.support
             if not (low < hi and high > lo):
                 raise ValueError(f"variable {self.name!r}: set {label!r} has no support in the domain")
+            if isinstance(mf, (Gaussian, TwoSidedGaussian)):
+                # the exponent (x - center)**2 / denom in ``degrees`` is largest at a domain end;
+                # a Gaussian is a two-sided one whose plateau is its center
+                params = mf.params()
+                left, left_denom, right, right_denom = params if len(params) == 4 else params * 2
+                with np.errstate(over="ignore"):
+                    far = max((np.float64(x) - min(max(x, left), right)) ** 2
+                              / (left_denom if x < left else right_denom) for x in (lo, hi))
+                if not math.isfinite(far):
+                    raise ValueError(f"variable {self.name!r}: set {label!r} is too narrow for the domain:"
+                                     " (x - center)**2 / (2 * sigma**2) overflows at a domain end")
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -385,16 +406,16 @@ class FuzzyInferenceSystem:
             low, high = mf.support
             inside = slice(xs.searchsorted(low, "left"), xs.searchsorted(high, "right"))
             row[inside] = mf(xs[inside])
-        fires = np.flatnonzero(grid.any(axis=0))
-        span = slice(int(fires[0]), int(fires[-1]) + 1) if fires.size else slice(0, 0)
+        tiles = _column_tiles(grid)
+        largest = max((block.size for _, _, block in tiles), default=0)
         return _CompiledRules(
             lo=np.array([v.domain[0] for v in self.inputs]),
             hi=np.array([v.domain[1] for v in self.inputs]),
             offsets=tuple(int(o) for o in offsets),
             antecedents=antecedents,
             label_starts=np.array(starts, dtype=np.intp),
-            span=span,
-            label_grid=grid[:, span].copy(),
+            tiles=tiles,
+            rows_per_chunk=max(1, _CHUNK_FLOATS // (largest + len(xs))),
         )
 
     def aggregate(self, rows: np.ndarray) -> np.ndarray:
@@ -408,7 +429,8 @@ class FuzzyInferenceSystem:
         strengths = degrees[:, c.antecedents].min(axis=2)  # min-AND, (n, rules)
         clip = np.maximum.reduceat(strengths, c.label_starts, axis=1)  # (n, fired labels)
         agg = np.zeros((len(rows), self.defuzz_resolution))
-        np.minimum(clip[:, :, None], c.label_grid).max(axis=1, out=agg[:, c.span])
+        for columns, tile_labels, block in c.tiles:
+            np.minimum(clip[:, tile_labels, None], block).max(axis=1, out=agg[:, columns])
         return agg
 
     def infer_batch(self, X) -> np.ndarray:
@@ -429,7 +451,7 @@ class FuzzyInferenceSystem:
         c = self._compiled
         X = np.minimum(np.maximum(X, c.lo), c.hi)
         xs = self._output_xs
-        step = max(1, _CHUNK_FLOATS // max(c.label_grid.size, len(xs)))
+        step = c.rows_per_chunk
         out = np.full(len(X), math.nan)
         for start in range(0, len(X), step):
             agg = self.aggregate(X[start : start + step])
@@ -515,6 +537,40 @@ class FuzzyInferenceSystem:
         )
 
 
+def _column_tiles(grid: np.ndarray) -> tuple:
+    """The clip-max tiles of ``grid`` (fired labels, resolution): column
+    ranges cut where some set's non-zero run starts or ends, chosen to
+    minimise the sum over tiles of ``_TILE_CALL_COST`` + labels x width.
+    Each tile keeps the sets non-zero somewhere in it; no tile is kept
+    where every set is 0.0."""
+    non_zero = grid != 0.0
+    live = np.flatnonzero(non_zero.any(axis=1))
+    first = non_zero[live].argmax(axis=1)
+    end = grid.shape[1] - non_zero[live, ::-1].argmax(axis=1)  # one past the last non-zero column
+    # a set: np.unique's first call in a process grows its resident memory by ~1.7 MB (numpy 2.4)
+    cuts = np.array(sorted({*first.tolist(), *end.tolist()}), dtype=np.intp)
+    # sets in [cuts[i], cuts[j]) for i < j: those starting before cuts[j], less those ending by cuts[i]
+    count = np.sort(first).searchsorted(cuts)[None, :] - np.sort(end).searchsorted(cuts, "right")[:, None]
+    cost = np.where(count > 0, _TILE_CALL_COST + count * (cuts[None, :] - cuts[:, None]), 0)
+    best = np.zeros(len(cuts), dtype=cost.dtype)  # cheapest tiling of [cuts[0], cuts[j])
+    back = np.zeros(len(cuts), dtype=np.intp)  # where its last tile starts
+    for j in range(1, len(cuts)):
+        total = best[:j] + cost[:j, j]
+        back[j] = total.argmin()
+        best[j] = total[back[j]]
+    tiles = []
+    j = len(cuts) - 1
+    while j > 0:
+        a, b = int(cuts[back[j]]), int(cuts[j])
+        labels = live[(first < b) & (end > a)]
+        if labels.size:
+            if labels[-1] - labels[0] == labels.size - 1:  # a run of labels: a view, not a gather
+                labels = slice(int(labels[0]), int(labels[-1]) + 1)
+            tiles.append((slice(a, b), labels, grid[labels, a:b].copy()))
+        j = back[j]
+    return tuple(reversed(tiles))
+
+
 @dataclass(frozen=True, eq=False)
 class _CompiledRules:
     """A system's rulebase as arrays; see the module docstring."""
@@ -524,6 +580,9 @@ class _CompiledRules:
     offsets: tuple[int, ...]  # input j's sets are degree columns offsets[j]:offsets[j + 1]
     antecedents: np.ndarray  # (rules, max antecedents) degree columns, rules by consequent
     label_starts: np.ndarray  # first rule of each fired label, for np.maximum.reduceat
-    span: slice  # the output grid columns outside which every fired set is 0.0 (empty if all are)
-    label_grid: np.ndarray  # (fired labels, span width) the fired output sets on the span's grid points
+    # (grid columns, fired labels, (labels, width) block) per column tile, in grid
+    # order; the block holds the fired sets non-zero somewhere in the tile, sampled
+    # on its columns.  Every fired set is 0.0 outside the tiles' columns.
+    tiles: tuple[tuple[slice, Union[slice, np.ndarray], np.ndarray], ...]
+    rows_per_chunk: int  # the largest tile's clip-max temporary plus the aggregate hold <= _CHUNK_FLOATS
 

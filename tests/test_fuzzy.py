@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -323,6 +324,27 @@ class TestValidation:
         with pytest.raises(ValueError):
             LinguisticVariable("x", (0.0, 1.0), (("far", Triangular(2.0, 3.0, 4.0)),))
 
+    def test_a_gaussian_whose_exponent_overflows_in_the_domain_is_rejected(self, tmp_path):
+        """(x - center)**2 / (2 sigma**2) must stay finite up to both domain
+        ends, or every set call and inference out there would overflow."""
+        for mf in (Gaussian(0.5, 1e-160), TwoSidedGaussian(0.2, 1e-160, 0.6, 0.1),
+                   TwoSidedGaussian(0.2, 0.1, 0.6, 1e-160), Gaussian(1e300, 1e140)):
+            with pytest.raises(ValueError, match="variable 'x': set 'narrow' is too narrow for the domain"):
+                LinguisticVariable("x", (0.0, 1.0), (("narrow", mf),))
+        # still valid: a finite exponent, and lobes that lie outside the domain
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for mf in (Gaussian(0.5, 1e-150), TwoSidedGaussian(-1.0, 1e-160, 2.0, 1e-160)):
+                fis = single_rule_fis((("mid", Triangular(0.4, 0.5, 0.6)),), "mid", antecedent_mf=mf)
+                assert np.isfinite(fis.infer_batch([[0.0], [0.6], [1.0]])).all()
+                assert 0.0 < mf(0.6) <= 1.0
+        doc = single_rule_fis((("mid", Triangular(0.4, 0.5, 0.6)),), "mid").to_dict()
+        doc["inputs"][0]["sets"][0]["mf"]["sigma"] = 1e-160
+        path = tmp_path / "narrow.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ValueError, match=r"narrow\.json: .*variable 'x': set 'on' is too narrow"):
+            load_artifact(FuzzyInferenceSystem, path)
+
     def test_defuzz_resolution_must_be_an_integer(self):
         fis = single_rule_fis((("mid", Triangular(0.4, 0.5, 0.6)),), "mid")
         for bad in ("7", 2.9, 7.0, True):
@@ -580,11 +602,28 @@ def production_engines():
     }
 
 
+def _one_input_fis(output_sets):
+    """One rule per output set, each fired by its own Gaussian input set."""
+    n = len(output_sets)
+    sets = tuple((f"s{i}", Gaussian((i + 0.5) / n, 0.5 / n)) for i in range(n))
+    return FuzzyInferenceSystem(
+        inputs=(LinguisticVariable("x", (0.0, 1.0), sets),),
+        output=LinguisticVariable("y", (0.0, 1.0), output_sets),
+        rules=tuple(FuzzyRule((("x", f"s{i}"),), ("y", label)) for i, (label, _) in enumerate(output_sets)),
+    )
+
+
 class TestSpanTrimmedClipMax:
-    def _check(self, fis, rng):
+    """The clip-max, run tile by tile over the fired sets' non-zero columns,
+    against the formula over the whole grid."""
+
+    def _check(self, fis, rng, ns=None):
         c = fis._compiled
-        step = fuzzy_module._CHUNK_FLOATS // max(c.label_grid.size, fis.defuzz_resolution)
-        for n in (1, step, step + 1, 500):
+        # the largest tile's temporary and the aggregate together stay within the bound
+        largest = max((block.size for _, _, block in c.tiles), default=0)
+        step = max(1, fuzzy_module._CHUNK_FLOATS // (largest + fis.defuzz_resolution))
+        assert c.rows_per_chunk == step
+        for n in ns or (1, step, step + 1, 500):
             X = rng.uniform(c.lo - 1.0, c.hi + 1.0, size=(n, len(fis.inputs)))
             with _chunk_sizes() as sizes:
                 batch = fis.infer_batch(X)
@@ -596,10 +635,25 @@ class TestSpanTrimmedClipMax:
         rng = np.random.default_rng(23)
         for fis in production_engines.values():
             self._check(fis, rng)
-        # the user engine's triangles leave most of the grid at zero, so its grid is trimmed
+        # the user engine's triangles leave most of their joint span at zero, so the tiles keep
+        # under half of its (labels, span) cells: 4 709 of 9 625 in two tiles for this model
         user = production_engines["user"]._compiled
-        assert user.label_grid.shape == (25, user.span.stop - user.span.start)
-        assert user.label_grid.shape[1] < 1001 / 2
+        span = user.tiles[-1][0].stop - user.tiles[0][0].start
+        assert len(user.tiles) > 1
+        assert sum(block.size for _, _, block in user.tiles) < 25 * span / 2
+        assert span < 1001 / 2
+
+    def test_each_provider_engine_is_one_tile_over_all_its_labels(self, production_engines):
+        for name in ("performance", "elasticity", "provider_trust"):
+            fis = production_engines[name]
+            c = fis._compiled
+            [(columns, labels, block)] = c.tiles
+            assert labels == slice(0, len(c.label_starts))  # a view of every fired label's clip level
+            fired = sorted({fis.output.labels.index(rule.consequent[1]) for rule in fis.rules})
+            grid = np.stack([fis.output.sets[k][1](fis._output_xs) for k in fired])
+            non_zero = np.flatnonzero(grid.any(axis=0))
+            assert (columns.start, columns.stop) == (non_zero[0], non_zero[-1] + 1)
+            assert np.array_equal(block, grid[:, columns])
 
     def test_random_systems_match_the_dense_clip_max(self):
         rng = np.random.default_rng(29)
@@ -609,11 +663,11 @@ class TestSpanTrimmedClipMax:
     def test_span_is_where_some_fired_set_is_non_zero(self):
         mid = Triangular(0.3, 0.5, 0.7)
         fis = single_rule_fis((("low", Triangular(0.0, 0.1, 0.2)), ("mid", mid)), "mid")  # "low" never fires
-        c = fis._compiled
+        [(columns, labels, block)] = fis._compiled.tiles
         non_zero = np.flatnonzero(mid(fis._output_xs))
-        assert (c.span.start, c.span.stop) == (non_zero[0], non_zero[-1] + 1)
-        assert 0 < c.span.start and c.span.stop < 1001
-        assert np.array_equal(c.label_grid, [mid(fis._output_xs[c.span])])
+        assert (columns.start, columns.stop) == (non_zero[0], non_zero[-1] + 1)
+        assert 0 < columns.start and columns.stop < 1001
+        assert np.array_equal(block, [mid(fis._output_xs[columns])])
 
     def test_a_fired_set_between_grid_points_leaves_an_empty_span(self):
         """No grid point falls inside the only output set: every row is
@@ -622,12 +676,39 @@ class TestSpanTrimmedClipMax:
         assert np.array_equal(fis.infer_batch([[0.5]]), [math.nan], equal_nan=True)
         with pytest.raises(DegenerateOutputError):
             fis.infer({"x": 0.5})
-        assert fis._compiled.label_grid.shape == (1, 0)
+        assert fis._compiled.tiles == ()
         X = np.linspace(0.0, 1.0, 600)[:, None]
         with _chunk_sizes() as sizes:
             assert np.isnan(fis.infer_batch(X)).all()
         step = fuzzy_module._CHUNK_FLOATS // fis.defuzz_resolution  # bounded by the (rows, resolution) aggregate
         assert sizes == [step, step, 600 - 2 * step]
+
+    def test_columns_where_every_set_is_zero_get_no_tile(self):
+        """8 triangles in [0, 0.1] and 8 in [0.9, 1]: the columns between
+        them are in no tile, and their aggregate stays 0.0."""
+        apexes = [0.01 * k for k in range(1, 9)] + [0.9 + 0.01 * k for k in range(1, 9)]
+        fis = _one_input_fis(tuple((f"t{i}", Triangular(a - 0.01, a, a + 0.01)) for i, a in enumerate(apexes)))
+        c = fis._compiled
+        assert len(c.tiles) == 2
+        assert c.tiles[0][0].stop <= 100 and c.tiles[1][0].start >= 900
+        self._check(fis, np.random.default_rng(31))
+
+    def test_a_300_label_output_compiles_and_matches_the_dense_formula(self):
+        rng = np.random.default_rng(37)
+        apexes = rng.uniform(0.0, 1.0, 300)
+        widths = rng.uniform(0.002, 0.2, 300)
+        fis = _one_input_fis(tuple(
+            (f"t{i}", Triangular(max(0.0, a - w), a, min(1.0, a + w))) for i, (a, w) in enumerate(zip(apexes, widths))
+        ))
+        tracemalloc.start()
+        try:
+            c = fis._compiled
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(c.tiles) > 1
+        assert peak < 32 * 2**20  # the tiling is O(cuts**2): a (cuts, cuts, labels) mask alone is ~100 MB
+        self._check(fis, rng, ns=(1, 2, 7, 20))
 
 
 @settings(max_examples=40, deadline=None)
@@ -646,11 +727,14 @@ def test_property_batch_rows_independent_of_order_and_chunking(seed, n):
     saved = fuzzy_module._CHUNK_FLOATS
     fuzzy_module._CHUNK_FLOATS = 1
     try:
+        one_row = dataclasses.replace(fis)  # a fresh system: its rows per chunk are fixed when it compiles
+        assert one_row._compiled.rows_per_chunk == 1
         with _chunk_sizes() as sizes:
-            assert np.array_equal(fis.infer_batch(X), batch, equal_nan=True)
-        assert sizes == [1] * n  # one row per chunk
+            twice = one_row.infer_batch(np.concatenate([X, X]))
+        assert np.array_equal(twice, np.concatenate([batch, batch]), equal_nan=True)
     finally:
         fuzzy_module._CHUNK_FLOATS = saved
+    assert sizes == [1] * (2 * n)  # one row per chunk, so at least two chunks
 
 
 def test_surface_cells_equal_scalar_infer_bit_for_bit():
