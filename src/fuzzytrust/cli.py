@@ -10,7 +10,8 @@
     fuzzytrust surface         response surface of any engine -> grid CSV
     fuzzytrust serve           run the trust management HTTP service
 
-``serve --store`` is required; provider feedback goes to ``<store>.feedback``.
+``serve --store`` is required; provider feedback goes to ``<store>.feedback``,
+checkpointed in ``<store>.feedback.snapshot``.
 Flags are the only configuration, and the baseline weights are fixed.
 
 Exit codes: 0 success, 1 data/model errors, 2 usage errors.

@@ -83,7 +83,9 @@ def _is_finite_number(value) -> bool:
 class _Shape:
     """Base of the membership shapes.  Each declares its ``fis/1`` tag ``shape``,
     its ``support`` and its one formula ``degrees(x, *params())``, vectorized
-    over parameter arrays for the compiled fuzzify table and the set call."""
+    over parameter arrays for the compiled fuzzify table and the set call.
+    A set has no domain: ``LinguisticVariable`` refuses a Gaussian exponent
+    that overflows at a domain end, and a bare set called there overflows."""
 
     support = (-math.inf, math.inf)  # a Gaussian is positive everywhere
 
@@ -102,7 +104,7 @@ class _Shape:
 
 @dataclass(frozen=True)
 class Gaussian(_Shape):
-    """Classic bell curve: degree 1 at ``center``, spread ``sigma``."""
+    """Classic bell curve: degree 1 at ``center``, spread ``sigma``.  No domain: see ``_Shape``."""
 
     center: float
     sigma: float
@@ -124,7 +126,7 @@ class Gaussian(_Shape):
 
 @dataclass(frozen=True)
 class TwoSidedGaussian(_Shape):
-    """Plateau of degree 1 between the two centers, Gaussian lobes outside."""
+    """Plateau of degree 1 between the two centers, Gaussian lobes outside.  No domain: see ``_Shape``."""
 
     left_center: float
     left_sigma: float

@@ -23,9 +23,10 @@ Routes match the path alone: a query string is not part of it (RFC 3986
 percent-decoded (``/trust/user/a%20b`` is user ``a b``, ``a%3Fb`` is
 ``a?b``); an id that does not decode as UTF-8 is refused with 400.
 The service is the store's single writer: it reads the store and the
-feedback ledger once, at start, so a record another process appends to
-them later (a ban written by ``fuzzytrust eval-user --store``, say) does
-not count until the service restarts.
+feedback ledger (``<store>.feedback``, checkpointed in
+``<store>.feedback.snapshot``) once, at start, so a record another
+process appends to them later (a ban written by ``fuzzytrust eval-user
+--store``, say) does not count until the service restarts.
 Ban rule: a subject whose latest stored record is ``banned`` stays
 banned in every record ``record_decision`` appends (the CLI's writes
 too), and is denied with or without fresh counters.  A provider is
@@ -65,7 +66,6 @@ holds one thread.
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass
 from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -78,7 +78,7 @@ from .errors import (
     NotFoundError,
 )
 from .provider import feedback_ban
-from .store import JsonlLog, TrustRecord, TrustStore, utc_now_iso
+from .store import FoldedLog, TrustRecord, TrustStore, _count, utc_now_iso
 from .user import (
     DEFAULT_THRESHOLD,
     UserBehaviorCounters,
@@ -141,17 +141,19 @@ def _feedback_slot(provider_id, feedback) -> int:  # tally index: 0 positive, 1 
     return int(feedback == "negative")
 
 
-class FeedbackLedger:
-    """Provider feedback in a ``JsonlLog`` with in-memory tallies.
+class FeedbackLedger(FoldedLog):
+    """Provider feedback in a ``FoldedLog`` with in-memory tallies.
 
     The ratio is a pure function of the feedback multiset, so replaying
     the log in any order gives the same tallies.
     """
 
+    SNAPSHOT = ("ledger-snapshot", 1)
+
     def __init__(self, path):
-        self._lock = threading.Lock()
         self._tallies: dict[str, list[int]] = {}  # provider -> [positive, negative]
-        self._log = JsonlLog(path, self._fold)
+        self._maps = [self._tallies]
+        super().__init__(path, self._fold, self._seed)
 
     def _fold(self, data: dict) -> None:
         if data["v"] != LEDGER_VERSION:
@@ -159,14 +161,20 @@ class FeedbackLedger:
         slot = _feedback_slot(data["provider_id"], data["feedback"])
         self._tallies.setdefault(data["provider_id"], [0, 0])[slot] += 1
 
+    def _seed(self, row) -> None:
+        provider_id, positive, negative = row
+        _feedback_slot(provider_id, "positive")  # the id check a logged line gets
+        self._tallies[provider_id] = [_count(positive), _count(negative)]
+
+    @staticmethod
+    def _row(provider_id: str, tally: list[int]) -> list:
+        return [provider_id, *tally]
+
     def record(self, provider_id: str, feedback: str) -> float:
-        """Validate, append, then tally: a failed write changes nothing."""
-        slot = _feedback_slot(provider_id, feedback)
-        with self._lock:
-            self._log.append(
-                {"v": LEDGER_VERSION, "provider_id": provider_id, "feedback": feedback, "at": utc_now_iso()}
-            )
-            self._tallies.setdefault(provider_id, [0, 0])[slot] += 1
+        """Validate, append, then fold: a failed write changes nothing."""
+        _feedback_slot(provider_id, feedback)
+        entry = {"v": LEDGER_VERSION, "provider_id": provider_id, "feedback": feedback, "at": utc_now_iso()}
+        self._append(entry, self._fold, entry)
         return self.negative_ratio(provider_id)
 
     def negative_ratio(self, provider_id: str) -> float:
@@ -174,10 +182,6 @@ class FeedbackLedger:
         if not tally or sum(tally) == 0:
             return 0.0
         return tally[1] / (tally[0] + tally[1])
-
-    def close(self) -> None:
-        with self._lock:
-            self._log.close()
 
 
 class TrustService:

@@ -8,33 +8,34 @@ versioned JSON documents.
   ``save_artifact``: ``fis``, ``cluster-model`` and ``user-trust-model``
   (read back by ``load_artifact``, checked by ``check_format``) and
   ``evaluation-report``.
-- Trust-store snapshot ``store-snapshot/2``: ``<store>.snapshot`` lets
-  an open skip the part of the log it covers.  Its first line is
-  ``{"format": "store-snapshot", "version": 2, "log_bytes",
-  "log_sha256", "lines", "records", "subjects"}``: the length of a
-  newline-terminated prefix of the log, the hex SHA-256 of that prefix,
-  the lines and the non-blank lines in it, and the number of subjects in
-  it.  Each following line is a JSON array of at most
-  ``SNAPSHOT_ROWS_PER_LINE`` rows ``[subject_kind, subject_id, trust,
-  classification, model, evaluated_at]``, the latest record of one
-  (kind, id) each, users before providers.  Both directions stream the
-  body a line at a time, never whole.  An open trusts the snapshot only
-  if every line parses and keeps to the cap, the format and version
-  match, every row is a valid record of a distinct subject, the rows
-  number ``subjects``, ``subjects <= records <= lines``, and the prefix
-  is no longer than the log and still hashes to that digest.  Then the
-  index starts from the snapshot and only the log's tail is replayed;
-  otherwise the whole log is, and a corrupt line is reported as ever.
-  So a ``store-snapshot/1`` file (a record object per line) is ignored
-  once and then replaced.  After an open whose replay grew the
+- Snapshots: ``<log>.snapshot`` checkpoints the state a ``FoldedLog``
+  folds its log into, so an open skips the part of the log it covers.  Its
+  first line is ``{"format", "version", "log_bytes", "log_sha256",
+  "lines", "records", "subjects"}``: the length of a newline-terminated
+  prefix of the log, the hex SHA-256 of that prefix, the lines and the
+  non-blank lines in it, and the number of rows below.  Each following
+  line is a JSON array of at most ``SNAPSHOT_ROWS_PER_LINE`` rows, one per
+  subject: in the trust store's ``store-snapshot/2``, ``[subject_kind,
+  subject_id, trust, classification, model, evaluated_at]`` of the latest
+  record per (kind, id), users before providers; in the ledger's
+  ``ledger-snapshot/1``, ``[provider_id, positive, negative]``.  Both
+  directions stream the body a line at a time, never whole.  An open
+  trusts a snapshot only if every line parses and keeps to the cap, the
+  format and version match, every row is valid and of a distinct subject,
+  the rows number ``subjects``, ``subjects <= records <= lines``, and the
+  prefix is no longer than the log and still hashes to that digest.  Then
+  the state starts from the snapshot and only the log's tail is replayed;
+  otherwise the whole log is, and a corrupt line is reported as ever.  So
+  a ``store-snapshot/1`` file (a record object per line) is ignored once
+  and then replaced.  After an open whose replay grew the
   newline-terminated prefix, the snapshot is rewritten: a temporary file
-  in the same directory, then ``os.replace``.  A failed write is
-  ignored.  The log stays the source of truth: it is never rewritten,
-  and deleting the snapshot costs only a full replay.
+  in the same directory, then ``os.replace``.  A failed write is ignored.
+  The log stays the source of truth: it is never rewritten, and deleting
+  the snapshot costs only a full replay.
 
-Single writer: a ``TrustStore`` reads its log once, when it opens, and
+Single writer: a ``FoldedLog`` reads its log once, when it opens, and
 then sees only the records appended through itself.  Records another
-process (or another ``TrustStore`` on the same file) appends later stay
+process (or another ``FoldedLog`` on the same file) appends later stay
 invisible to it until it is reopened.
 
 Durability: every appended line is flushed and nothing is fsynced, so a
@@ -63,8 +64,6 @@ from typing import NamedTuple
 from .errors import NotFoundError, StoreCorruptError
 
 RECORD_VERSION = 1
-SNAPSHOT_FORMAT = "store-snapshot"
-SNAPSHOT_VERSION = 2
 SNAPSHOT_SUFFIX = ".snapshot"
 HASH_CHUNK_BYTES = 1 << 16
 SNAPSHOT_ROWS_PER_LINE = 256  # bounds what one snapshot line holds in memory, read or written
@@ -231,16 +230,113 @@ def _count(value) -> int:
     return value
 
 
-class TrustStore:
+class FoldedLog:
+    """A ``JsonlLog`` folded into in-memory state, checkpointed as the module
+    docstring says.  A subclass sets ``SNAPSHOT = (format, version)``, keeps
+    its state in the dicts ``_maps`` (one snapshot row per entry, made by
+    ``_row(key, value)``), and passes ``__init__`` the ``fold`` of one log
+    line and the ``seed`` of one snapshot row into that state."""
+
+    def __init__(self, path, fold, seed):
+        self._lock = threading.Lock()
+        path = Path(path)
+        self._snapshot_path = path.with_name(path.name + SNAPSHOT_SUFFIX)
+        start, digest = self._seed_from_snapshot(path, seed)
+        self._log = JsonlLog(path, fold, start)
+        end = self._log.end
+        if end is not None and end.offset > start.offset:
+            self._write_snapshot(path, start, digest, end)
+
+    def _seed_from_snapshot(self, path: Path, seed) -> tuple[LogPosition, object]:
+        """Seed the state from a snapshot that passes every check and return
+        the log position it covers with that prefix's running digest; else
+        leave the state empty and return the log's start and None."""
+        header = {}
+
+        def read(data) -> None:
+            if header:
+                if len(data) > SNAPSHOT_ROWS_PER_LINE:
+                    raise ValueError(f"a snapshot line holds more than {SNAPSHOT_ROWS_PER_LINE} rows")
+                for row in data:
+                    seed(row)
+                header["rows"] += len(data)
+                return
+            check_format(data, *self.SNAPSHOT)
+            covered = LogPosition(_count(data["log_bytes"]), _count(data["lines"]), _count(data["records"]))
+            digest = _sha256(path, 0, covered.offset)  # ValueError if the log is shorter
+            if digest.hexdigest() != data["log_sha256"]:
+                raise ValueError("the log prefix has changed")
+            header.update(covered=covered, digest=digest, subjects=_count(data["subjects"]), rows=0)
+
+        try:
+            JsonlLog(self._snapshot_path, read)
+            if not header:
+                raise ValueError("no snapshot")
+            covered, seeded = header["covered"], sum(map(len, self._maps))
+            if not header["rows"] == seeded == header["subjects"] <= covered.records <= covered.lines:
+                raise ValueError("the snapshot's counts disagree")
+            return covered, header["digest"]
+        except (OSError, ValueError, StoreCorruptError, RecursionError):
+            for state in self._maps:
+                state.clear()
+            return LogPosition(), None
+
+    def _write_snapshot(self, path: Path, start: LogPosition, digest, end: LogPosition) -> None:
+        """Replace the snapshot with one covering the log up to ``end``;
+        ``digest`` has hashed the log up to ``start``.  A failed write leaves
+        the state as it is; the next open then ignores or keeps the old
+        snapshot."""
+        target = self._snapshot_path
+        tmp = None
+        try:
+            header = {
+                "format": self.SNAPSHOT[0],
+                "version": self.SNAPSHOT[1],
+                "log_bytes": end.offset,
+                "log_sha256": _sha256(path, start.offset, end.offset, digest).hexdigest(),
+                "lines": end.lines,
+                "records": end.records,
+                "subjects": sum(map(len, self._maps)),
+            }
+            fd, tmp = tempfile.mkstemp(prefix=target.name + ".", suffix=".tmp", dir=target.parent)
+            with open(fd, "w", encoding="utf-8") as fh:
+                os.chmod(tmp, stat.S_IMODE(path.stat().st_mode))  # readable by whoever may read the log
+                fh.write(json.dumps(header) + "\n")
+                rows = (self._row(key, value) for state in self._maps for key, value in state.items())
+                while chunk := list(islice(rows, SNAPSHOT_ROWS_PER_LINE)):
+                    fh.write(json.dumps(chunk) + "\n")
+            os.replace(tmp, target)
+        except (OSError, ValueError):
+            if tmp is not None:
+                try:
+                    os.unlink(tmp)
+                except OSError:
+                    pass
+
+    def _append(self, data: dict, apply, *args) -> None:
+        """Append ``data``, then ``apply(*args)``: a failed write changes nothing."""
+        with self._lock:
+            self._log.append(data)
+            apply(*args)
+
+    def close(self) -> None:
+        with self._lock:
+            self._log.close()
+
+    def __len__(self) -> int:
+        """Total records appended (not unique subjects)."""
+        return len(self._log)
+
+
+class TrustStore(FoldedLog):
     """Trust records in a ``JsonlLog``, indexed in memory by the latest
     record per (subject kind, subject id).  "Latest" is the latest
     ``evaluated_at`` instant, whatever its UTC offset; of equal instants
-    the one appended last.  Opening replays the log after the prefix a
-    valid snapshot covers (all of it without one) and reports the first
-    corrupt line replayed, if any, an unparsable ``evaluated_at`` included."""
+    the one appended last.  An unparsable ``evaluated_at`` is a corrupt line."""
+
+    SNAPSHOT = ("store-snapshot", 2)
 
     def __init__(self, path):
-        self._lock = threading.Lock()
         # kind -> id -> (instant, record): on replay a nested lookup is cheaper
         # than a tuple key per line, and each stamp is parsed once
         self._latest: dict[str, dict[str, tuple[datetime, TrustRecord]]] = {kind: {} for kind in SUBJECT_KINDS}
@@ -256,92 +352,22 @@ class TrustStore:
             record = from_dict(data)
             index(record, _instant(record.evaluated_at))
 
-        self._index = index
-        path = Path(path)
-        self._snapshot_path = path.with_name(path.name + SNAPSHOT_SUFFIX)
-        start, digest = self._seed_from_snapshot(path)
-        self._log = JsonlLog(path, replay, start)
-        end = self._log.end
-        if end is not None and end.offset > start.offset:
-            self._write_snapshot(path, start, digest, end)
+        def seed(row) -> None:
+            kind, subject_id, trust, classification, model, evaluated_at = row
+            index(TrustRecord(subject_id, kind, trust, classification, model, evaluated_at), _instant(evaluated_at))
 
-    def _seed_from_snapshot(self, path: Path) -> tuple[LogPosition, object]:
-        """Index the records of a snapshot that passes every check and return
-        the log position it covers with that prefix's running digest; else
-        leave the index empty and return the log's start and None."""
-        header, index = {}, self._index
+        self._index, self._maps = index, list(latest.values())
+        super().__init__(path, replay, seed)
 
-        def seed(data) -> None:
-            if header:
-                if len(data) > SNAPSHOT_ROWS_PER_LINE:
-                    raise ValueError(f"a snapshot line holds more than {SNAPSHOT_ROWS_PER_LINE} rows")
-                for kind, subject_id, trust, classification, model, evaluated_at in data:
-                    record = TrustRecord(subject_id, kind, trust, classification, model, evaluated_at)
-                    index(record, _instant(evaluated_at))
-                header["rows"] += len(data)
-                return
-            check_format(data, SNAPSHOT_FORMAT, SNAPSHOT_VERSION)
-            covered = LogPosition(_count(data["log_bytes"]), _count(data["lines"]), _count(data["records"]))
-            digest = _sha256(path, 0, covered.offset)  # ValueError if the log is shorter
-            if digest.hexdigest() != data["log_sha256"]:
-                raise ValueError("the log prefix has changed")
-            header.update(covered=covered, digest=digest, subjects=_count(data["subjects"]), rows=0)
-
-        try:
-            JsonlLog(self._snapshot_path, seed)
-            if not header:
-                raise ValueError("no snapshot")
-            covered, indexed = header["covered"], sum(map(len, self._latest.values()))
-            if not header["rows"] == indexed == header["subjects"] <= covered.records <= covered.lines:
-                raise ValueError("the snapshot's counts disagree")
-            return covered, header["digest"]
-        except (OSError, ValueError, StoreCorruptError, RecursionError):
-            for by_id in self._latest.values():
-                by_id.clear()
-            return LogPosition(), None
-
-    def _write_snapshot(self, path: Path, start: LogPosition, digest, end: LogPosition) -> None:
-        """Replace the snapshot with one covering the log up to ``end``;
-        ``digest`` has hashed the log up to ``start``.  A failed write leaves
-        the store as it is; the next open then ignores or keeps the old
-        snapshot."""
-        target = self._snapshot_path
-        tmp = None
-        try:
-            header = {
-                "format": SNAPSHOT_FORMAT,
-                "version": SNAPSHOT_VERSION,
-                "log_bytes": end.offset,
-                "log_sha256": _sha256(path, start.offset, end.offset, digest).hexdigest(),
-                "lines": end.lines,
-                "records": end.records,
-                "subjects": sum(map(len, self._latest.values())),
-            }
-            fd, tmp = tempfile.mkstemp(prefix=target.name + ".", suffix=".tmp", dir=target.parent)
-            with open(fd, "w", encoding="utf-8") as fh:
-                os.chmod(tmp, stat.S_IMODE(path.stat().st_mode))  # readable by whoever may read the log
-                fh.write(json.dumps(header) + "\n")
-                records = (record for by_id in self._latest.values() for _, record in by_id.values())
-                while rows := [
-                    [r.subject_kind, r.subject_id, r.trust, r.classification, r.model, r.evaluated_at]
-                    for r in islice(records, SNAPSHOT_ROWS_PER_LINE)
-                ]:
-                    fh.write(json.dumps(rows) + "\n")
-            os.replace(tmp, target)
-        except (OSError, ValueError):
-            if tmp is not None:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
+    @staticmethod
+    def _row(subject_id: str, entry: tuple[datetime, TrustRecord]) -> list:
+        r = entry[1]
+        return [r.subject_kind, r.subject_id, r.trust, r.classification, r.model, r.evaluated_at]
 
     def put(self, record: TrustRecord) -> None:
         """Parse, append, then index: a record that would not replay is
         never written, and a failed write leaves the index unchanged."""
-        instant = _instant(record.evaluated_at)
-        with self._lock:
-            self._log.append(record.to_dict())
-            self._index(record, instant)
+        self._append(record.to_dict(), self._index, record, _instant(record.evaluated_at))
 
     def get(self, kind: str, subject_id: str) -> TrustRecord:
         with self._lock:
@@ -349,14 +375,6 @@ class TrustStore:
         if entry is None:
             raise NotFoundError(f"no trust record for {kind} {subject_id!r}")
         return entry[1]
-
-    def close(self) -> None:
-        with self._lock:
-            self._log.close()
-
-    def __len__(self) -> int:
-        """Total records appended (not unique subjects)."""
-        return len(self._log)
 
 
 def check_format(data, fmt: str, version: int = 1) -> None:

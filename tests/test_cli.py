@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from fuzzytrust import cli, ingest, provider, service
+from fuzzytrust import cli, ingest, provider, service, user
 from fuzzytrust.service import ServiceConfig, TrustService
 from fuzzytrust.store import TrustRecord, TrustStore
 from fuzzytrust.user import baseline_trust
@@ -33,12 +33,27 @@ def pipeline(tmp_path, capsys):
     return files
 
 
-def test_pipeline_compare(pipeline, capsys):
-    code, out, _ = run(capsys, "compare", "--test", pipeline["test.csv"], "--user-model", pipeline["user.json"])
+def test_pipeline_compare(pipeline, tmp_path, capsys):
+    full = tmp_path / "report.json"
+    code, out, _ = run(capsys, "compare", "--test", pipeline["test.csv"], "--user-model", pipeline["user.json"],
+                       "--out", full)
     assert code == 0
     report = json.loads(out)  # stdout is one JSON document and nothing else
     assert report["n"] == 20
     assert report["mae_pct"] == 100 * report["mae"] and report["rmse_pct"] == 100 * report["rmse"]
+    written = json.loads(full.read_text())  # --out adds the per-user rows
+    assert len(written.pop("rows")) == 20 and written == report
+
+
+def test_eval_user_with_a_fitted_model(pipeline, capsys):
+    counters = user.UserBehaviorCounters("cli-user", uar=3, bor=1, bar=2, tr=40)
+    code, out, _ = run(capsys, "eval-user", "--bad", 2, "--bogus", 1, "--unauthorized", 3, "--total", 40,
+                       "--user-model", pipeline["user.json"])
+    record = json.loads(out)
+    assert code == 0 and (record["model"], record["subject_id"]) == ("fis", "cli-user")
+    trust = user.load_user_model(pipeline["user.json"]).evaluate(counters)
+    assert record["trust"] == trust != baseline_trust(counters)
+    assert record["classification"] == user.classify(trust)
 
 
 def test_corpus_trust_column_is_the_baseline(pipeline):
@@ -105,6 +120,18 @@ def test_bad_test_csv_names_the_file(pipeline, tmp_path, capsys):
     assert f"error: {corpus}, line 2: " in err
 
 
+def test_ingest_counts_only_the_window(tmp_path, capsys):
+    log, out = tmp_path / "log.csv", tmp_path / "counters.csv"
+    log.write_text("timestamp,user_id,status\n2026-01-01T00:00:00,u1,401\n2026-01-02T00:00:00,u1,404\n"
+                   "2026-01-03T00:00:00,u2,200\n2026-01-04T00:00:00,u1,400\n")
+    code, stdout, _ = run(capsys, "ingest", "--log", log, "--out", out,
+                          "--window-start", "2026-01-02T00:00:00", "--window-end", "2026-01-03T00:00:00")
+    assert code == 0 and stdout == f"wrote 2 user counter rows to {out}\n"
+    assert [(c.user_id, c.uar, c.bor, c.bar, c.tr) for c in ingest.read_counters_csv(out)] == [
+        ("u1", 0, 1, 0, 1), ("u2", 0, 0, 0, 1)
+    ]
+
+
 def test_bad_log_names_the_file(tmp_path, capsys):
     log = tmp_path / "log.csv"
     log.write_text("timestamp,user_id,status\n2026-01-01T00:00:00,u1,abc\n")
@@ -130,6 +157,11 @@ def test_eval_provider_and_elasticity_surface(tmp_path, capsys):
     code, _, _ = run(capsys, "surface", "--engine", "elasticity", "--x", "scalability", "--y", "security",
                      "--resolution", 3, "--out", out_file)
     assert code == 0 and len(out_file.read_text().splitlines()) == 10
+    code, _, _ = run(capsys, "surface", "--engine", "elasticity", "--x", "scalability", "--y", "security",
+                     "--fixed", "availability=0.9", "--fixed", "usability=0.1", "--resolution", 3, "--out", out_file)
+    x, y, z = map(float, out_file.read_text().splitlines()[1].split(","))
+    inputs = {"scalability": x, "security": y, "availability": 0.9, "usability": 0.1}
+    assert code == 0 and z == provider.build_elasticity_fis().infer(inputs)
 
 
 def test_store_writes_keep_a_stored_ban(tmp_path, capsys):

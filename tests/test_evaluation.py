@@ -70,6 +70,8 @@ class TestClassificationMetrics:
             classification_metrics([U], [U, T])
         with pytest.raises(FuzzyTrustError):
             classification_metrics([], [])
+        with pytest.raises(FuzzyTrustError, match="at least one test user"):
+            compare([], FixedModel([]))
 
 
 class TestSpearman:

@@ -92,6 +92,9 @@ class TestMembershipFunctions:
             for domain in ((bad, 1.0), (0.0, bad)):
                 with pytest.raises(ValueError, match="domain end must be a finite number"):
                     LinguisticVariable("x", domain, sets)
+        for domain in ((0.5, 0.5), (1.0, 0.0)):
+            with pytest.raises(ValueError, match="lo < hi"):
+                LinguisticVariable("x", domain, sets)
 
     def test_pairs_must_have_two_elements(self):
         sets = (("on", Gaussian(0.5, 0.2)),)
@@ -313,12 +316,24 @@ class TestValidation:
             )
         with pytest.raises(ValueError):
             FuzzyInferenceSystem(inputs=(var,), output=out, rules=())
+        rule = FuzzyRule((("x", "on"),), ("y", "mid"))
+        for inputs, output, message in (
+            ((), out, "at least one input"),
+            ((var, var), out, "duplicate input variable names"),
+            ((var,), dataclasses.replace(out, name="x"), "collides with an input"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                FuzzyInferenceSystem(inputs=inputs, output=output, rules=(rule,))
+        with pytest.raises(ValueError, match="'x' is not the output"):
+            FuzzyInferenceSystem(inputs=(var,), output=out, rules=(FuzzyRule((("x", "on"),), ("x", "on")),))
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError):
             LinguisticVariable(
                 "x", (0.0, 1.0), (("a", Gaussian(0.2, 0.1)), ("a", Gaussian(0.8, 0.1)))
             )
+        with pytest.raises(ValueError, match="needs at least one set"):
+            LinguisticVariable("x", (0.0, 1.0), ())
 
     def test_out_of_domain_support_rejected(self):
         with pytest.raises(ValueError):

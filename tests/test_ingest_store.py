@@ -96,6 +96,10 @@ class TestIngestLog:
         write_log(log, ["2026-01-01T10:00:00,u,200"], header="when,who,what")
         with pytest.raises(ParseError):
             ingest_log(log)
+        log.write_text("")
+        with pytest.raises(ParseError, match="empty file") as err:
+            ingest_log(log)
+        assert err.value.line == 1 and str(log) in str(err.value)
 
     def test_order_independence(self, tmp_path):
         base = datetime(2026, 1, 1)
@@ -404,6 +408,11 @@ class TestCorpus:
         path.write_text("bad,bogus,unauthorized,total,trust\n1,2,x,50,0.9\n")
         with pytest.raises(ParseError):
             read_counters_csv(path)
+        for header in ("bad,bogus,total,trust", ""):  # no unauthorized column; no header at all
+            path.write_text(header + "\n")
+            with pytest.raises(ParseError, match="header must contain") as err:
+                read_counters_csv(path)
+            assert err.value.line == 1 and str(path) in str(err.value)
 
 
 def record(subject="alice", kind="user", trust=0.9, classification="trusted", model="fis", at="2026-01-01T00:00:00+00:00"):
@@ -892,6 +901,216 @@ class TestFeedbackLedger:
         with pytest.raises(ValueError):
             ledger.record("p1", "meh")
         assert not path.exists() and ledger.negative_ratio("p1") == 0.0
+
+
+
+def _feedback_line(provider_id="p1", feedback="negative", v=1) -> str:
+    return json.dumps({"v": v, "provider_id": provider_id, "feedback": feedback, "at": "2026-01-01T00:00:00+00:00"})
+
+
+def _ledger_state(ledger: FeedbackLedger) -> tuple:
+    """``len(ledger)`` and every provider's [positive, negative] tally: the
+    ratio alone would hide a snapshot that scaled both counts."""
+    return len(ledger), {provider_id: list(tally) for provider_id, tally in ledger._tallies.items()}
+
+
+def _ledger_full_scan(path: Path) -> tuple:
+    """The state a full scan of the ledger gives: a copy with no snapshot beside it."""
+    copy = path.with_name("scan-" + path.name)
+    copy.write_bytes(path.read_bytes())
+    try:
+        return _ledger_state(FeedbackLedger(copy))
+    finally:
+        copy.unlink()
+        _snapshot(copy).unlink(missing_ok=True)
+
+
+def _four_feedbacks(path: Path) -> None:
+    """A ledger of four entries, then an open that writes its snapshot."""
+    ledger = FeedbackLedger(path)
+    for provider_id, feedback in (("p1", "negative"), ("p1", "positive"), ("p1", "positive"), ("p2", "negative")):
+        ledger.record(provider_id, feedback)
+    ledger.close()
+    FeedbackLedger(path)
+    assert _snapshot(path).exists()
+
+
+def test_a_failed_append_changes_no_state(tmp_path, monkeypatch):
+    """Both logs write before they fold: a write that fails leaves the
+    in-memory state and the record count as they were."""
+    store, ledger = TrustStore(tmp_path / "store.jsonl"), FeedbackLedger(tmp_path / "feedback.jsonl")
+    store.put(record())
+    ledger.record("p1", "negative")
+
+    def full_disk(log, data):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(store_module.JsonlLog, "append", full_disk)
+    with pytest.raises(OSError):
+        store.put(record(trust=0.1, at="2026-01-02T00:00:00+00:00"))
+    with pytest.raises(OSError):
+        ledger.record("p1", "positive")
+    assert (store.get("user", "alice").trust, len(store)) == (0.9, 1)
+    assert _ledger_state(ledger) == (1, {"p1": [0, 1]})
+    store.close()
+    ledger.close()
+
+
+_FEEDBACK_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("record"), st.sampled_from(["a", "b"]), st.sampled_from(["positive", "negative"])),
+        st.tuples(st.just("reopen"), st.none(), st.none()),
+        # another process appended this line and stopped, perhaps before its newline
+        st.tuples(st.just("crash"), st.sampled_from(["a", "b"]).map(_feedback_line) | st.just(""), st.booleans()),
+    ),
+    max_size=12,
+)
+
+
+class TestLedgerSnapshot:
+    """The feedback ledger's ``ledger-snapshot/1`` checkpoint, through the
+    same open policy as the trust store's."""
+
+    def test_reopen_replays_only_the_tail(self, tmp_path, replay_starts):
+        path = tmp_path / "feedback.jsonl"
+        _four_feedbacks(path)
+        covered = path.stat().st_size
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(_feedback_line("p2", "positive") + "\n")
+        replay_starts.clear()
+        ledger = FeedbackLedger(path)
+        assert replay_starts == [LogPosition(covered, 4, 4)]
+        assert _ledger_state(ledger) == (5, {"p1": [2, 1], "p2": [1, 1]})
+        assert ledger.negative_ratio("p1") == 1 / 3 and ledger.negative_ratio("p2") == 0.5
+        assert stat.S_IMODE(_snapshot(path).stat().st_mode) == stat.S_IMODE(path.stat().st_mode)
+        header, body = map(json.loads, _snapshot(path).read_text().splitlines())
+        assert (header["format"], header["version"], header["log_bytes"]) == ("ledger-snapshot", 1, path.stat().st_size)
+        assert (header["lines"], header["records"], header["subjects"]) == (5, 5, 2)
+        assert body == [["p1", 2, 1], ["p2", 1, 1]]
+
+    def test_the_service_checkpoints_its_ledger_beside_the_store(self, tmp_path):
+        store_path = tmp_path / "store.jsonl"
+        service = TrustService(ServiceConfig(store_path=str(store_path)))
+        service.provider_feedback("p1", "negative")
+        service.close()
+        TrustService(ServiceConfig(store_path=str(store_path))).close()
+        assert json.loads((tmp_path / "store.jsonl.feedback.snapshot").read_text().splitlines()[1]) == [["p1", 0, 1]]
+
+    @settings(max_examples=60, deadline=None)
+    @given(steps=_FEEDBACK_STEPS)
+    def test_snapshot_opens_match_a_full_scan(self, steps):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "feedback.jsonl"
+            ledger = FeedbackLedger(path)
+            for kind, first, second in steps:
+                if kind == "record":
+                    ledger.record(first, second)
+                else:
+                    ledger.close()
+                    if kind == "crash":
+                        before = path.read_text() if path.exists() else ""
+                        fresh = "\n" if before and not before.endswith("\n") else ""
+                        path.write_text(before + fresh + first + ("\n" if second else ""))
+                    before = path.read_bytes() if path.exists() else None
+                    ledger = FeedbackLedger(path)
+                    assert (path.read_bytes() if path.exists() else None) == before  # opening never writes the log
+                if path.exists():
+                    assert _ledger_state(ledger) == _ledger_full_scan(path)
+            ledger.close()
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            "stale",
+            "truncated",
+            "line-lost",
+            "not-json",
+            "format",
+            "version",
+            "longer-than-log",
+            "records",
+            "lines",
+            "subjects",
+            "duplicate",
+            "bool-count",
+            "negative-count",
+            "float-count",
+            "non-str-id",
+            "empty-id",
+            "arity",
+            "over-cap",
+        ],
+    )
+    def test_a_snapshot_failing_a_check_is_ignored(self, tmp_path, replay_starts, monkeypatch, tamper):
+        path = tmp_path / "feedback.jsonl"
+        _four_feedbacks(path)
+        snapshot = _snapshot(path)
+        lines = snapshot.read_text().splitlines()
+        header, (p1, p2) = json.loads(lines[0]), json.loads(lines[1])  # one body line of two rows
+
+        def write(header, *body):
+            snapshot.write_text("\n".join(map(json.dumps, [header, *body])) + "\n")
+
+        if tamper == "stale":  # p1's first feedback edited in place, same length
+            path.write_text(path.read_text().replace('"negative"', '"positive"', 1))
+        elif tamper == "truncated":
+            snapshot.write_text(snapshot.read_text()[:-10])
+        elif tamper == "line-lost":  # the whole body line
+            write(header)
+        elif tamper == "not-json":
+            snapshot.write_text("not json\n")
+        elif tamper in ("format", "version", "records", "lines", "subjects"):  # records < subjects, lines < records, rows != subjects
+            value = {"format": "store-snapshot", "version": 2, "records": 1, "lines": 3, "subjects": 3}[tamper]
+            write({**header, tamper: value}, [p1, p2])
+        elif tamper == "duplicate":  # a second p1 row
+            write(header, [p1, p2, ["p1", 0, 9]])
+        elif tamper in ("bool-count", "negative-count", "float-count"):
+            write(header, [p1, [p2[0], {"bool-count": True, "negative-count": -1, "float-count": 1.0}[tamper], p2[2]]])
+        elif tamper in ("non-str-id", "empty-id"):  # p2's row under the id 5 or ""
+            write(header, [p1, [5 if tamper == "non-str-id" else "", *p2[1:]]])
+        elif tamper == "arity":  # p2's row without its negative count
+            write(header, [p1, p2[:-1]])
+        elif tamper == "over-cap":  # the body line holds more rows than a line may
+            monkeypatch.setattr(store_module, "SNAPSHOT_ROWS_PER_LINE", 1)
+        else:  # the log lost its last entry after the snapshot was written
+            text = path.read_text()
+            path.write_text(text[: text.rindex("{")])
+        replay_starts.clear()
+        ledger = FeedbackLedger(path)
+        assert replay_starts == [LogPosition()]
+        assert _ledger_state(ledger) == _ledger_full_scan(path)
+        if tamper == "stale":
+            assert _ledger_state(ledger) == (4, {"p1": [3, 0], "p2": [0, 1]})
+        replay_starts.clear()
+        FeedbackLedger(path)  # the full scan wrote a snapshot that holds
+        assert replay_starts[0].offset == path.stat().st_size
+
+    def test_failed_snapshot_write_leaves_the_ledger_usable(self, tmp_path, monkeypatch):
+        path = tmp_path / "feedback.jsonl"
+        path.write_text(_feedback_line() + "\n")
+
+        def no_space(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(store_module.tempfile, "mkstemp", no_space)
+        ledger = FeedbackLedger(path)
+        assert _ledger_state(ledger) == (1, {"p1": [0, 1]}) and not _snapshot(path).exists()
+        assert ledger.record("p1", "positive") == 0.5
+        ledger.close()
+        assert _ledger_state(FeedbackLedger(path)) == (2, {"p1": [1, 1]})
+
+    @pytest.mark.parametrize("checkpointed", [False, True], ids=["no-snapshot", "in-the-tail"])
+    def test_an_unknown_ledger_version_names_the_file_and_line(self, tmp_path, checkpointed):
+        path = tmp_path / "feedback.jsonl"
+        if checkpointed:
+            _four_feedbacks(path)
+        else:
+            path.write_text(_feedback_line() + "\n")
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(_feedback_line(v=2) + "\n")
+        with pytest.raises(StoreCorruptError, match="unsupported ledger version 2") as err:
+            FeedbackLedger(path)
+        assert err.value.line == (5 if checkpointed else 2) and str(path) in str(err.value)
 
 
 # Documents as the previous release wrote them: the on-disk formats are fixed.

@@ -20,6 +20,7 @@ from fuzzytrust.provider import (
     PERFORMANCE_RULES,
     TRUST_PUBLISHED_RULES,
     ProviderMetrics,
+    _quantified_variable,
     build_elasticity_fis,
     build_performance_fis,
     build_provider_trust_fis,
@@ -160,6 +161,8 @@ class TestPerformanceFis:
             assert response.mf("instantaneous")(x) == 1.0
         for x in (60.0, 80.0, 100.0):
             assert response.mf("very_slow")(x) == 1.0
+        with pytest.raises(ValueError, match="'flat': both sds are zero"):  # no lobe is left to keep the set valid
+            _quantified_variable("workload", [("flat", 20.0, 40.0, 0.0, 0.0)])
 
     def test_prototype_argmax_round_trips_every_rule(self):
         fis = build_performance_fis()

@@ -16,16 +16,18 @@ from hypothesis import strategies as st
 from fuzzytrust import service as service_module
 from fuzzytrust.store import TrustRecord, TrustStore
 from fuzzytrust.service import MAX_BODY_BYTES, SCHEMA, ServiceConfig, TrustService, create_http_server
-from fuzzytrust.user import UserBehaviorCounters
+from fuzzytrust.user import UserBehaviorCounters, baseline_trust, save_user_model
 
 ALL_UNAUTHORIZED = {"unauthorized": 160, "bogus": 0, "bad": 0, "total": 160}  # baseline trust 0.5
 
 
 @contextlib.contextmanager
-def _serving(tmp_path, **handler_attrs):
-    """A served ``TrustService``; ``handler_attrs`` override the handler's
+def _serving(tmp_path, user_model_path=None, **handler_attrs):
+    """A served ``TrustService``, with the fitted user model at
+    ``user_model_path`` if given; ``handler_attrs`` override the handler's
     class attributes.  An exception escaping a handler fails the test."""
-    service = TrustService(ServiceConfig(store_path=str(tmp_path / "store.jsonl"), port=0))
+    config = ServiceConfig(store_path=str(tmp_path / "store.jsonl"), user_model_path=user_model_path, port=0)
+    service = TrustService(config)
     httpd = create_http_server(service)
     if handler_attrs:
         httpd.RequestHandlerClass = type("Handler", (httpd.RequestHandlerClass,), handler_attrs)
@@ -228,6 +230,51 @@ class TestStoredState:
         assert provider["negative_feedback_ratio"] == 0.0
         assert service.store.get("provider", "p1").trust == 0.5  # the stored value stays intact
         service.close()
+
+    def test_unknown_user_without_counters_gets_404(self, server):
+        status, body = _post(server, "/decide", json.dumps({"user_id": "nobody"}).encode())
+        assert status == 404
+        assert body["schema"] == SCHEMA and "'nobody'" in body["error"] and "no fresh counters" in body["error"]
+        assert len(server.RequestHandlerClass.service.store) == 0
+
+
+CLEAN = UserBehaviorCounters("u-clean", uar=5, bor=5, bar=5, tr=150)  # at the two-cluster model's trusted center
+HOSTILE = UserBehaviorCounters("u-hostile", uar=80, bor=60, bar=70, tr=350)  # the baseline formula would grant
+
+
+@pytest.fixture
+def user_model_path(tmp_path, two_cluster_user_model):
+    path = tmp_path / "user-model.json"
+    save_user_model(two_cluster_user_model, path)
+    return str(path)
+
+
+class TestFittedUserModel:
+    """Fresh counters go through the configured user model, not the baseline formula."""
+
+    @pytest.mark.parametrize("threshold", [0.2, 0.5, 0.95])
+    def test_fresh_counters_decide_by_the_model(self, tmp_path, user_model_path, two_cluster_user_model, threshold):
+        config = ServiceConfig(store_path=str(tmp_path / "s.jsonl"), user_model_path=user_model_path, threshold=threshold)
+        service = TrustService(config)
+        try:
+            for counters in (CLEAN, HOSTILE):
+                trust = two_cluster_user_model.evaluate(counters)
+                answer = service.decide(counters.user_id, counters=counters)
+                assert (answer["model"], answer["trust"]) == ("fis", trust)
+                assert answer["decision"] == ("grant" if trust > threshold else "deny")
+                assert service.user_trust(counters.user_id)["model"] == "fis"
+        finally:
+            service.close()
+
+    def test_fresh_counters_over_http(self, tmp_path, user_model_path, two_cluster_user_model):
+        assert baseline_trust(HOSTILE) > ServiceConfig.threshold  # so a baseline answer would not deny
+        with _serving(tmp_path, user_model_path=user_model_path) as server:
+            for counters, decision in ((CLEAN, "grant"), (HOSTILE, "deny")):
+                payload = {"user_id": counters.user_id, "counters": {
+                    "unauthorized": counters.uar, "bogus": counters.bor, "bad": counters.bar, "total": counters.tr}}
+                status, body = _post(server, "/decide", json.dumps(payload).encode())
+                assert (status, body["schema"], body["model"], body["decision"]) == (200, SCHEMA, "fis", decision)
+                assert body["trust"] == two_cluster_user_model.evaluate(counters)
 
 
 def test_service_results_carry_no_schema(tmp_path):

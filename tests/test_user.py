@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fuzzytrust.clustering import ClusterConfig
-from fuzzytrust.errors import InvalidModelError, ZeroTotalRequestsError
+from fuzzytrust.errors import DegenerateOutputError, InvalidModelError, ZeroTotalRequestsError
 from fuzzytrust.evaluation import compare
 from fuzzytrust.fuzzy import FuzzyInferenceSystem, FuzzyRule, Gaussian, LinguisticVariable, Triangular
 from fuzzytrust.ingest import CorpusSpec, corpus_matrix, generate_corpus
@@ -264,6 +264,22 @@ class TestEvaluateBatch:
         with pytest.raises(ZeroTotalRequestsError, match="idle"):
             two_cluster_user_model.evaluate_batch(users)
 
+    def test_a_user_no_rule_fires_for_is_named_like_evaluate(self, two_cluster_user_model):
+        # a Gaussian set never reaches degree 0, so the one rule here is over triangles
+        names = two_cluster_user_model.fis.input_names
+        fis = FuzzyInferenceSystem(
+            inputs=tuple(LinguisticVariable(name, (0.0, 1.0), (("low", Triangular(0.0, 0.1, 0.4)),)) for name in names),
+            output=LinguisticVariable("trust", (0.0, 1.0), (("high", Triangular(0.6, 0.9, 1.0)),)),
+            rules=(FuzzyRule(tuple((name, "low") for name in names), ("trust", "high")),),
+        )
+        model = UserTrustModel(fis, two_cluster_user_model.norm_params)
+        near, far = UserBehaviorCounters("near", 5, 5, 5, 150), UserBehaviorCounters("far", 50, 50, 50, 150)
+        assert model.evaluate_batch([near]).tolist() == [model.evaluate(near)]
+        with pytest.raises(DegenerateOutputError, match="user 'far': no rule fired"):
+            model.evaluate_batch([near, far])
+        with pytest.raises(DegenerateOutputError):
+            model.evaluate(far)
+
     def test_empty_batch(self, two_cluster_user_model):
         assert two_cluster_user_model.evaluate_batch([]).shape == (0,)
 
@@ -282,6 +298,8 @@ class TestEvaluateBatch:
         )
         with pytest.raises(InvalidModelError):
             UserTrustModel(renamed, two_cluster_user_model.norm_params)
+        with pytest.raises(InvalidModelError, match="normalization parameters for 4 features"):
+            UserTrustModel(fis, two_cluster_user_model.norm_params[:3])
 
 
 class TestTracedCallChain:
