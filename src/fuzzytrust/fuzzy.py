@@ -318,8 +318,6 @@ class SurfaceGrid:
     """Inference sampled on a 2-D input lattice; ``z`` is NaN where the
     aggregate was degenerate."""
 
-    x_name: str
-    y_name: str
     xs: np.ndarray
     ys: np.ndarray
     z: np.ndarray
@@ -516,7 +514,7 @@ class FuzzyInferenceSystem:
         for j, name in enumerate(self.input_names):
             X[:, j] = columns[name]
         z = self.infer_batch(X).reshape(resolution, resolution)
-        return SurfaceGrid(var_x, var_y, xs, ys, z)
+        return SurfaceGrid(xs, ys, z)
 
     def to_dict(self) -> dict:
         return {

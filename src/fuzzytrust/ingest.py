@@ -1,6 +1,15 @@
 """Request-log ingestion, synthetic corpus generation and the CSV
 formats shared by the fitting and evaluation pipeline.
 
+Synthetic population (``generate_corpus``): each user is benign with
+probability ``CorpusSpec.benign_fraction``.  A benign user draws its
+unauthorized, bogus and bad rates from ``BENIGN_RATE``; a malicious one
+draws one dominant rate from ``MALICIOUS_DOMINANT`` and the other two from
+``MALICIOUS_BACKGROUND``.  Every user's total is drawn from
+``TOTAL_REQUESTS`` and each count is its rate times the total, rounded.
+The ranges keep the three counts within the total: they sum to at most
+0.9·tr + 1.5, which is at most tr for every tr >= 15.
+
 Log CSV:     header ``timestamp,user_id,status``
              A timestamp is ISO 8601 as ``datetime.fromisoformat`` parses it
              (a naive one is taken as UTC) or Unix epoch seconds. Anything
@@ -15,7 +24,7 @@ Corpus CSV:  header ``bad,bogus,unauthorized,total,trust`` (both read by ``read_
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -160,20 +169,21 @@ def ingest_log(
     ]
 
 
+# the synthetic population's ranges: rates per request, totals in requests
+BENIGN_RATE = (0.0, 0.05)
+MALICIOUS_DOMINANT = (0.2, 0.8)
+MALICIOUS_BACKGROUND = (0.0, 0.05)
+TOTAL_REQUESTS = (50, 500)
+
+
 @dataclass(frozen=True)
 class CorpusSpec:
-    """Synthetic behavior corpus: benign users draw all three malicious
-    rates from ``benign_rate``; malicious users draw one dominant rate
-    from ``malicious_dominant`` and the others from
-    ``malicious_background``."""
+    """Size, split, benign share and seed of a synthetic corpus; the rate
+    and total ranges are the module's population constants."""
 
     n_users: int = 1300
     n_train: int = 1000
     benign_fraction: float = 0.75
-    benign_rate: tuple[float, float] = (0.0, 0.05)
-    malicious_dominant: tuple[float, float] = (0.2, 0.8)
-    malicious_background: tuple[float, float] = (0.0, 0.05)
-    total_requests: tuple[int, int] = (50, 500)
     seed: int = 0
 
     def __post_init__(self):
@@ -181,16 +191,6 @@ class CorpusSpec:
             raise InvalidSpecError("need 0 <= n_train <= n_users and n_users >= 1")
         if not (0.0 <= self.benign_fraction <= 1.0):
             raise InvalidSpecError("benign_fraction must lie in [0, 1]")
-        for name in ("benign_rate", "malicious_dominant", "malicious_background"):
-            lo, hi = getattr(self, name)
-            if not (0.0 <= lo <= hi <= 1.0):
-                raise InvalidSpecError(f"{name} must satisfy 0 <= lo <= hi <= 1")
-        d_hi = self.malicious_dominant[1]
-        b_hi = max(self.malicious_background[1], self.benign_rate[1])
-        if d_hi + 2 * b_hi > 1.0 or 3 * self.benign_rate[1] > 1.0:
-            raise InvalidSpecError("rate ranges may produce more categorized requests than the total")
-        if not (1 <= self.total_requests[0] <= self.total_requests[1]):
-            raise InvalidSpecError("total_requests range must satisfy 1 <= lo <= hi")
 
 
 def generate_corpus(spec: CorpusSpec) -> tuple[list[UserBehaviorCounters], list[UserBehaviorCounters]]:
@@ -200,16 +200,14 @@ def generate_corpus(spec: CorpusSpec) -> tuple[list[UserBehaviorCounters], list[
     for i in range(spec.n_users):
         benign = rng.random() < spec.benign_fraction
         if benign:
-            rates = rng.uniform(spec.benign_rate[0], spec.benign_rate[1], size=3)
+            rates = rng.uniform(*BENIGN_RATE, size=3)
         else:
-            rates = rng.uniform(spec.malicious_background[0], spec.malicious_background[1], size=3)
+            rates = rng.uniform(*MALICIOUS_BACKGROUND, size=3)
             dominant = rng.integers(0, 3)
-            rates[dominant] = rng.uniform(spec.malicious_dominant[0], spec.malicious_dominant[1])
-        tr = int(rng.integers(spec.total_requests[0], spec.total_requests[1] + 1))
-        counts = [int(round(rate * tr)) for rate in rates]
-        while sum(counts) > tr:  # rounding can overshoot at extreme rate ranges
-            counts[counts.index(max(counts))] -= 1
-        users.append((counts[0], counts[1], counts[2], tr))
+            rates[dominant] = rng.uniform(*MALICIOUS_DOMINANT)
+        tr = int(rng.integers(TOTAL_REQUESTS[0], TOTAL_REQUESTS[1] + 1))
+        uar, bor, bar = (int(round(rate * tr)) for rate in rates)
+        users.append((uar, bor, bar, tr))
 
     def build(rows, prefix):
         return [
@@ -227,12 +225,11 @@ def corpus_matrix(counters: list[UserBehaviorCounters]) -> np.ndarray:
 
 
 def write_corpus_csv(path, counters) -> None:
-    matrix = corpus_matrix(counters)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bad", "bogus", "unauthorized", "total", "trust"])
-        for bad, bogus, unauthorized, total, trust in matrix:
-            writer.writerow([int(bad), int(bogus), int(unauthorized), int(total), repr(float(trust))])
+        for c in counters:
+            writer.writerow([c.bar, c.bor, c.uar, c.tr, repr(baseline_trust(c))])
 
 
 def write_counters_csv(path, counters: list[UserBehaviorCounters]) -> None:

@@ -148,7 +148,7 @@ class FeedbackLedger(FoldedLog):
     the log in any order gives the same tallies.
     """
 
-    SNAPSHOT = ("ledger-snapshot", 1)
+    SNAPSHOT = ("ledger-snapshot", 2)
 
     def __init__(self, path):
         self._tallies: dict[str, list[int]] = {}  # provider -> [positive, negative]
@@ -429,7 +429,7 @@ def serve(config: ServiceConfig) -> None:
     service = TrustService(config)
     server = create_http_server(service)
     host, port = server.server_address[:2]
-    print(f"fuzzytrust service listening on http://{host}:{port}")
+    print(f"fuzzytrust service listening on http://{host}:{port}", flush=True)  # a pipe would hold it back
     try:
         server.serve_forever()
     except KeyboardInterrupt:

@@ -15,23 +15,28 @@ versioned JSON documents.
   prefix of the log, the hex SHA-256 of that prefix, the lines and the
   non-blank lines in it, and the number of rows below.  Each following
   line is a JSON array of at most ``SNAPSHOT_ROWS_PER_LINE`` rows, one per
-  subject: in the trust store's ``store-snapshot/2``, ``[subject_kind,
+  subject: in the trust store's ``store-snapshot/3``, ``[subject_kind,
   subject_id, trust, classification, model, evaluated_at]`` of the latest
   record per (kind, id), users before providers; in the ledger's
-  ``ledger-snapshot/1``, ``[provider_id, positive, negative]``.  Both
-  directions stream the body a line at a time, never whole.  An open
-  trusts a snapshot only if every line parses and keeps to the cap, the
-  format and version match, every row is valid and of a distinct subject,
-  the rows number ``subjects``, ``subjects <= records <= lines``, and the
+  ``ledger-snapshot/2``, ``[provider_id, positive, negative]``.  The last
+  line, the trailer, is ``{"sha256"}``: the hex SHA-256 of every byte above
+  it, header and rows.  Both directions stream the file a line at a time,
+  never whole.  An open trusts a snapshot only if every line parses and
+  keeps to the cap, the format and version match, every row is valid and
+  of a distinct subject, the trailer is present, last and matches, the
+  rows number ``subjects``, ``subjects <= records <= lines``, and the
   prefix is no longer than the log and still hashes to that digest.  Then
   the state starts from the snapshot and only the log's tail is replayed;
   otherwise the whole log is, and a corrupt line is reported as ever.  So
-  a ``store-snapshot/1`` file (a record object per line) is ignored once
-  and then replaced.  After an open whose replay grew the
-  newline-terminated prefix, the snapshot is rewritten: a temporary file
-  in the same directory, then ``os.replace``.  A failed write is ignored.
-  The log stays the source of truth: it is never rewritten, and deleting
-  the snapshot costs only a full replay.
+  a file of an older version (``store-snapshot/1`` or ``/2``,
+  ``ledger-snapshot/1``) is ignored once and then replaced.  The digests
+  catch a damaged or hand-edited file, not a forged one: SHA-256 is not a
+  MAC, so an edit that also recomputes the trailer (and ``log_sha256``, if
+  it edits the log) passes.  After an open whose
+  replay grew the newline-terminated prefix, the snapshot is rewritten: a
+  temporary file in the same directory, then ``os.replace``.  A failed
+  write is ignored.  The log stays the source of truth: it is never
+  rewritten, and deleting the snapshot costs only a full replay.
 
 Single writer: a ``FoldedLog`` reads its log once, when it opens, and
 then sees only the records appended through itself.  Records another
@@ -251,32 +256,39 @@ class FoldedLog:
         """Seed the state from a snapshot that passes every check and return
         the log position it covers with that prefix's running digest; else
         leave the state empty and return the log's start and None."""
-        header = {}
-
-        def read(data) -> None:
-            if header:
-                if len(data) > SNAPSHOT_ROWS_PER_LINE:
-                    raise ValueError(f"a snapshot line holds more than {SNAPSHOT_ROWS_PER_LINE} rows")
-                for row in data:
-                    seed(row)
-                header["rows"] += len(data)
-                return
-            check_format(data, *self.SNAPSHOT)
-            covered = LogPosition(_count(data["log_bytes"]), _count(data["lines"]), _count(data["records"]))
-            digest = _sha256(path, 0, covered.offset)  # ValueError if the log is shorter
-            if digest.hexdigest() != data["log_sha256"]:
-                raise ValueError("the log prefix has changed")
-            header.update(covered=covered, digest=digest, subjects=_count(data["subjects"]), rows=0)
-
+        header = trailer = None
+        rows, body = 0, hashlib.sha256()  # body: every byte above the trailer
         try:
-            JsonlLog(self._snapshot_path, read)
-            if not header:
-                raise ValueError("no snapshot")
-            covered, seeded = header["covered"], sum(map(len, self._maps))
-            if not header["rows"] == seeded == header["subjects"] <= covered.records <= covered.lines:
+            with open(self._snapshot_path, "rb") as fh:
+                for raw in fh:
+                    if trailer is not None:
+                        raise ValueError("a line after the snapshot's trailer")
+                    data = json.loads(raw)
+                    if header is None:
+                        check_format(data, *self.SNAPSHOT)
+                        header = data
+                    elif isinstance(data, dict) and data.keys() == {"sha256"}:
+                        if data["sha256"] != body.hexdigest():
+                            raise ValueError("the snapshot's rows have changed")
+                        trailer = data
+                        continue
+                    else:
+                        if len(data) > SNAPSHOT_ROWS_PER_LINE:
+                            raise ValueError(f"a snapshot line holds more than {SNAPSHOT_ROWS_PER_LINE} rows")
+                        for row in data:
+                            seed(row)
+                        rows += len(data)
+                    body.update(raw)
+            if trailer is None:
+                raise ValueError("the snapshot has no trailer")
+            covered = LogPosition(_count(header["log_bytes"]), _count(header["lines"]), _count(header["records"]))
+            if not rows == sum(map(len, self._maps)) == _count(header["subjects"]) <= covered.records <= covered.lines:
                 raise ValueError("the snapshot's counts disagree")
-            return covered, header["digest"]
-        except (OSError, ValueError, StoreCorruptError, RecursionError):
+            digest = _sha256(path, 0, covered.offset)  # ValueError if the log is shorter
+            if digest.hexdigest() != header["log_sha256"]:
+                raise ValueError("the log prefix has changed")
+            return covered, digest
+        except (OSError, ValueError, KeyError, TypeError, RecursionError):
             for state in self._maps:
                 state.clear()
             return LogPosition(), None
@@ -299,12 +311,20 @@ class FoldedLog:
                 "subjects": sum(map(len, self._maps)),
             }
             fd, tmp = tempfile.mkstemp(prefix=target.name + ".", suffix=".tmp", dir=target.parent)
-            with open(fd, "w", encoding="utf-8") as fh:
+            with open(fd, "wb") as fh:
                 os.chmod(tmp, stat.S_IMODE(path.stat().st_mode))  # readable by whoever may read the log
-                fh.write(json.dumps(header) + "\n")
+                body = hashlib.sha256()
+
+                def write(data) -> None:
+                    line = (json.dumps(data) + "\n").encode("utf-8")
+                    body.update(line)
+                    fh.write(line)
+
+                write(header)
                 rows = (self._row(key, value) for state in self._maps for key, value in state.items())
                 while chunk := list(islice(rows, SNAPSHOT_ROWS_PER_LINE)):
-                    fh.write(json.dumps(chunk) + "\n")
+                    write(chunk)
+                fh.write((json.dumps({"sha256": body.hexdigest()}) + "\n").encode("utf-8"))
             os.replace(tmp, target)
         except (OSError, ValueError):
             if tmp is not None:
@@ -334,7 +354,7 @@ class TrustStore(FoldedLog):
     ``evaluated_at`` instant, whatever its UTC offset; of equal instants
     the one appended last.  An unparsable ``evaluated_at`` is a corrupt line."""
 
-    SNAPSHOT = ("store-snapshot", 2)
+    SNAPSHOT = ("store-snapshot", 3)
 
     def __init__(self, path):
         # kind -> id -> (instant, record): on replay a nested lookup is cheaper

@@ -1,11 +1,13 @@
-"""The package's public names, its command line and its config objects'
-fields, pinned: a change to ``fuzzytrust.__all__``, or a subcommand, flag
-or config field added or removed, has to change the lists here too.
+"""The package's public names, its command line, its config objects'
+fields and its on-disk format versions, pinned: a change to
+``fuzzytrust.__all__``, a subcommand, flag or config field added or
+removed, or a format version bumped, has to change the lists here too.
 Importing the package, its CLI or its service loads no scipy: numpy is the
 one runtime dependency."""
 
 import argparse
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -13,7 +15,9 @@ from pathlib import Path
 
 import fuzzytrust
 from fuzzytrust import cli
-from fuzzytrust.service import ServiceConfig
+from fuzzytrust.evaluation import compare
+from fuzzytrust.service import ServiceConfig, TrustService
+from fuzzytrust.user import UserBehaviorCounters
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -72,8 +76,21 @@ CLI_FLAGS = {
 CONFIG_FIELDS = {
     ServiceConfig: ["store_path", "feedback_path", "user_model_path", "threshold", "host", "port"],
     fuzzytrust.ClusterConfig: ["c", "m", "tol", "max_iter", "seed"],
-    fuzzytrust.CorpusSpec: ["n_users", "n_train", "benign_fraction", "benign_rate", "malicious_dominant",
-                            "malicious_background", "total_requests", "seed"],
+    fuzzytrust.CorpusSpec: ["n_users", "n_train", "benign_fraction", "seed"],
+}
+
+
+# the (format, version) each writer stamps; a change here goes with one to
+# the list of on-disk formats in ROADMAP.md's design pillar
+FORMATS = {
+    "fis": 1,
+    "cluster-model": 1,
+    "user-trust-model": 1,
+    "evaluation-report": 1,
+    "store record v": 1,
+    "ledger line v": 1,
+    "store-snapshot": 3,
+    "ledger-snapshot": 2,
 }
 
 
@@ -94,7 +111,26 @@ def test_cli_flags_pinned():
 def test_config_fields_pinned():
     fields = {config: [f.name for f in dataclasses.fields(config)] for config in CONFIG_FIELDS}
     assert fields == CONFIG_FIELDS
-    assert [len(names) for names in fields.values()] == [6, 5, 8]
+    assert [len(names) for names in fields.values()] == [6, 5, 4]
+
+
+def test_on_disk_formats_pinned(tmp_path, two_cluster_model, two_cluster_user_model):
+    counters = UserBehaviorCounters(user_id="u1", uar=1, bor=0, bar=0, tr=10)
+    documents = [two_cluster_model, two_cluster_user_model.fis, two_cluster_user_model,
+                 compare([counters], two_cluster_user_model)]
+    stamped = {data["format"]: data["version"] for data in (doc.to_dict() for doc in documents)}
+    store = tmp_path / "store.jsonl"
+    service = TrustService(ServiceConfig(store_path=str(store)))
+    service.decide("u1", counters)
+    service.provider_feedback("p1", "negative")
+    service.close()
+    TrustService(ServiceConfig(store_path=str(store))).close()  # writes both snapshots
+    stamped["store record v"] = json.loads(store.read_text())["v"]
+    stamped["ledger line v"] = json.loads((tmp_path / "store.jsonl.feedback").read_text())["v"]
+    for snapshot in ("store.jsonl.snapshot", "store.jsonl.feedback.snapshot"):
+        header = json.loads((tmp_path / snapshot).read_text().splitlines()[0])
+        stamped[header["format"]] = header["version"]
+    assert stamped == FORMATS
 
 
 def test_every_public_name_resolves():

@@ -32,6 +32,7 @@ from fuzzytrust.ingest import (
 )
 from fuzzytrust.clustering import ClusterModel
 from fuzzytrust.fuzzy import FuzzyInferenceSystem
+from fuzzytrust.provider import feedback_ban
 from fuzzytrust.service import FeedbackLedger, ServiceConfig, TrustService
 from fuzzytrust import store as store_module
 from fuzzytrust.store import LogPosition, TrustRecord, TrustStore, load_artifact
@@ -333,14 +334,6 @@ class TestCorpus:
         train, test = generate_corpus(CorpusSpec(n_users=1300, n_train=1000, seed=0))
         assert len(train) == 1000 and len(test) == 300
 
-    def test_all_benign_zero_rates_gives_unit_labels(self):
-        spec = CorpusSpec(
-            n_users=50, n_train=30, benign_fraction=1.0, benign_rate=(0.0, 0.0), seed=1
-        )
-        train, test = generate_corpus(spec)
-        matrix = corpus_matrix(train + test)
-        assert np.all(matrix[:, 4] == 1.0)
-
     def test_deterministic_for_seed(self):
         spec = CorpusSpec(n_users=200, n_train=150, seed=9)
         assert generate_corpus(spec) == generate_corpus(spec)
@@ -362,26 +355,18 @@ class TestCorpus:
             CorpusSpec(n_users=10, n_train=20)
         with pytest.raises(InvalidSpecError):
             CorpusSpec(benign_fraction=1.5)
-        with pytest.raises(InvalidSpecError):
-            CorpusSpec(malicious_dominant=(0.9, 0.8))
-        with pytest.raises(InvalidSpecError):
-            CorpusSpec(malicious_dominant=(0.2, 0.95), malicious_background=(0.0, 0.05))
-        with pytest.raises(InvalidSpecError):
-            CorpusSpec(total_requests=(0, 10))
 
-    def test_extreme_rate_ranges_never_overflow_total(self):
-        spec = CorpusSpec(
-            n_users=300,
-            n_train=200,
-            benign_fraction=0.0,
-            malicious_dominant=(0.85, 0.9),
-            malicious_background=(0.04, 0.05),
-            total_requests=(1, 20),
-            seed=4,
-        )
-        train, test = generate_corpus(spec)
-        for c in train + test:
-            assert c.tr >= c.uar + c.bor + c.bar
+    def test_population_is_pinned(self, tmp_path):
+        """The drawn population itself, not only its determinism: a change to
+        the generator or its constants has to change these digests too."""
+        train, test = generate_corpus(CorpusSpec())
+        digest = hashlib.sha256(corpus_matrix(train + test).tobytes()).hexdigest()
+        assert digest == "c6149368665a7752b8c13d657ca716b0d828a66a5ad49367447b19850863736f"
+        out = tmp_path / "train.csv"
+        argv = ["gen-corpus", "--seed", "3", "--train-out", str(out), "--test-out", str(tmp_path / "test.csv")]
+        assert cli.main(argv) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "7c6ab9fc8e5a05b3819f139a4078c9546daf5e5383e5212b0cadd4813fcbc8f7"
 
     def test_corpus_csv_round_trip(self, tmp_path):
         train, _ = generate_corpus(CorpusSpec(n_users=40, n_train=40, seed=5))
@@ -595,6 +580,21 @@ def _snapshot(path: Path) -> Path:
     return path.with_name(path.name + ".snapshot")
 
 
+def _with_trailer(lines: list[str]) -> str:
+    """Snapshot text: ``lines`` and the trailer a writer would put below them."""
+    text = "".join(line + "\n" for line in lines)
+    return text + json.dumps({"sha256": hashlib.sha256(text.encode()).hexdigest()}) + "\n"
+
+
+def _check_trailer(snapshot: Path) -> list:
+    """The snapshot's lines above its trailer, parsed, once the trailer is
+    checked to be the last line and the digest of every byte above it."""
+    text = snapshot.read_text()
+    above, trailer = text[: text.rindex("{")], text[text.rindex("{") :]
+    assert trailer == json.dumps({"sha256": hashlib.sha256(above.encode()).hexdigest()}) + "\n"
+    return [json.loads(line) for line in above.splitlines()]
+
+
 def _state(store: TrustStore, subjects) -> tuple:
     """``len(store)`` and the ``get`` answer for every (kind, id)."""
     answers = []
@@ -684,9 +684,10 @@ class TestStoreSnapshot:
         assert len(store) == 5 and store.get("user", "alice").trust == 0.9
         assert store.get("provider", "bob").trust == 0.4
         assert stat.S_IMODE(_snapshot(path).stat().st_mode) == stat.S_IMODE(path.stat().st_mode)
-        header = json.loads(_snapshot(path).read_text().splitlines()[0])
-        assert (header["format"], header["version"], header["log_bytes"]) == ("store-snapshot", 2, path.stat().st_size)
+        header, body = _check_trailer(_snapshot(path))
+        assert (header["format"], header["version"], header["log_bytes"]) == ("store-snapshot", 3, path.stat().st_size)
         assert (header["lines"], header["records"], header["subjects"]) == (5, 5, 2)
+        assert [row[1] for row in body] == ["alice", "bob"]
 
     @settings(max_examples=60, deadline=None)
     @given(steps=_STEPS)
@@ -730,6 +731,9 @@ class TestStoreSnapshot:
             "subjects",
             "non-real-trust",
             "over-cap",
+            "row-edited",
+            "no-trailer",
+            "after-trailer",
         ],
     )
     def test_a_snapshot_failing_a_check_is_ignored(self, tmp_path, replay_starts, monkeypatch, tamper):
@@ -739,8 +743,8 @@ class TestStoreSnapshot:
         lines = snapshot.read_text().splitlines()
         header, (alice, bob) = json.loads(lines[0]), json.loads(lines[1])  # one body line of two rows
 
-        def write(header, *body):
-            snapshot.write_text("\n".join(map(json.dumps, [header, *body])) + "\n")
+        def write(header, *body):  # with a trailer that matches, so the case meets its own check
+            snapshot.write_text(_with_trailer([json.dumps(line) for line in [header, *body]]))
 
         if tamper == "stale":  # alice's latest trust edited in place, same length
             path.write_text(path.read_text().replace('"trust": 0.8', '"trust": 0.3', 1))
@@ -751,7 +755,7 @@ class TestStoreSnapshot:
         elif tamper == "not-json":
             snapshot.write_text("not json\n")
         elif tamper in ("format", "version", "records", "lines", "subjects"):  # records < subjects, lines < records, rows != subjects
-            value = {"format": "trust-store", "version": 3, "records": 1, "lines": 3, "subjects": 3}[tamper]
+            value = {"format": "trust-store", "version": 4, "records": 1, "lines": 3, "subjects": 3}[tamper]
             write({**header, tamper: value}, [alice, bob])
         elif tamper == "duplicate":  # a second alice row, at the same instant
             write(header, [alice, bob, [*alice[:2], 0.1, *alice[3:]]])
@@ -765,6 +769,12 @@ class TestStoreSnapshot:
             write(header, [[*alice[:2], str(alice[2]), *alice[3:]], bob])
         elif tamper == "over-cap":  # the body line holds more rows than a line may
             monkeypatch.setattr(store_module, "SNAPSHOT_ROWS_PER_LINE", 1)
+        elif tamper == "row-edited":  # alice's trust 0.8 edited to 0.3, the old trailer kept
+            snapshot.write_text(snapshot.read_text().replace('"alice", 0.8,', '"alice", 0.3,'))
+        elif tamper == "no-trailer":
+            snapshot.write_text("\n".join(lines[:-1]) + "\n")
+        elif tamper == "after-trailer":  # a valid snapshot, then a body line of no rows
+            snapshot.write_text(snapshot.read_text() + "[]\n")
         else:  # the log lost its last record after the snapshot was written
             text = path.read_text()
             path.write_text(text[: text.rindex("{")])
@@ -776,31 +786,41 @@ class TestStoreSnapshot:
         )
         if tamper == "stale":
             assert store.get("user", "alice").trust == 0.3 and len(store) == 4
+        if tamper == "row-edited":  # the log's value, not the edited row's
+            assert store.get("user", "alice").trust == 0.8
         replay_starts.clear()
         TrustStore(path)  # the full scan wrote a snapshot that holds
         assert replay_starts[0].offset == path.stat().st_size
 
-    def test_a_v1_snapshot_is_replaced_by_v2(self, tmp_path, replay_starts):
+    @pytest.mark.parametrize("version", [1, 2], ids=["v1", "v2"])
+    def test_an_older_snapshot_is_replaced(self, tmp_path, replay_starts, version):
+        """``store-snapshot/1`` (a record object per line) and ``/2`` (row
+        arrays, no trailer), as earlier releases wrote them: each is ignored
+        once, then replaced by the current version."""
         path = tmp_path / "store.jsonl"
         subjects = [("user", "alice"), ("provider", "bob")]
         _three_records(path)
         log = path.read_bytes()
-        v1_header = {
+        old_header = {
             "format": "store-snapshot",
-            "version": 1,
+            "version": version,
             "log_bytes": len(log),
             "log_sha256": hashlib.sha256(log).hexdigest(),
             "lines": 4,
             "records": 4,
             "subjects": 2,
         }
-        latest = [TrustStore(path).get(*subject).to_dict() for subject in subjects]
-        _snapshot(path).write_text("\n".join(map(json.dumps, [v1_header, *latest])) + "\n")
+        latest = [TrustStore(path).get(*subject) for subject in subjects]
+        if version == 1:
+            body = [record.to_dict() for record in latest]
+        else:
+            body = [[[r.subject_kind, r.subject_id, r.trust, r.classification, r.model, r.evaluated_at] for r in latest]]
+        _snapshot(path).write_text("\n".join(map(json.dumps, [old_header, *body])) + "\n")
         replay_starts.clear()
         store = TrustStore(path)
         assert replay_starts == [LogPosition()]
         assert _state(store, subjects) == _full_scan_state(path, subjects)
-        assert json.loads(_snapshot(path).read_text().splitlines()[0])["version"] == 2
+        assert _check_trailer(_snapshot(path))[0]["version"] == 3
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(record(trust=0.9, at="2026-01-04T00:00:00+00:00").to_dict()) + "\n")
         replay_starts.clear()
@@ -814,8 +834,8 @@ class TestStoreSnapshot:
         subjects = [("user", f"u{i}") for i in range(3 * cap + 1)]
         path.write_text("".join(json.dumps(record(subject=subject).to_dict()) + "\n" for _, subject in subjects))
         TrustStore(path)
-        body = _snapshot(path).read_text().splitlines()[1:]
-        assert [len(json.loads(line)) for line in body] == [cap, cap, cap, 1]
+        body = _check_trailer(_snapshot(path))[1:]
+        assert [len(line) for line in body] == [cap, cap, cap, 1]
         replay_starts.clear()
         store = TrustStore(path)
         assert replay_starts == [LogPosition(path.stat().st_size, len(subjects), len(subjects))]
@@ -968,7 +988,7 @@ _FEEDBACK_STEPS = st.lists(
 
 
 class TestLedgerSnapshot:
-    """The feedback ledger's ``ledger-snapshot/1`` checkpoint, through the
+    """The feedback ledger's ``ledger-snapshot/2`` checkpoint, through the
     same open policy as the trust store's."""
 
     def test_reopen_replays_only_the_tail(self, tmp_path, replay_starts):
@@ -983,8 +1003,8 @@ class TestLedgerSnapshot:
         assert _ledger_state(ledger) == (5, {"p1": [2, 1], "p2": [1, 1]})
         assert ledger.negative_ratio("p1") == 1 / 3 and ledger.negative_ratio("p2") == 0.5
         assert stat.S_IMODE(_snapshot(path).stat().st_mode) == stat.S_IMODE(path.stat().st_mode)
-        header, body = map(json.loads, _snapshot(path).read_text().splitlines())
-        assert (header["format"], header["version"], header["log_bytes"]) == ("ledger-snapshot", 1, path.stat().st_size)
+        header, body = _check_trailer(_snapshot(path))
+        assert (header["format"], header["version"], header["log_bytes"]) == ("ledger-snapshot", 2, path.stat().st_size)
         assert (header["lines"], header["records"], header["subjects"]) == (5, 5, 2)
         assert body == [["p1", 2, 1], ["p2", 1, 1]]
 
@@ -1039,6 +1059,9 @@ class TestLedgerSnapshot:
             "empty-id",
             "arity",
             "over-cap",
+            "row-edited",
+            "no-trailer",
+            "after-trailer",
         ],
     )
     def test_a_snapshot_failing_a_check_is_ignored(self, tmp_path, replay_starts, monkeypatch, tamper):
@@ -1048,8 +1071,8 @@ class TestLedgerSnapshot:
         lines = snapshot.read_text().splitlines()
         header, (p1, p2) = json.loads(lines[0]), json.loads(lines[1])  # one body line of two rows
 
-        def write(header, *body):
-            snapshot.write_text("\n".join(map(json.dumps, [header, *body])) + "\n")
+        def write(header, *body):  # with a trailer that matches, so the case meets its own check
+            snapshot.write_text(_with_trailer([json.dumps(line) for line in [header, *body]]))
 
         if tamper == "stale":  # p1's first feedback edited in place, same length
             path.write_text(path.read_text().replace('"negative"', '"positive"', 1))
@@ -1060,7 +1083,7 @@ class TestLedgerSnapshot:
         elif tamper == "not-json":
             snapshot.write_text("not json\n")
         elif tamper in ("format", "version", "records", "lines", "subjects"):  # records < subjects, lines < records, rows != subjects
-            value = {"format": "store-snapshot", "version": 2, "records": 1, "lines": 3, "subjects": 3}[tamper]
+            value = {"format": "store-snapshot", "version": 3, "records": 1, "lines": 3, "subjects": 3}[tamper]
             write({**header, tamper: value}, [p1, p2])
         elif tamper == "duplicate":  # a second p1 row
             write(header, [p1, p2, ["p1", 0, 9]])
@@ -1072,6 +1095,12 @@ class TestLedgerSnapshot:
             write(header, [p1, p2[:-1]])
         elif tamper == "over-cap":  # the body line holds more rows than a line may
             monkeypatch.setattr(store_module, "SNAPSHOT_ROWS_PER_LINE", 1)
+        elif tamper == "row-edited":  # p2's one negative edited to a positive, the old trailer kept
+            snapshot.write_text(snapshot.read_text().replace('["p2", 0, 1]', '["p2", 1, 0]'))
+        elif tamper == "no-trailer":
+            snapshot.write_text("\n".join(lines[:-1]) + "\n")
+        elif tamper == "after-trailer":  # a valid snapshot, then a body line of no rows
+            snapshot.write_text(snapshot.read_text() + "[]\n")
         else:  # the log lost its last entry after the snapshot was written
             text = path.read_text()
             path.write_text(text[: text.rindex("{")])
@@ -1081,9 +1110,29 @@ class TestLedgerSnapshot:
         assert _ledger_state(ledger) == _ledger_full_scan(path)
         if tamper == "stale":
             assert _ledger_state(ledger) == (4, {"p1": [3, 0], "p2": [0, 1]})
+        if tamper == "row-edited":  # the log's ratio, a feedback ban
+            assert ledger.negative_ratio("p2") == 1.0 and feedback_ban(ledger.negative_ratio("p2"))
         replay_starts.clear()
         FeedbackLedger(path)  # the full scan wrote a snapshot that holds
         assert replay_starts[0].offset == path.stat().st_size
+
+    def test_an_older_snapshot_is_replaced(self, tmp_path, replay_starts):
+        """``ledger-snapshot/1`` (row arrays, no trailer), as the previous
+        release wrote it: ignored once, then replaced by the current version."""
+        path = tmp_path / "feedback.jsonl"
+        _four_feedbacks(path)
+        log = path.read_bytes()
+        v1_header = {"format": "ledger-snapshot", "version": 1, "log_bytes": len(log),
+                     "log_sha256": hashlib.sha256(log).hexdigest(), "lines": 4, "records": 4, "subjects": 2}
+        _snapshot(path).write_text("\n".join(map(json.dumps, [v1_header, [["p1", 2, 1], ["p2", 0, 1]]])) + "\n")
+        replay_starts.clear()
+        ledger = FeedbackLedger(path)
+        assert replay_starts == [LogPosition()]
+        assert _ledger_state(ledger) == _ledger_full_scan(path) == (4, {"p1": [2, 1], "p2": [0, 1]})
+        assert _check_trailer(_snapshot(path))[0]["version"] == 2
+        replay_starts.clear()
+        FeedbackLedger(path)
+        assert replay_starts == [LogPosition(len(log), 4, 4)]
 
     def test_failed_snapshot_write_leaves_the_ledger_usable(self, tmp_path, monkeypatch):
         path = tmp_path / "feedback.jsonl"
