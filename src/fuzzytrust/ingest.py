@@ -19,11 +19,13 @@ Log CSV:     header ``timestamp,user_id,status``
              and for the window the counters report.
 Counters CSV: header ``user_id,bad,bogus,unauthorized,total``
 Corpus CSV:  header ``bad,bogus,unauthorized,total,trust`` (both read by ``read_counters_csv``)
+Every CSV is UTF-8: a byte that is not raises ``ParseError`` naming the file and its line.
 """
 
 from __future__ import annotations
 
 import csv
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 
@@ -35,6 +37,25 @@ from .user import UserBehaviorCounters, baseline_trust
 # status -> slot in a user's tally [uar, bor, bar, tr]: 401 and 403 are
 # unauthorized, 404 bogus and 400 bad; every status also adds to tr
 _TALLY_SLOT = {401: 0, 403: 0, 404: 1, 400: 2}
+
+
+@contextmanager
+def _open_csv(path):
+    """``path`` opened for ``csv``.  A byte that is not UTF-8 raises
+    ``ParseError`` naming the first line that holds one, found by a binary
+    rescan on that error alone: the text layer decodes chunks ahead of the
+    reader, so the reader's row number does not locate the byte."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        with open(path, "rb") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError as bad:
+                    raise ParseError(path, lineno, str(bad)) from exc
+        raise  # every line decodes now: the file changed under the reader
 
 
 def _parse_timestamp(text: str, path, lineno: int) -> datetime:
@@ -100,7 +121,7 @@ def ingest_log(
     # per timeline, naive then aware: [earliest, its line, latest, its line]
     spans = ([None, 0, None, 0], [None, 0, None, 0])
     fromisoformat = datetime.fromisoformat
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with _open_csv(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -245,7 +266,7 @@ def read_counters_csv(path) -> list[UserBehaviorCounters]:
     ``user_id`` column the users are named ``row-NNNN`` by data row; a
     ``trust`` column is ignored (it is recomputable from the counts)."""
     counters = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with _open_csv(path) as fh:
         reader = csv.DictReader(fh)
         required = {"bad", "bogus", "unauthorized", "total"}
         if reader.fieldnames is None or not required.issubset(set(reader.fieldnames)):

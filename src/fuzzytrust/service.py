@@ -142,7 +142,8 @@ def _feedback_slot(provider_id, feedback) -> int:  # tally index: 0 positive, 1 
 
 
 class FeedbackLedger(FoldedLog):
-    """Provider feedback in a ``FoldedLog`` with in-memory tallies.
+    """Provider feedback in a ``FoldedLog`` with in-memory tallies, kept by
+    its ``FoldedLog`` hooks ``_fold``, ``_seed`` and ``_row``.
 
     The ratio is a pure function of the feedback multiset, so replaying
     the log in any order gives the same tallies.
@@ -153,7 +154,7 @@ class FeedbackLedger(FoldedLog):
     def __init__(self, path):
         self._tallies: dict[str, list[int]] = {}  # provider -> [positive, negative]
         self._maps = [self._tallies]
-        super().__init__(path, self._fold, self._seed)
+        super().__init__(path)
 
     def _fold(self, data: dict) -> None:
         if data["v"] != LEDGER_VERSION:

@@ -1,9 +1,11 @@
 """Persistence: the only code that opens the append-only logs and the
 versioned JSON documents.
 
-- Trust store: one ``TrustRecord`` per line, ``"v": 1``.  Feedback
-  ledger (``service.FeedbackLedger``): one ``{"v": 1, "provider_id",
-  "feedback", "at"}`` per line.  Both are ``JsonlLog``s.
+- Logs: the trust store (``TrustStore``), one ``TrustRecord`` per line,
+  ``"v": 1``, and the feedback ledger (``service.FeedbackLedger``), one
+  ``{"v": 1, "provider_id", "feedback", "at"}`` per line.  Both are
+  ``FoldedLog``s: that class alone opens, replays and appends to a log,
+  and each subclass adds only its state and its fold, seed and row hooks.
 - Documents: ``{"format", "version": 1, ...}``, one per file, written by
   ``save_artifact``: ``fis``, ``cluster-model`` and ``user-trust-model``
   (read back by ``load_artifact``, checked by ``check_format``) and
@@ -32,11 +34,13 @@ versioned JSON documents.
   ``ledger-snapshot/1``) is ignored once and then replaced.  The digests
   catch a damaged or hand-edited file, not a forged one: SHA-256 is not a
   MAC, so an edit that also recomputes the trailer (and ``log_sha256``, if
-  it edits the log) passes.  After an open whose
-  replay grew the newline-terminated prefix, the snapshot is rewritten: a
-  temporary file in the same directory, then ``os.replace``.  A failed
-  write is ignored.  The log stays the source of truth: it is never
-  rewritten, and deleting the snapshot costs only a full replay.
+  it edits the log) passes.  After an open whose replay grew the
+  newline-terminated prefix, the snapshot is rewritten: a temporary file
+  in the same directory, then ``os.replace``.  The replay hashes each
+  line as it folds it, so the tail is read once.  A failed write is
+  ignored, and the next rewrite removes its temporary file.  The log
+  stays the source of truth: it is never rewritten, and deleting the
+  snapshot costs only a full replay.
 
 Single writer: a ``FoldedLog`` reads its log once, when it opens, and
 then sees only the records appended through itself.  Records another
@@ -52,14 +56,15 @@ starts on a fresh line, so the next open still reads every record.
 
 from __future__ import annotations
 
+import glob
 import hashlib
-import io
 import json
 import os
 import stat
 import tempfile
 import threading
 from collections.abc import Mapping
+from contextlib import suppress
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import islice
@@ -83,72 +88,12 @@ def utc_now_iso() -> str:
 
 
 class LogPosition(NamedTuple):
-    """A point in a ``JsonlLog`` just past a newline (or at its start): the
-    bytes before it, the lines among them and the records (non-blank lines)."""
+    """A point in a log just past a newline (or at its start): the bytes
+    before it, the lines among them and the records (non-blank lines)."""
 
     offset: int = 0
     lines: int = 0
     records: int = 0
-
-
-class JsonlLog:
-    """An append-only file of JSON objects, one per line.
-
-    Opening streams the file from ``start`` through ``fold`` line by line;
-    a line that is not JSON or that ``fold`` rejects with ``ValueError``,
-    ``KeyError`` or ``TypeError`` raises ``StoreCorruptError`` with its
-    line number in the whole file.  ``end`` is then the position after the
-    last line, or None if that line lacks its newline.  ``append`` opens
-    one handle on first use and flushes each line; its owner serialises
-    calls.
-    """
-
-    def __init__(self, path, fold, start: LogPosition = LogPosition()):
-        self.path = Path(path)
-        self._fh = None
-        self._count = start.records
-        self._unterminated = False  # the file's last line lacks its newline
-        self.end: LogPosition | None = start
-        if not self.path.exists():
-            return
-        lineno, raw = start.lines, "\n"  # an empty tail counts as terminated
-        with open(self.path, "rb") as binary:
-            binary.seek(start.offset)
-            # lines end at "\n" only, as they do for byte offsets
-            fh = io.TextIOWrapper(binary, encoding="utf-8", newline="\n")
-            for lineno, raw in enumerate(fh, start=start.lines + 1):
-                line = raw.strip()
-                if not line:
-                    continue
-                try:
-                    fold(json.loads(line))
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise StoreCorruptError(self.path, lineno, str(exc)) from exc
-                self._count += 1
-            self._unterminated = not raw.endswith("\n")
-            # the text layer has consumed every byte up to the end of the file
-            self.end = None if self._unterminated else LogPosition(binary.tell(), lineno, self._count)
-
-    def append(self, data: dict) -> None:
-        line = json.dumps(data) + "\n"
-        if self._fh is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = open(self.path, "a", encoding="utf-8")
-        if self._unterminated:  # a write cut short: start on a fresh line
-            line = "\n" + line
-        self._fh.write(line)
-        self._fh.flush()
-        self._unterminated = False
-        self._count += 1
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-    def __len__(self) -> int:
-        """Lines replayed plus lines appended."""
-        return self._count
 
 
 @dataclass(frozen=True)
@@ -213,19 +158,17 @@ def _instant(evaluated_at: str) -> datetime:
     return instant if instant.tzinfo is not None else instant.replace(tzinfo=timezone.utc)
 
 
-def _sha256(path: Path, start: int, stop: int, digest=None):
-    """``digest`` (a new SHA-256 if None) updated with bytes ``[start, stop)``
-    of ``path``, read in chunks of at most ``HASH_CHUNK_BYTES``.
-    ``ValueError`` if the file ends before ``stop``."""
-    digest = digest or hashlib.sha256()
+def _sha256(path: Path, stop: int):
+    """A SHA-256 of the first ``stop`` bytes of ``path``, read in chunks of
+    at most ``HASH_CHUNK_BYTES``.  ``ValueError`` if the file is shorter."""
+    digest, done = hashlib.sha256(), 0
     with open(path, "rb", buffering=0) as fh:
-        fh.seek(start)
-        while start < stop:
-            chunk = fh.read(min(HASH_CHUNK_BYTES, stop - start))
+        while done < stop:
+            chunk = fh.read(min(HASH_CHUNK_BYTES, stop - done))
             if not chunk:
-                raise ValueError(f"{path} ends at byte {start}, before {stop}")
+                raise ValueError(f"{path} ends at byte {done}, before {stop}")
             digest.update(chunk)
-            start += len(chunk)
+            done += len(chunk)
     return digest
 
 
@@ -236,26 +179,36 @@ def _count(value) -> int:
 
 
 class FoldedLog:
-    """A ``JsonlLog`` folded into in-memory state, checkpointed as the module
-    docstring says.  A subclass sets ``SNAPSHOT = (format, version)``, keeps
-    its state in the dicts ``_maps`` (one snapshot row per entry, made by
-    ``_row(key, value)``), and passes ``__init__`` the ``fold`` of one log
-    line and the ``seed`` of one snapshot row into that state."""
+    """An append-only file of JSON objects, one per line, folded into
+    in-memory state and checkpointed as the module docstring says.
 
-    def __init__(self, path, fold, seed):
+    A subclass sets ``SNAPSHOT = (format, version)``, keeps its state in the
+    dicts ``_maps`` (set before ``__init__``) and defines three hooks:
+    ``_fold(data)`` folds one log line into that state, ``_seed(row)`` one
+    snapshot row, and ``_row(key, value)`` makes the snapshot row of one
+    entry.  Opening replays the log line by line from the end of a trusted
+    snapshot, else from its start; a line that is not UTF-8 JSON, or that
+    ``_fold`` rejects with ``ValueError``, ``KeyError`` or ``TypeError``,
+    raises ``StoreCorruptError`` with its line number in the whole file.
+    ``_append`` opens one handle on first use and flushes each line.
+    """
+
+    def __init__(self, path):
+        self._path = Path(path)
+        self._snapshot_path = self._path.with_name(self._path.name + SNAPSHOT_SUFFIX)
         self._lock = threading.Lock()
-        path = Path(path)
-        self._snapshot_path = path.with_name(path.name + SNAPSHOT_SUFFIX)
-        start, digest = self._seed_from_snapshot(path, seed)
-        self._log = JsonlLog(path, fold, start)
-        end = self._log.end
+        self._fh = None
+        self._unterminated = False  # the log's last line lacks its newline
+        start, digest = self._seed_from_snapshot()
+        self._count = start.records
+        end = self._replay(start, digest)
         if end is not None and end.offset > start.offset:
-            self._write_snapshot(path, start, digest, end)
+            self._write_snapshot(end, digest)
 
-    def _seed_from_snapshot(self, path: Path, seed) -> tuple[LogPosition, object]:
+    def _seed_from_snapshot(self) -> tuple[LogPosition, object]:
         """Seed the state from a snapshot that passes every check and return
         the log position it covers with that prefix's running digest; else
-        leave the state empty and return the log's start and None."""
+        leave the state empty and return the log's start and a new digest."""
         header = trailer = None
         rows, body = 0, hashlib.sha256()  # body: every byte above the trailer
         try:
@@ -276,7 +229,7 @@ class FoldedLog:
                         if len(data) > SNAPSHOT_ROWS_PER_LINE:
                             raise ValueError(f"a snapshot line holds more than {SNAPSHOT_ROWS_PER_LINE} rows")
                         for row in data:
-                            seed(row)
+                            self._seed(row)
                         rows += len(data)
                     body.update(raw)
             if trailer is None:
@@ -284,35 +237,62 @@ class FoldedLog:
             covered = LogPosition(_count(header["log_bytes"]), _count(header["lines"]), _count(header["records"]))
             if not rows == sum(map(len, self._maps)) == _count(header["subjects"]) <= covered.records <= covered.lines:
                 raise ValueError("the snapshot's counts disagree")
-            digest = _sha256(path, 0, covered.offset)  # ValueError if the log is shorter
+            digest = _sha256(self._path, covered.offset)  # ValueError if the log is shorter
             if digest.hexdigest() != header["log_sha256"]:
                 raise ValueError("the log prefix has changed")
             return covered, digest
         except (OSError, ValueError, KeyError, TypeError, RecursionError):
             for state in self._maps:
                 state.clear()
-            return LogPosition(), None
+            return LogPosition(), hashlib.sha256()
 
-    def _write_snapshot(self, path: Path, start: LogPosition, digest, end: LogPosition) -> None:
-        """Replace the snapshot with one covering the log up to ``end``;
-        ``digest`` has hashed the log up to ``start``.  A failed write leaves
-        the state as it is; the next open then ignores or keeps the old
-        snapshot."""
+    def _replay(self, start: LogPosition, digest) -> LogPosition | None:
+        """Fold the log from ``start`` on, adding each line's bytes to
+        ``digest``, which has hashed the log up to ``start``.  Return the
+        position after the last line, or None if that line lacks its newline."""
+        if not self._path.exists():
+            return start
+        fold, lineno, raw = self._fold, start.lines, b"\n"  # an empty tail counts as terminated
+        with open(self._path, "rb") as fh:
+            fh.seek(start.offset)
+            for lineno, raw in enumerate(fh, start=start.lines + 1):  # lines end at b"\n" only
+                digest.update(raw)
+                try:
+                    line = raw.decode("utf-8").strip()
+                    if not line:
+                        continue
+                    fold(json.loads(line))
+                except (ValueError, KeyError, TypeError) as exc:  # UnicodeDecodeError is a ValueError
+                    raise StoreCorruptError(self._path, lineno, str(exc)) from exc
+                self._count += 1
+            self._unterminated = not raw.endswith(b"\n")
+            return None if self._unterminated else LogPosition(fh.tell(), lineno, self._count)
+
+    def _write_snapshot(self, end: LogPosition, digest) -> None:
+        """Replace the snapshot with one covering the log up to ``end``, whose
+        bytes ``digest`` has hashed.  It first removes every temporary file
+        (``<snapshot>.*.tmp``) that a writer killed mid-write left behind.  A
+        failed write leaves the state as it is; the next open then ignores or
+        keeps the old snapshot.  Two processes that rewrite one snapshot at
+        once each write their own temporary file, and the last ``os.replace``
+        wins; if one removes the other's file as stale, that write fails."""
         target = self._snapshot_path
         tmp = None
         try:
+            for stale in target.parent.glob(glob.escape(target.name) + ".*.tmp"):
+                stale.unlink(missing_ok=True)
             header = {
                 "format": self.SNAPSHOT[0],
                 "version": self.SNAPSHOT[1],
                 "log_bytes": end.offset,
-                "log_sha256": _sha256(path, start.offset, end.offset, digest).hexdigest(),
+                "log_sha256": digest.hexdigest(),
                 "lines": end.lines,
                 "records": end.records,
                 "subjects": sum(map(len, self._maps)),
             }
             fd, tmp = tempfile.mkstemp(prefix=target.name + ".", suffix=".tmp", dir=target.parent)
             with open(fd, "wb") as fh:
-                os.chmod(tmp, stat.S_IMODE(path.stat().st_mode))  # readable by whoever may read the log
+                os.chmod(tmp, stat.S_IMODE(self._path.stat().st_mode))  # readable by whoever may read the log
                 body = hashlib.sha256()
 
                 def write(data) -> None:
@@ -328,28 +308,42 @@ class FoldedLog:
             os.replace(tmp, target)
         except (OSError, ValueError):
             if tmp is not None:
-                try:
+                with suppress(OSError):
                     os.unlink(tmp)
-                except OSError:
-                    pass
+
+    def _write(self, data: dict) -> None:
+        """Write ``data`` as one line and flush it; after a write cut short,
+        start on a fresh line."""
+        line = json.dumps(data) + "\n"
+        if self._fh is None:
+            self._path.parent.mkdir(parents=True, exist_ok=True)
+            self._fh = open(self._path, "a", encoding="utf-8")
+        if self._unterminated:
+            line = "\n" + line
+        self._fh.write(line)
+        self._fh.flush()
+        self._unterminated = False
+        self._count += 1
 
     def _append(self, data: dict, apply, *args) -> None:
         """Append ``data``, then ``apply(*args)``: a failed write changes nothing."""
         with self._lock:
-            self._log.append(data)
+            self._write(data)
             apply(*args)
 
     def close(self) -> None:
         with self._lock:
-            self._log.close()
+            if self._fh is not None:
+                self._fh.close()
+                self._fh = None
 
     def __len__(self) -> int:
-        """Total records appended (not unique subjects)."""
-        return len(self._log)
+        """Records replayed plus records appended (not unique subjects)."""
+        return self._count
 
 
 class TrustStore(FoldedLog):
-    """Trust records in a ``JsonlLog``, indexed in memory by the latest
+    """Trust records in a ``FoldedLog``, indexed in memory by the latest
     record per (subject kind, subject id).  "Latest" is the latest
     ``evaluated_at`` instant, whatever its UTC offset; of equal instants
     the one appended last.  An unparsable ``evaluated_at`` is a corrupt line."""
@@ -360,24 +354,22 @@ class TrustStore(FoldedLog):
         # kind -> id -> (instant, record): on replay a nested lookup is cheaper
         # than a tuple key per line, and each stamp is parsed once
         self._latest: dict[str, dict[str, tuple[datetime, TrustRecord]]] = {kind: {} for kind in SUBJECT_KINDS}
-        latest, from_dict = self._latest, TrustRecord.from_dict
+        self._maps = list(self._latest.values())
+        super().__init__(path)
 
-        def index(record: TrustRecord, instant: datetime) -> None:
-            by_id = latest[record.subject_kind]
-            current = by_id.get(record.subject_id)
-            if current is None or instant >= current[0]:
-                by_id[record.subject_id] = (instant, record)
+    def _index(self, record: TrustRecord, instant: datetime) -> None:
+        by_id = self._latest[record.subject_kind]
+        current = by_id.get(record.subject_id)
+        if current is None or instant >= current[0]:
+            by_id[record.subject_id] = (instant, record)
 
-        def replay(data: dict) -> None:
-            record = from_dict(data)
-            index(record, _instant(record.evaluated_at))
+    def _fold(self, data: dict) -> None:
+        record = TrustRecord.from_dict(data)
+        self._index(record, _instant(record.evaluated_at))
 
-        def seed(row) -> None:
-            kind, subject_id, trust, classification, model, evaluated_at = row
-            index(TrustRecord(subject_id, kind, trust, classification, model, evaluated_at), _instant(evaluated_at))
-
-        self._index, self._maps = index, list(latest.values())
-        super().__init__(path, replay, seed)
+    def _seed(self, row) -> None:
+        kind, subject_id, trust, classification, model, evaluated_at = row
+        self._index(TrustRecord(subject_id, kind, trust, classification, model, evaluated_at), _instant(evaluated_at))
 
     @staticmethod
     def _row(subject_id: str, entry: tuple[datetime, TrustRecord]) -> list:

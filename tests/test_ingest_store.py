@@ -400,6 +400,27 @@ class TestCorpus:
             assert err.value.line == 1 and str(path) in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "read, header, row",
+    [
+        (ingest_log, "timestamp,user_id,status", lambda i: f"2026-01-01T00:00:{i % 60:02d},user{i},200"),
+        (read_counters_csv, "user_id,bad,bogus,unauthorized,total", lambda i: f"user{i},1,2,3,50"),
+    ],
+    ids=["request-log", "counters"],
+)
+def test_a_non_utf8_byte_in_a_csv_names_its_line(tmp_path, read, header, row):
+    """The text layer decodes 8 KB ahead of the csv reader, so the byte sits
+    past the first 8 KB: the line must come from the file, not the reader."""
+    lines = [header.encode()] + [row(i).encode() for i in range(1000)]
+    lines[700] = lines[700].replace(b"user", b"us\xffer")
+    path = tmp_path / "input.csv"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    assert path.read_bytes().index(b"\xff") > 8192
+    with pytest.raises(ParseError, match="can't decode byte 0xff") as err:
+        read(path)
+    assert err.value.line == 701 and str(err.value).startswith(f"{path}, line 701: ")
+
+
 def record(subject="alice", kind="user", trust=0.9, classification="trusted", model="fis", at="2026-01-01T00:00:00+00:00"):
     return TrustRecord(
         subject_id=subject,
@@ -619,16 +640,16 @@ def _full_scan_state(path: Path, subjects) -> tuple:
 
 @pytest.fixture
 def replay_starts(monkeypatch):
-    """The position each trust-store open starts replaying its log from."""
+    """The position each store or ledger open starts replaying its log from."""
     starts = []
 
-    class Spy(store_module.JsonlLog):
-        def __init__(self, path, fold, start=LogPosition()):
-            if not str(path).endswith(".snapshot"):
-                starts.append(start)
-            super().__init__(path, fold, start)
+    replay = store_module.FoldedLog._replay
 
-    monkeypatch.setattr(store_module, "JsonlLog", Spy)
+    def spy(log, start, digest):
+        starts.append(start)
+        return replay(log, start, digest)
+
+    monkeypatch.setattr(store_module.FoldedLog, "_replay", spy)
     return starts
 
 
@@ -965,7 +986,7 @@ def test_a_failed_append_changes_no_state(tmp_path, monkeypatch):
     def full_disk(log, data):
         raise OSError(28, "No space left on device")
 
-    monkeypatch.setattr(store_module.JsonlLog, "append", full_disk)
+    monkeypatch.setattr(store_module.FoldedLog, "_write", full_disk)
     with pytest.raises(OSError):
         store.put(record(trust=0.1, at="2026-01-02T00:00:00+00:00"))
     with pytest.raises(OSError):
@@ -1160,6 +1181,101 @@ class TestLedgerSnapshot:
         with pytest.raises(StoreCorruptError, match="unsupported ledger version 2") as err:
             FeedbackLedger(path)
         assert err.value.line == (5 if checkpointed else 2) and str(path) in str(err.value)
+
+
+class TestLogBytes:
+    """What both logs make of the bytes on disk: the replay decodes and
+    hashes each line once."""
+
+    @pytest.mark.parametrize("log", ["store", "ledger"])
+    @pytest.mark.parametrize("checkpointed", [False, True], ids=["full-replay", "in-the-tail"])
+    def test_a_non_utf8_byte_names_the_file_and_line(self, tmp_path, replay_starts, log, checkpointed):
+        path = tmp_path / f"{log}.jsonl"
+        if log == "store":
+            opener, good = TrustStore, json.dumps(record().to_dict()).encode()
+            bad = good.replace(b"alice", b"al\xffce")
+        else:
+            opener, good = FeedbackLedger, _feedback_line().encode()
+            bad = good.replace(b"p1", b"p\xff1")
+        if checkpointed:
+            (_three_records if log == "store" else _four_feedbacks)(path)
+        else:
+            path.write_bytes(good + b"\n")
+        lines = path.read_bytes().count(b"\n")
+        with open(path, "ab") as fh:
+            fh.write(bad + b"\n")
+        replay_starts.clear()
+        with pytest.raises(StoreCorruptError, match="can't decode byte 0xff") as err:
+            opener(path)
+        assert replay_starts[0].lines == (lines if checkpointed else 0)
+        assert err.value.line == lines + 1 and str(err.value).startswith(f"{path}, line {lines + 1}: ")
+
+    @staticmethod
+    def _covered(path: Path) -> dict:
+        """The snapshot's header, once its ``log_sha256`` is checked against
+        the log bytes it says it covers."""
+        header = _check_trailer(_snapshot(path))[0]
+        assert header["log_sha256"] == hashlib.sha256(path.read_bytes()[: header["log_bytes"]]).hexdigest()
+        return header
+
+    def test_the_log_digest_covers_the_replayed_bytes(self, tmp_path, replay_starts):
+        path = tmp_path / "store.jsonl"
+        path.write_text("".join(json.dumps(record(trust=t).to_dict()) + "\n" for t in (0.1, 0.2)))
+        TrustStore(path)  # a full replay
+        assert replay_starts == [LogPosition()]
+        covered = self._covered(path)["log_bytes"]
+        assert covered == path.stat().st_size
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(record(trust=0.3, at="2026-01-02T00:00:00+00:00").to_dict()) + "\n")
+        TrustStore(path)  # a tail
+        assert replay_starts[1] == LogPosition(covered, 2, 2)
+        assert self._covered(path)["log_bytes"] == path.stat().st_size
+        with open(path, "ab") as fh:  # a tail of blank and CRLF-terminated lines
+            fh.write(b"\n  \r\n" + json.dumps(record(trust=0.4, at="2026-01-03T00:00:00+00:00").to_dict()).encode() + b"\r\n")
+        store = TrustStore(path)
+        header = self._covered(path)
+        assert (header["log_bytes"], header["lines"], header["records"]) == (path.stat().st_size, 6, 4)
+        assert len(store) == 4 and store.get("user", "alice").trust == 0.4
+
+    @pytest.mark.parametrize(
+        "log, digest",
+        [
+            ("store", "9b206b4bb8e80e04326bde8295999849b6f7db38994280f89dc143e91e7ce7c3"),
+            ("ledger", "614629a30e532a617de1b7401a10209325a3cdc5906fa53848a91aaf1230e501"),
+        ],
+    )
+    def test_the_snapshot_of_a_fixed_log_is_pinned(self, tmp_path, log, digest):
+        """The bytes written for a fixed five-record log: a change to the
+        snapshot format shows here, and it needs a version bump."""
+        path = tmp_path / f"{log}.jsonl"
+        if log == "store":
+            subjects = (("alice", "user"), ("bob", "user"), ("alice", "user"), ("carol", "provider"), ("bob", "user"))
+            lines = [
+                json.dumps(record(subject=s, kind=k, trust=i / 10, at=f"2026-01-0{i}T00:00:00+00:00").to_dict())
+                for i, (s, k) in enumerate(subjects, start=1)
+            ]
+        else:
+            lines = [_feedback_line(p, f) for p, f in (("p1", "negative"), ("p2", "positive"), ("p1", "positive"),
+                                                      ("p1", "positive"), ("p3", "negative"))]
+        path.write_text("".join(line + "\n" for line in lines))
+        (TrustStore if log == "store" else FeedbackLedger)(path)
+        assert hashlib.sha256(_snapshot(path).read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("name", ["store.jsonl", "store[1].jsonl"])
+    def test_a_stale_temporary_snapshot_is_removed(self, tmp_path, replay_starts, name):
+        """A writer killed inside a snapshot write leaves its temporary file;
+        the next rewrite removes it."""
+        path = tmp_path / name
+        _three_records(path)
+        stale = path.with_name(path.name + ".snapshot.k1l1ed00.tmp")
+        stale.write_text('{"format": "store-snapshot", "ver')
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(record(trust=0.7, at="2026-01-04T00:00:00+00:00").to_dict()) + "\n")
+        TrustStore(path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([path.name, path.name + ".snapshot"])
+        replay_starts.clear()
+        assert TrustStore(path).get("user", "alice").trust == 0.7
+        assert replay_starts == [LogPosition(path.stat().st_size, 5, 5)]
 
 
 # Documents as the previous release wrote them: the on-disk formats are fixed.
