@@ -34,41 +34,54 @@ also banned while its negative-feedback share in the ledger exceeds
 40%; both provider routes report that, /trust/provider with trust 0
 while the stored values stay intact.
 
-HTTP: the server speaks HTTP/1.1 and keeps each connection open for the
-client's next request (RFC 9112 §9.3) unless the client asks to close or
-speaks HTTP/1.0.  Responses go out with TCP_NODELAY set, each head and
-body in one write: a response split over two small writes waits about
-40 ms for the client's delayed ACK (RFC 896, RFC 1122 §4.2.3.2).
+HTTP: the server speaks HTTP/1.1 through its own parser, which takes a
+request line and field lines of up to ``MAX_LINE_BYTES`` (65 536) bytes and
+up to ``MAX_FIELDS`` (100) field lines; a repeated field reads as its values
+joined by ", " (RFC 9110 §5.3).  A connection stays open for the client's
+next request (RFC 9112 §9.3) unless the request is HTTP/1.0 (as is a GET
+line with no version) or its ``Connection`` field holds a ``close`` token,
+in any case (RFC 9110 §7.6.1).  Responses carry a ``Date`` field but no
+``Server`` field, which would tell every client the Python version (RFC 9110
+§10.2.4).  They go out with TCP_NODELAY set, each head and body in one
+write: a response split over two small writes waits about 40 ms for the
+client's delayed ACK (RFC 896, RFC 1122 §4.2.3.2).
 
 Framing: a request body is exactly ``Content-Length`` bytes (none if the
 header is absent), read on every route, GET included, so the next request
-on the connection starts where it should.  A body that cannot be framed
-is answered, then the connection is closed:
+on the connection starts where it should; ``Expect: 100-continue`` is
+answered once the body is known to be framed.  A body that cannot be
+framed is answered, then the connection is closed:
     400  ``Transfer-Encoding`` (chunked bodies are not accepted), more than
          one ``Content-Length``, a value that is not a non-negative
          integer, or a body that ends early;
     413  a body over ``MAX_BODY_BYTES``.
-The errors the HTTP layer itself finds are ``tmm/1`` JSON too, and also
-close the connection: 400 for a malformed request line, 414 for an
-oversized one, 431 for oversized or too many headers, and 405 (with
-``Allow: GET, POST``) for any other method.  An exception that no route
-expects (an ``OSError`` from the store, say) is answered 500, also
-closing the connection, and its traceback goes to the server's
-``handle_error``.
+The errors the parser finds are ``tmm/1`` JSON too, and also close the
+connection: 400 for a malformed request line or field line (one with no
+colon, with whitespace before its colon, or an obs-fold line: RFC 9112
+§5.1, §5.2), 405 (with ``Allow: GET, POST``) for a method other than GET
+and POST, 414 and 431 for a request line and a field line over
+``MAX_LINE_BYTES``, 431 for more than ``MAX_FIELDS`` fields, and 505 for
+HTTP/2.0 and later.  An exception that no route expects (an ``OSError``
+from the store, say) is answered 500, also closing the connection, and its
+traceback goes to the server's ``handle_error``.
 
-Connections: ``ThreadingHTTPServer`` serves each open connection on its
-own thread, and nothing caps their number.  A connection that sends no
-request for ``IDLE_TIMEOUT_S`` seconds, or stalls that long inside one, is
-closed, which frees its thread; until then every idle kept-alive client
-holds one thread.
+Connections: a ``socketserver.ThreadingTCPServer`` serves each open
+connection on its own thread, and nothing caps their number.  A
+connection that sends no request for ``IDLE_TIMEOUT_S`` seconds, or stalls
+that long inside one, is closed, which frees its thread; until then every
+idle kept-alive client holds one thread.  A client that resets its
+connection is dropped the same way, with no report to ``handle_error``.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import re
+import socketserver
+import time
 from dataclasses import dataclass
 from http import HTTPStatus
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import unquote, urlsplit
 
 from .errors import (
@@ -92,6 +105,12 @@ SCHEMA = "tmm/1"
 LEDGER_VERSION = 1
 MAX_BODY_BYTES = 1 << 16  # a /decide or /feedback body is under 200 bytes
 IDLE_TIMEOUT_S = 15.0  # a kept-alive connection waits this long for its next request
+MAX_LINE_BYTES = 1 << 16  # the request line, and each header field line
+MAX_FIELDS = 100  # header field lines in one request
+
+_VERSION = re.compile(rb"HTTP/[0-9]\.[0-9]")  # RFC 9112 §2.3
+# a field line (RFC 9112 §5): a token name, its colon, then the value with its OWS
+_FIELD = re.compile(rb"([-!#$%&'*+.^_`|~0-9A-Za-z]+):([^\r\n]*)\r?\n")
 
 
 @dataclass(frozen=True)
@@ -286,103 +305,134 @@ def _path_id(path: str, prefix: str) -> str:
     return unquote(path.removeprefix(prefix), errors="strict")
 
 
-class _Handler(BaseHTTPRequestHandler):
+@functools.lru_cache(maxsize=1)
+def _http_date(second: int) -> str:
+    """The ``Date`` field value for a Unix time in seconds (RFC 9110 §5.6.7)."""
+    return time.strftime("%a, %d %b %Y %H:%M:%S GMT", time.gmtime(second))
+
+
+class _Handler(socketserver.StreamRequestHandler):
+    """One connection: its requests are parsed and answered in turn until
+    one of them, the client or the idle timeout closes it."""
+
     service: TrustService  # set on the subclass by create_http_server
 
-    protocol_version = "HTTP/1.1"
-    default_request_version = "HTTP/1.0"  # a request line without a version still gets a status line
     disable_nagle_algorithm = True
-    wbufsize = -1  # buffered: handle_one_request's flush() sends head and body in one write
     timeout = IDLE_TIMEOUT_S
 
-    def log_message(self, *args):  # quiet by default
-        pass
+    def handle(self) -> None:
+        self.close_connection = False
+        try:
+            while not self.close_connection:
+                self._handle_one()
+        except (TimeoutError, ConnectionError):  # idle or stalled, or the client went away: drop it
+            pass
+
+    def _handle_one(self) -> None:
+        """Parse one request's line and header fields, then answer it.  The
+        fields go into ``headers``, keyed by lower-cased name."""
+        self.command, self.close_connection = "", True  # until the head has been read
+        line = self.rfile.readline(MAX_LINE_BYTES + 1)
+        if len(line) > MAX_LINE_BYTES:
+            return self._refuse(HTTPStatus.REQUEST_URI_TOO_LONG, "request line too long")
+        words = line.split()
+        if not words:  # the client closed the connection, or sent a blank line
+            return
+        if len(words) == 2 and words[0] == b"GET":  # HTTP/0.9's form, answered as HTTP/1.0
+            words.append(b"HTTP/1.0")
+        if len(words) != 3 or not _VERSION.fullmatch(words[2]):
+            return self._refuse(HTTPStatus.BAD_REQUEST, "malformed request line")
+        if words[2] >= b"HTTP/2":
+            return self._refuse(HTTPStatus.HTTP_VERSION_NOT_SUPPORTED, "only HTTP/1.x is served")
+        headers: dict[str, str] = {}
+        for _ in range(MAX_FIELDS + 1):
+            line = self.rfile.readline(MAX_LINE_BYTES + 1)
+            if line in (b"\r\n", b"\n"):
+                break
+            if len(line) > MAX_LINE_BYTES:
+                return self._refuse(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE, "header field line too long")
+            field = _FIELD.fullmatch(line)
+            if field is None:
+                return self._refuse(HTTPStatus.BAD_REQUEST, "malformed header field line")
+            name, value = field[1].decode().lower(), field[2].strip(b" \t").decode("latin-1")
+            headers[name] = f"{headers[name]}, {value}" if name in headers else value
+        else:
+            return self._refuse(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE, f"more than {MAX_FIELDS} header fields")
+        self.command, path, self.request_version = words[0].decode("latin-1"), words[1].decode("latin-1"), words[2]
+        self.path = "/" + path.lstrip("/") if path.startswith("//") else path  # "//x" is a path, not a host
+        self.headers = headers
+        tokens = {token.strip().lower() for token in headers.get("connection", "").split(",")}
+        self.close_connection = self.request_version < b"HTTP/1.1" or "close" in tokens
+        route = {"GET": self._get, "POST": self._post}.get(self.command)
+        if route is None:
+            return self._refuse(HTTPStatus.METHOD_NOT_ALLOWED, f"method {self.command!r} not allowed",
+                                Allow="GET, POST")
+        self._answer(route)
 
     def _send(self, status: int, body: dict, **headers: str) -> None:
         """The one place a response body is written, as ``{"schema": "tmm/1",
         **body}``: every route, error and protocol failure goes through here."""
         data = json.dumps({"schema": SCHEMA, **body}).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        for name, value in headers.items():
-            self.send_header(name, value)
         if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        if self.command != "HEAD":
-            self.wfile.write(data)
+            headers["Connection"] = "close"
+        head = (f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\nDate: {_http_date(int(time.time()))}\r\n"
+                f"Content-Type: application/json\r\nContent-Length: {len(data)}\r\n"
+                + "".join(f"{name}: {value}\r\n" for name, value in headers.items()) + "\r\n")
+        self.wfile.write(head.encode("latin-1") + (b"" if self.command == "HEAD" else data))
 
-    def _error(self, status: int, message: str) -> None:
-        self._send(status, {"error": message})
+    def _refuse(self, status: int, message: str, **headers: str) -> None:
+        """Answer an error after which the connection cannot be read on, and close it."""
+        self.close_connection = True
+        self._send(status, {"error": message}, **headers)
 
     def _internal_error(self) -> None:
         """The last-resort answer to an exception no branch expects (an
         ``OSError`` from a full disk, say): report it through the server's
         ``handle_error``, answer 500 and close the connection."""
         self.server.handle_error(self.request, self.client_address)
-        self.close_connection = True
-        self._error(HTTPStatus.INTERNAL_SERVER_ERROR, "internal error")
-
-    def send_error(self, code, message=None, explain=None):
-        """The errors ``BaseHTTPRequestHandler`` finds itself, as JSON.  The
-        rest of such a request cannot be framed, so the connection closes."""
-        headers = {}
-        if code == HTTPStatus.NOT_IMPLEMENTED:  # the stdlib's answer to a method with no do_ handler
-            code, message = HTTPStatus.METHOD_NOT_ALLOWED, f"method {self.command!r} not allowed"
-            headers["Allow"] = "GET, POST"
-        self.close_connection = True
-        self._send(code, {"error": message or HTTPStatus(code).phrase}, **headers)
-
-    def handle_expect_100(self):
-        answered = super().handle_expect_100()
-        self.wfile.flush()  # the client may wait for "100 Continue" before it sends the body
-        return answered
+        self._refuse(HTTPStatus.INTERNAL_SERVER_ERROR, "internal error")
 
     def _read_body(self) -> bytes | None:
         """Exactly the declared body.  None once a body that cannot be
         framed has been answered; the connection then closes."""
-        status, lengths = HTTPStatus.BAD_REQUEST, self.headers.get_all("Content-Length", [])
+        status, length = HTTPStatus.BAD_REQUEST, self.headers.get("content-length", "0")
         try:
-            if "Transfer-Encoding" in self.headers:
+            if "transfer-encoding" in self.headers:
                 raise ValueError("Transfer-Encoding is not supported; send a Content-Length")
-            if len(lengths) > 1:
+            if "," in length:
                 raise ValueError("more than one Content-Length")
-            length = _content_length(lengths[0]) if lengths else 0
-            if length > MAX_BODY_BYTES:
+            size = _content_length(length)
+            if size > MAX_BODY_BYTES:
                 status = HTTPStatus.REQUEST_ENTITY_TOO_LARGE
                 raise ValueError(f"Content-Length exceeds the {MAX_BODY_BYTES}-byte cap")
-            body = self.rfile.read(length)
-            if len(body) < length:
-                raise ValueError(f"body ended after {len(body)} of {length} bytes")
+            if self.headers.get("expect", "").lower() == "100-continue" and self.request_version >= b"HTTP/1.1":
+                self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")  # the client may wait for it to send the body
+            body = self.rfile.read(size)
+            if len(body) < size:
+                raise ValueError(f"body ended after {len(body)} of {size} bytes")
             return body
         except ValueError as exc:
-            self.close_connection = True
-            self._error(status, str(exc))
+            self._refuse(status, str(exc))
             return None
-
-    def do_GET(self):
-        self._answer(self._get)
-
-    def do_POST(self):
-        self._answer(self._post)
 
     def _answer(self, route) -> None:
         """Read the body, then answer 200 with ``route(path, body)``; its
-        exceptions map onto statuses here, for every route."""
+        exceptions map onto statuses here, for every route.  The answer is
+        written outside the ``try``: a client gone by then is no route error."""
         raw = self._read_body()
         if raw is None:
             return
         try:
-            self._send(200, route(urlsplit(self.path).path.rstrip("/") or "/", raw))
+            status, body = 200, route(urlsplit(self.path).path.rstrip("/") or "/", raw)
         except (NotFoundError, NoTrustAvailableError) as exc:
-            self._error(404, str(exc))
+            status, body = 404, {"error": str(exc)}
         except (ValueError, KeyError, TypeError, OverflowError) as exc:
-            self._error(400, f"bad request: {exc}")
+            status, body = 400, {"error": f"bad request: {exc}"}
         except FuzzyTrustError as exc:
-            self._error(400, str(exc))
+            status, body = 400, {"error": str(exc)}
         except Exception:
-            self._internal_error()
+            return self._internal_error()
+        self._send(status, body)
 
     def _get(self, path: str, raw: bytes) -> dict:
         if path == "/healthz":
@@ -413,12 +463,17 @@ class _Handler(BaseHTTPRequestHandler):
         raise NotFoundError(f"unknown path {path}")
 
 
-def create_http_server(service: TrustService) -> ThreadingHTTPServer:
+class _Server(socketserver.ThreadingTCPServer):
+    daemon_threads = True  # a kept-alive connection does not hold up shutdown
+    allow_reuse_address = True
+
+
+def create_http_server(service: TrustService) -> socketserver.ThreadingTCPServer:
     """Bound but not yet serving; call ``serve_forever`` (or wrap in a
     thread for tests).  Port 0 picks a free port."""
     handler = type("BoundHandler", (_Handler,), {"service": service})
     try:
-        return ThreadingHTTPServer((service.config.host, service.config.port), handler)
+        return _Server((service.config.host, service.config.port), handler)
     except OSError as exc:
         raise FuzzyTrustError(
             f"cannot bind {service.config.host}:{service.config.port}: {exc}"

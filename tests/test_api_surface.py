@@ -3,7 +3,9 @@ fields and its on-disk format versions, pinned: a change to
 ``fuzzytrust.__all__``, a subcommand, flag or config field added or
 removed, or a format version bumped, has to change the lists here too.
 Importing the package, its CLI or its service loads no scipy: numpy is the
-one runtime dependency."""
+one runtime dependency.  Nor does importing the service load the stdlib's
+HTTP server, its ``email`` header parser or ``asyncio``: the service parses
+requests itself, and each of those would add to its resident memory."""
 
 import argparse
 import dataclasses
@@ -138,12 +140,22 @@ def test_every_public_name_resolves():
     assert missing == []
 
 
-def test_importing_the_package_loads_no_scipy():
+def _assert_loads_none(imports: str, names: tuple[str, ...]) -> None:
+    """``import <imports>``, in a fresh interpreter, loads no module named in
+    ``names`` and none inside a package named there."""
     script = (
-        "import sys, fuzzytrust, fuzzytrust.cli, fuzzytrust.service\n"
-        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        f"import sys, {imports}\n"
+        f"loaded = sorted(m for m in sys.modules if m in {names!r} or m.split('.')[0] in {names!r})\n"
         "assert not loaded, loaded\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
     result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+def test_importing_the_package_loads_no_scipy():
+    _assert_loads_none("fuzzytrust, fuzzytrust.cli, fuzzytrust.service", ("scipy",))
+
+
+def test_importing_the_service_loads_no_stdlib_server_or_asyncio():
+    _assert_loads_none("fuzzytrust.service", ("http.server", "email.parser", "asyncio"))

@@ -1,10 +1,12 @@
 """The HTTP service over loopback: a server on port 0 in a thread."""
 
 import contextlib
+import email.utils
 import errno
 import http.client
 import json
 import socket
+import struct
 import threading
 import time
 import traceback
@@ -123,6 +125,16 @@ class TestUnexpectedErrors:
         assert "OSError" in server.failures.pop()  # reported through the server's handle_error
         with _connect(server) as sock:
             assert _exchange(sock, HEALTHZ)[0].status == 200
+
+    def test_client_reset_before_the_answer_is_not_reported(self, server):
+        body = _decide_body()
+        for _ in range(5):
+            with _connect(server) as sock:
+                sock.sendall(_request("POST", "/decide", [("Content-Length", len(body))], body))
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))  # close sends RST
+        with _connect(server) as sock:
+            assert _exchange(sock, HEALTHZ)[0].status == 200
+        time.sleep(0.2)  # the reset connections' threads finish; _serving then finds no failure
 
 
 class TestMalformedBodies:
@@ -349,6 +361,12 @@ def _closed(sock) -> bool:
     return sock.recv(1) == b""
 
 
+def _dated(response) -> bool:
+    """Whether the response carries a current ``Date`` and no ``Server`` field."""
+    sent = email.utils.parsedate_to_datetime(response.getheader("Date")).timestamp()
+    return abs(sent - time.time()) < 5 and response.getheader("Server") is None
+
+
 class TestKeepAlive:
     def test_requests_share_one_connection(self, server):
         host, port = server.server_address[:2]
@@ -368,7 +386,19 @@ class TestKeepAlive:
         conn.close()
         assert len(local_ends) == 1
 
-    @pytest.mark.parametrize("raw", [b"GET /healthz HTTP/1.0\r\n\r\n", b"GET /healthz\r\n\r\n"])
+    @pytest.mark.parametrize(
+        "values",
+        [["close"], ["TE, close"], ["keep-alive, CLOSE"], ["TE", "close"]],
+        ids=["close", "listed", "any-case", "repeated"],
+    )
+    def test_close_token_closes_after_the_answer(self, server, values):
+        with _connect(server) as sock:
+            response, body = _exchange(sock, _request("GET", "/healthz", [("Connection", v) for v in values]))
+            assert _json(response, body, 200)["status"] == "ok"
+            assert response.getheader("Connection") == "close" and _closed(sock)
+
+    @pytest.mark.parametrize("raw", [b"GET /healthz HTTP/1.0\r\n\r\n", b"GET /healthz\r\n\r\n",
+                                     b"GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n"])
     def test_http10_request_is_answered_then_closed(self, server, raw):
         with _connect(server) as sock:
             response, body = _exchange(sock, raw)
@@ -428,14 +458,19 @@ class TestKeepAlive:
             (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n", 414),
             (b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * 70_000 + b"\r\n\r\n", 431),
             (b"GET /healthz HTTP/1.1\r\n" + b"X-Many: y\r\n" * 101 + b"\r\n", 431),
+            (b"GET /healthz HTTP/1.1\r\nX-Bad header\r\n\r\n", 400),
+            (b"GET /healthz HTTP/1.1\r\nX-Folded: a\r\n  b\r\n\r\n", 400),
+            (b"GET /healthz HTTP/1.1\r\nX-Spaced : a\r\n\r\n", 400),
+            (b"GET /healthz HTTP/2.0\r\n\r\n", 505),
         ],
-        ids=["no-version-word", "bad-version", "four-words", "long-line", "long-header", "many-headers"],
+        ids=["no-version-word", "bad-version", "four-words", "long-line", "long-header", "many-headers",
+             "field-without-colon", "obs-fold", "space-before-colon", "http2"],
     )
     def test_protocol_errors_are_json(self, server, raw, status):
         with _connect(server) as sock:
             response, body = _exchange(sock, raw)
             assert _json(response, body, status)["error"]
-            assert response.will_close
+            assert response.will_close and _dated(response)
 
     @pytest.mark.parametrize("method", ["PUT", "DELETE", "PATCH", "get"])
     def test_unknown_method_gets_405(self, server, method):
@@ -473,6 +508,7 @@ def test_every_body_opens_with_the_schema(server):
             response, data = _exchange(sock, _request(method, path, [("Content-Length", length)], body), method)
             assert response.status == status, (method, path)
             assert next(iter(json.loads(data).items())) == ("schema", SCHEMA), (method, path)
+            assert _dated(response), (method, path)
 
 
 class TestPathIds:
