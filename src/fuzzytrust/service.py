@@ -37,10 +37,11 @@ while the stored values stay intact.
 HTTP: the server speaks HTTP/1.1 through its own parser, which takes a
 request line and field lines of up to ``MAX_LINE_BYTES`` (65 536) bytes and
 up to ``MAX_FIELDS`` (100) field lines; a repeated field reads as its values
-joined by ", " (RFC 9110 §5.3).  A connection stays open for the client's
-next request (RFC 9112 §9.3) unless the request is HTTP/1.0 (as is a GET
-line with no version) or its ``Connection`` field holds a ``close`` token,
-in any case (RFC 9110 §7.6.1).  Responses carry a ``Date`` field but no
+joined by ", " (RFC 9110 §5.3).  One empty line before a request line is
+ignored (RFC 9112 §2.2); a second one closes the connection unanswered.  A
+connection stays open for the client's next request (RFC 9112 §9.3) unless
+the request is HTTP/1.0 (as is a GET line with no version) or its
+``Connection`` field holds a ``close`` token, in any case (RFC 9110 §7.6.1).  Responses carry a ``Date`` field but no
 ``Server`` field, which would tell every client the Python version (RFC 9110
 §10.2.4).  They go out with TCP_NODELAY set, each head and body in one
 write: a response split over two small writes waits about 40 ms for the
@@ -71,6 +72,8 @@ connection that sends no request for ``IDLE_TIMEOUT_S`` seconds, or stalls
 that long inside one, is closed, which frees its thread; until then every
 idle kept-alive client holds one thread.  A client that resets its
 connection is dropped the same way, with no report to ``handle_error``.
+The server owns the service it serves: ``server_close()`` closes the
+socket, then the service's store and ledger, which checkpoints them.
 """
 
 from __future__ import annotations
@@ -333,10 +336,12 @@ class _Handler(socketserver.StreamRequestHandler):
         fields go into ``headers``, keyed by lower-cased name."""
         self.command, self.close_connection = "", True  # until the head has been read
         line = self.rfile.readline(MAX_LINE_BYTES + 1)
+        if line in (b"\r\n", b"\n"):  # one empty line before a request line is ignored (RFC 9112 §2.2)
+            line = self.rfile.readline(MAX_LINE_BYTES + 1)
         if len(line) > MAX_LINE_BYTES:
             return self._refuse(HTTPStatus.REQUEST_URI_TOO_LONG, "request line too long")
         words = line.split()
-        if not words:  # the client closed the connection, or sent a blank line
+        if not words:  # the client closed the connection, or sent another blank line
             return
         if len(words) == 2 and words[0] == b"GET":  # HTTP/0.9's form, answered as HTTP/1.0
             words.append(b"HTTP/1.0")
@@ -467,10 +472,16 @@ class _Server(socketserver.ThreadingTCPServer):
     daemon_threads = True  # a kept-alive connection does not hold up shutdown
     allow_reuse_address = True
 
+    def server_close(self) -> None:
+        """Close the socket, then the service the handlers serve."""
+        super().server_close()
+        self.RequestHandlerClass.service.close()
+
 
 def create_http_server(service: TrustService) -> socketserver.ThreadingTCPServer:
     """Bound but not yet serving; call ``serve_forever`` (or wrap in a
-    thread for tests).  Port 0 picks a free port."""
+    thread for tests), and ``server_close`` to close the socket and the
+    service.  Port 0 picks a free port."""
     handler = type("BoundHandler", (_Handler,), {"service": service})
     try:
         return _Server((service.config.host, service.config.port), handler)
@@ -482,8 +493,7 @@ def create_http_server(service: TrustService) -> socketserver.ThreadingTCPServer
 
 def serve(config: ServiceConfig) -> None:
     """Run the service until interrupted."""
-    service = TrustService(config)
-    server = create_http_server(service)
+    server = create_http_server(TrustService(config))
     host, port = server.server_address[:2]
     print(f"fuzzytrust service listening on http://{host}:{port}", flush=True)  # a pipe would hold it back
     try:
@@ -492,4 +502,3 @@ def serve(config: ServiceConfig) -> None:
         pass
     finally:
         server.server_close()
-        service.close()

@@ -34,13 +34,19 @@ versioned JSON documents.
   ``ledger-snapshot/1``) is ignored once and then replaced.  The digests
   catch a damaged or hand-edited file, not a forged one: SHA-256 is not a
   MAC, so an edit that also recomputes the trailer (and ``log_sha256``, if
-  it edits the log) passes.  After an open whose replay grew the
-  newline-terminated prefix, the snapshot is rewritten: a temporary file
-  in the same directory, then ``os.replace``.  The replay hashes each
-  line as it folds it, so the tail is read once.  A failed write is
-  ignored, and the next rewrite removes its temporary file.  The log
-  stays the source of truth: it is never rewritten, and deleting the
-  snapshot costs only a full replay.
+  it edits the log) passes.  The snapshot is rewritten at two points:
+  at open, after a replay that grew the newline-terminated prefix, and at
+  ``close()``, when this object appended since its last checkpoint and
+  the log is still as long as this object wrote it (no other writer
+  appended since).  The replay hashes each line as it folds it, so the
+  tail is read once, and each append adds its bytes to that digest, so a
+  close reads nothing back.  A process killed before ``close()`` leaves
+  the old snapshot, and its appends are a tail that the next open
+  replays and checkpoints.  Each rewrite goes to a temporary file in the
+  same directory, then ``os.replace``.  A failed write is ignored, and
+  the next rewrite removes its temporary file.  The log stays the source
+  of truth: it is never rewritten, and deleting the snapshot costs only
+  a full replay.
 
 Single writer: a ``FoldedLog`` reads its log once, when it opens, and
 then sees only the records appended through itself.  Records another
@@ -190,7 +196,8 @@ class FoldedLog:
     snapshot, else from its start; a line that is not UTF-8 JSON, or that
     ``_fold`` rejects with ``ValueError``, ``KeyError`` or ``TypeError``,
     raises ``StoreCorruptError`` with its line number in the whole file.
-    ``_append`` opens one handle on first use and flushes each line.
+    ``_append`` opens one handle on first use and flushes each line;
+    ``close`` closes it and checkpoints, and a second ``close`` does nothing.
     """
 
     def __init__(self, path):
@@ -204,6 +211,10 @@ class FoldedLog:
         end = self._replay(start, digest)
         if end is not None and end.offset > start.offset:
             self._write_snapshot(end, digest)
+        # ``_write`` adds each line to ``digest`` and its length to ``_appended``,
+        # so ``close`` knows the log's end without a read; not after a cut-short line
+        self._replayed, self._digest = (end, digest) if end is not None else (None, None)
+        self._appended = self._checkpointed = 0  # bytes appended, in all and at the last checkpoint
 
     def _seed_from_snapshot(self) -> tuple[LogPosition, object]:
         """Seed the state from a snapshot that passes every check and return
@@ -312,18 +323,19 @@ class FoldedLog:
                     os.unlink(tmp)
 
     def _write(self, data: dict) -> None:
-        """Write ``data`` as one line and flush it; after a write cut short,
-        start on a fresh line."""
-        line = json.dumps(data) + "\n"
+        """Write ``data`` as one line, flush it and add its bytes to the
+        running digest; after a write cut short, start on a fresh line."""
+        line = (json.dumps(data) + "\n").encode("utf-8")
         if self._fh is None:
             self._path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = open(self._path, "a", encoding="utf-8")
-        if self._unterminated:
-            line = "\n" + line
-        self._fh.write(line)
+            self._fh = open(self._path, "ab")
+        self._fh.write(b"\n" + line if self._unterminated else line)
         self._fh.flush()
         self._unterminated = False
         self._count += 1
+        if self._digest is not None:
+            self._digest.update(line)
+            self._appended += len(line)
 
     def _append(self, data: dict, apply, *args) -> None:
         """Append ``data``, then ``apply(*args)``: a failed write changes nothing."""
@@ -332,10 +344,20 @@ class FoldedLog:
             apply(*args)
 
     def close(self) -> None:
+        """Close the append handle, then checkpoint as the module docstring says."""
         with self._lock:
             if self._fh is not None:
                 self._fh.close()
                 self._fh = None
+            start = self._replayed
+            if start is None or self._appended == self._checkpointed:
+                return
+            self._checkpointed = self._appended
+            # each append is one line and one record
+            end = LogPosition(start.offset + self._appended, start.lines + self._count - start.records, self._count)
+            with suppress(OSError):
+                if self._path.stat().st_size == end.offset:  # else another writer appended: leave it to the next open
+                    self._write_snapshot(end, self._digest)
 
     def __len__(self) -> int:
         """Records replayed plus records appended (not unique subjects)."""
@@ -373,8 +395,8 @@ class TrustStore(FoldedLog):
 
     @staticmethod
     def _row(subject_id: str, entry: tuple[datetime, TrustRecord]) -> list:
-        r = entry[1]
-        return [r.subject_kind, r.subject_id, r.trust, r.classification, r.model, r.evaluated_at]
+        r = entry[1]  # an int trust put in this process is written as the float a replay reads
+        return [r.subject_kind, r.subject_id, float(r.trust), r.classification, r.model, r.evaluated_at]
 
     def put(self, record: TrustRecord) -> None:
         """Parse, append, then index: a record that would not replay is

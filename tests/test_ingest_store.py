@@ -685,6 +685,7 @@ _STEPS = st.lists(
     st.one_of(
         st.tuples(st.just("put"), _RECORDS),
         st.tuples(st.just("reopen"), st.none()),
+        st.tuples(st.just("close"), st.none()),  # a checkpoint; the store stays usable
         # another process appended this line and stopped, perhaps before its newline
         st.tuples(st.just("crash"), _RECORDS.map(lambda r: json.dumps(r.to_dict())) | st.just(""), st.booleans()),
     ),
@@ -719,6 +720,8 @@ class TestStoreSnapshot:
             for step in steps:
                 if step[0] == "put":
                     store.put(step[1])
+                elif step[0] == "close":
+                    store.close()
                 else:
                     store.close()
                     if step[0] == "crash":
@@ -1001,6 +1004,7 @@ _FEEDBACK_STEPS = st.lists(
     st.one_of(
         st.tuples(st.just("record"), st.sampled_from(["a", "b"]), st.sampled_from(["positive", "negative"])),
         st.tuples(st.just("reopen"), st.none(), st.none()),
+        st.tuples(st.just("close"), st.none(), st.none()),  # a checkpoint; the ledger stays usable
         # another process appended this line and stopped, perhaps before its newline
         st.tuples(st.just("crash"), st.sampled_from(["a", "b"]).map(_feedback_line) | st.just(""), st.booleans()),
     ),
@@ -1046,6 +1050,8 @@ class TestLedgerSnapshot:
             for kind, first, second in steps:
                 if kind == "record":
                     ledger.record(first, second)
+                elif kind == "close":
+                    ledger.close()
                 else:
                     ledger.close()
                     if kind == "crash":
@@ -1276,6 +1282,108 @@ class TestLogBytes:
         replay_starts.clear()
         assert TrustStore(path).get("user", "alice").trust == 0.7
         assert replay_starts == [LogPosition(path.stat().st_size, 5, 5)]
+
+
+class TestCloseCheckpoint:
+    """A log checkpoints its end when it closes, from the digest its appends
+    kept, unless another writer appended since."""
+
+    @staticmethod
+    def _log(kind: str):
+        """The opener of a ``kind`` log, an append of its ``i``-th entry, its
+        state and the state a full scan of its file gives."""
+        if kind == "store":
+            subjects = [("user", "alice"), ("provider", "bob"), ("user", "carol")]
+
+            def append(store, i):
+                subject_kind, subject = subjects[i % 3]
+                at = f"2026-01-{i + 1:02}T00:00:00+00:00"
+                store.put(record(subject=subject, kind=subject_kind, trust=i % 10 / 10, at=at))
+
+            return (TrustStore, append, lambda store: _state(store, subjects),
+                    lambda path: _full_scan_state(path, subjects))
+        return (FeedbackLedger, lambda ledger, i: ledger.record(f"p{i % 3}", ("positive", "negative")[i % 2]),
+                _ledger_state, _ledger_full_scan)
+
+    @pytest.mark.parametrize("kind", ["store", "ledger"])
+    def test_close_checkpoints_the_log_end(self, tmp_path, replay_starts, monkeypatch, kind):
+        path = tmp_path / f"{kind}.jsonl"
+        opener, append, state, full_scan = self._log(kind)
+        writes = []
+        write_snapshot = store_module.FoldedLog._write_snapshot
+        monkeypatch.setattr(store_module.FoldedLog, "_write_snapshot",
+                            lambda log, end, digest: writes.append(end) or write_snapshot(log, end, digest))
+        for round_ in range(2):  # a log with no file, then one opened through its snapshot
+            log = opener(path)
+            for i in range(5):
+                append(log, 5 * round_ + i)
+            log.close()
+            header = _check_trailer(_snapshot(path))[0]
+            assert (header["log_bytes"], header["lines"], header["records"]) == (path.stat().st_size, 5 + 5 * round_,
+                                                                                 5 + 5 * round_)
+            assert header["log_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+            written, writes[:] = _snapshot(path).read_bytes(), []
+            log.close()
+            assert _snapshot(path).read_bytes() == written and writes == []
+            replay_starts.clear()
+            reopened = opener(path)
+            assert replay_starts == [LogPosition(path.stat().st_size, 5 + 5 * round_, 5 + 5 * round_)]
+            assert state(reopened) == state(log) == full_scan(path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name, _snapshot(path).name]
+
+    @pytest.mark.parametrize("kind", ["store", "ledger"])
+    def test_a_close_writes_the_snapshot_a_reopen_would(self, tmp_path, kind):
+        """A close checkpoint is byte for byte the snapshot that an open
+        replaying the same appends as a tail writes, an int trust put in
+        the store included."""
+        path, tail = tmp_path / "closed" / f"{kind}.jsonl", tmp_path / "tail" / f"{kind}.jsonl"
+        opener, append, _, _ = self._log(kind)
+        log = opener(path)
+        for i in range(4):
+            append(log, i)
+        log.close()
+        before = _snapshot(path).read_bytes()
+        log = opener(path)
+        for i in range(4, 7):
+            append(log, i)
+        if kind == "store":
+            log.put(record(subject="dave", trust=1, at="2026-02-01T00:00:00+00:00"))
+        log.close()
+        tail.parent.mkdir()
+        tail.write_bytes(path.read_bytes())
+        _snapshot(tail).write_bytes(before)
+        opener(tail)
+        assert _snapshot(tail).read_bytes() == _snapshot(path).read_bytes() != before
+
+    @pytest.mark.parametrize("kind", ["store", "ledger"])
+    def test_a_close_never_checkpoints_over_another_writers_lines(self, tmp_path, replay_starts, kind):
+        path = tmp_path / f"{kind}.jsonl"
+        opener, append, state, full_scan = self._log(kind)
+        first = opener(path)
+        append(first, 0)
+        first.close()
+        checkpoint = _snapshot(path).read_bytes()
+        first, second = opener(path), opener(path)  # two writers on one log
+        append(first, 1)
+        append(second, 2)
+        first.close()
+        assert _snapshot(path).read_bytes() == checkpoint  # the log is longer than `first` wrote it
+        reopened = opener(path)
+        assert state(reopened) == full_scan(path) != state(first)
+        second.close()
+        # a writer that opened after `first` appended checkpoints the whole log; `first` leaves that be
+        first = opener(path)
+        append(first, 3)
+        later = opener(path)
+        append(later, 4)
+        later.close()
+        checkpoint = _snapshot(path).read_bytes()
+        first.close()
+        assert _snapshot(path).read_bytes() == checkpoint
+        replay_starts.clear()
+        reopened = opener(path)
+        assert replay_starts == [LogPosition(path.stat().st_size, 5, 5)]
+        assert state(reopened) == full_scan(path)
 
 
 # Documents as the previous release wrote them: the on-disk formats are fixed.

@@ -485,6 +485,40 @@ class TestKeepAlive:
             assert (response.status, body, response.getheader("Allow")) == (405, b"", "GET, POST")
             assert _closed(sock)
 
+    @pytest.mark.parametrize("empty", [b"\r\n", b"\n"], ids=["crlf", "lf"])
+    def test_one_empty_line_before_a_request_line_is_ignored(self, server, empty):
+        decide = _decide_body()
+        with _connect(server) as sock:
+            response, body = _exchange(sock, empty + b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+            assert _json(response, body, 200)["status"] == "ok"
+            raw = _request("POST", "/decide", [("Content-Length", len(decide))], decide) + empty  # a stray line end
+            response, body = _exchange(sock, raw, "POST")
+            assert _json(response, body, 200)["decision"] == "deny" and not response.will_close
+            response, body = _exchange(sock, HEALTHZ)
+            assert _json(response, body, 200)["status"] == "ok"
+
+    @pytest.mark.parametrize("then_eof", [False, True], ids=["second-empty-line", "eof"])
+    def test_a_second_empty_line_or_eof_closes_unanswered(self, server, then_eof):
+        with _connect(server) as sock:
+            if then_eof:
+                sock.sendall(b"\r\n")
+                sock.shutdown(socket.SHUT_WR)
+            else:
+                sock.sendall(b"\r\n\r\n")
+            assert _exchange(sock, b"") is None
+
+
+def test_server_close_closes_and_checkpoints_the_service(tmp_path):
+    store_path = tmp_path / "store.jsonl"
+    service = TrustService(ServiceConfig(store_path=str(store_path), port=0))
+    service.decide("u1", UserBehaviorCounters("u1", uar=160, bor=0, bar=0, tr=160))
+    service.provider_feedback("p1", "negative")
+    create_http_server(service).server_close()
+    for log, path in ((service.store, store_path), (service.feedback, tmp_path / "store.jsonl.feedback")):
+        assert log._fh is None
+        header = json.loads(path.with_name(path.name + ".snapshot").read_text().splitlines()[0])
+        assert (header["log_bytes"], header["records"]) == (path.stat().st_size, 1)
+
 
 def test_every_body_opens_with_the_schema(server):
     server.RequestHandlerClass.service.store.put(_record("p1", "provider", 0.8, "trusted"))
