@@ -1,14 +1,13 @@
 """Operator command line tying the pipeline together.
 
-    fuzzytrust ingest          request log -> per-user counters CSV
-    fuzzytrust gen-corpus      synthetic train/test corpus CSVs
-    fuzzytrust fit             training corpus -> cluster model JSON
-    fuzzytrust build-user-fis  cluster model -> deployable user model JSON
-    fuzzytrust eval-user       counters -> classified trust record
-    fuzzytrust eval-provider   provider metrics -> performance/elasticity/trust
-    fuzzytrust compare         fuzzy model vs baseline over a test corpus
-    fuzzytrust surface         response surface of any engine -> grid CSV
-    fuzzytrust serve           run the trust management HTTP service
+    fuzzytrust ingest         request log -> per-user counters CSV
+    fuzzytrust gen-corpus     synthetic train/test corpus CSVs
+    fuzzytrust fit            training corpus -> deployable user model JSON
+    fuzzytrust eval-user      counters -> classified trust record
+    fuzzytrust eval-provider  provider metrics -> performance/elasticity/trust
+    fuzzytrust compare        fuzzy model vs baseline over a test corpus
+    fuzzytrust surface        response surface of any engine -> grid CSV
+    fuzzytrust serve          run the trust management HTTP service
 
 ``serve --store`` is required; provider feedback goes to ``<store>.feedback``,
 checkpointed in ``<store>.feedback.snapshot``.
@@ -27,7 +26,7 @@ from datetime import datetime
 
 from . import clustering, evaluation, ingest, provider, service, user
 from .errors import FuzzyTrustError
-from .store import TrustStore, load_artifact, save_artifact
+from .store import TrustStore, save_artifact
 
 
 _UNSEEN_BY_SERVICE = "a service already running on it sees the record only once restarted"
@@ -77,22 +76,11 @@ def cmd_fit(args) -> int:
     cfg = clustering.ClusterConfig(
         c=args.clusters, m=args.fuzzifier, tol=args.tol, max_iter=args.max_iter, seed=args.seed
     )
-    model = user.fit_user_clusters(matrix, cfg)
-    save_artifact(model, args.out)
+    clusters = user.fit_user_clusters(matrix, cfg)
+    user.save_user_model(user.UserTrustModel.from_cluster_model(clusters), args.out)
     print(
-        f"fitted {model.c} clusters over {matrix.shape[0]} users in "
-        f"{len(model.objective_trace)} iterations; wrote {args.out}"
-    )
-    return 0
-
-
-def cmd_build_user_fis(args) -> int:
-    model = load_artifact(clustering.ClusterModel, args.model)
-    bundle = user.UserTrustModel.from_cluster_model(model)
-    user.save_user_model(bundle, args.out)
-    print(
-        f"built user model: {len(bundle.fis.rules)} rules, "
-        f"{len(bundle.fis.inputs)} inputs; wrote {args.out}"
+        f"fitted {clusters.c} clusters over {matrix.shape[0]} users in "
+        f"{len(clusters.objective_trace)} iterations; wrote {args.out}"
     )
     return 0
 
@@ -212,20 +200,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gen_corpus)
 
-    p = sub.add_parser("fit", help="fit the behavior cluster model")
+    p = sub.add_parser("fit", help="fit the user trust model to a training corpus")
     p.add_argument("--train", required=True, help="corpus CSV")
-    p.add_argument("--out", required=True, help="cluster model JSON to write")
+    p.add_argument("--out", required=True, help="user model JSON to write")
     p.add_argument("--clusters", type=int, default=25)
     p.add_argument("--fuzzifier", type=float, default=2.0)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--max-iter", type=int, default=300)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_fit)
-
-    p = sub.add_parser("build-user-fis", help="turn a cluster model into a deployable user model")
-    p.add_argument("--model", required=True, help="cluster model JSON")
-    p.add_argument("--out", required=True, help="user model JSON to write")
-    p.set_defaults(func=cmd_build_user_fis)
 
     p = sub.add_parser("eval-user", help="evaluate one user's trust")
     _add_counter_flags(p)

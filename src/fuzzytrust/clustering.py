@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyDataError, NonFiniteDataError, TooFewPointsError
-from .store import check_format
 
 SPREAD_FLOOR = 0.01  # keeps generated Gaussian input sets non-degenerate
 
@@ -37,18 +36,17 @@ class ClusterConfig:
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
-    def to_dict(self) -> dict:
-        return {"c": self.c, "m": self.m, "tol": self.tol, "max_iter": self.max_iter, "seed": self.seed}
-
 
 @dataclass(frozen=True, eq=False)
 class ClusterModel:
-    """Fitted cluster geometry in normalized [0, 1] feature space."""
+    """Fitted cluster geometry in normalized [0, 1] feature space.
+
+    FCM's result, kept in memory: ``user.UserTrustModel.from_cluster_model``
+    turns it into the model that is saved and deployed."""
 
     centers: np.ndarray  # c x d
     spreads: np.ndarray  # c x d, floored at SPREAD_FLOOR
     norm_params: tuple[tuple[float, float], ...]  # per-dimension (min, max)
-    m: float
     objective_trace: tuple[float, ...]
     config: ClusterConfig
 
@@ -80,30 +78,6 @@ class ClusterModel:
     @property
     def d(self) -> int:
         return self.centers.shape[1]
-
-    def to_dict(self) -> dict:
-        return {
-            "format": "cluster-model",
-            "version": 1,
-            "centers": self.centers.tolist(),
-            "spreads": self.spreads.tolist(),
-            "norm_params": [list(p) for p in self.norm_params],
-            "m": self.m,
-            "objective_trace": list(self.objective_trace),
-            "config": self.config.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data) -> "ClusterModel":
-        check_format(data, "cluster-model")
-        return cls(
-            centers=np.array(data["centers"], dtype=float),
-            spreads=np.array(data["spreads"], dtype=float),
-            norm_params=tuple(tuple(p) for p in data["norm_params"]),
-            m=float(data["m"]),
-            objective_trace=tuple(data["objective_trace"]),
-            config=ClusterConfig(**data["config"]),
-        )
 
 
 def normalize(data: np.ndarray) -> tuple[np.ndarray, tuple[tuple[float, float], ...]]:
@@ -234,7 +208,6 @@ def fcm_fit(
         centers=centers,
         spreads=spreads,
         norm_params=norm_params,
-        m=cfg.m,
         objective_trace=tuple(trace),
         config=cfg,
     )

@@ -7,8 +7,8 @@ versioned JSON documents.
   ``FoldedLog``s: that class alone opens, replays and appends to a log,
   and each subclass adds only its state and its fold, seed and row hooks.
 - Documents: ``{"format", "version": 1, ...}``, one per file, written by
-  ``save_artifact``: ``fis``, ``cluster-model`` and ``user-trust-model``
-  (read back by ``load_artifact``, checked by ``check_format``) and
+  ``save_artifact``: ``fis`` and ``user-trust-model`` (read back by
+  ``load_artifact``, checked by ``check_format``) and
   ``evaluation-report``.
 - Snapshots: ``<log>.snapshot`` checkpoints the state a ``FoldedLog``
   folds its log into, so an open skips the part of the log it covers.  Its

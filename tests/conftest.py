@@ -20,7 +20,6 @@ def two_cluster_model() -> ClusterModel:
         centers=centers,
         spreads=spreads,
         norm_params=((0.0, 100.0), (0.0, 100.0), (0.0, 100.0), (0.0, 500.0), (0.0, 1.0)),
-        m=2.0,
         objective_trace=(1.0, 0.5),
         config=ClusterConfig(c=2),
     )

@@ -162,8 +162,9 @@ def random_inputs(rng: np.random.Generator, fis: FuzzyInferenceSystem) -> dict[s
 
 
 def oracle_fcm(X: np.ndarray, cfg, norm_params) -> dict:
-    """``ClusterModel.to_dict()`` of the fit ``fcm_fit(X, cfg, norm_params)``
-    should give, by the straightforward loop."""
+    """The ``centers``, ``spreads``, ``norm_params`` and ``objective_trace``
+    the fit ``fcm_fit(X, cfg, norm_params)`` should give, by the
+    straightforward loop."""
     n, d = X.shape
     exponent = 1.0 / (cfg.m - 1.0)
 
@@ -200,14 +201,10 @@ def oracle_fcm(X: np.ndarray, cfg, norm_params) -> dict:
     diffs = X[:, None, :] - centers[None, :, :]
     variance = (Um[:, :, None] * diffs**2).sum(axis=0) / np.where(weight > 0.0, weight, 1.0)[:, None]
     return {
-        "format": "cluster-model",
-        "version": 1,
-        "centers": centers.tolist(),
-        "spreads": np.maximum(np.sqrt(variance), 0.01).tolist(),
-        "norm_params": [[float(a), float(b)] for a, b in norm_params],
-        "m": cfg.m,
-        "objective_trace": trace,
-        "config": cfg.to_dict(),
+        "centers": centers,
+        "spreads": np.maximum(np.sqrt(variance), 0.01),
+        "norm_params": tuple((float(a), float(b)) for a, b in norm_params),
+        "objective_trace": tuple(trace),
     }
 
 

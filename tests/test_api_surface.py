@@ -1,7 +1,8 @@
 """The package's public names, its command line, its config objects'
 fields and its on-disk format versions, pinned: a change to
 ``fuzzytrust.__all__``, a subcommand, flag or config field added or
-removed, or a format version bumped, has to change the lists here too.
+removed, or a format version bumped, has to change the lists here too,
+and the CLI's docstring lists exactly the subcommands pinned here.
 Importing the package, its CLI or its service loads no scipy: numpy is the
 one runtime dependency.  Nor does importing the service load the stdlib's
 HTTP server, its ``email`` header parser or ``asyncio``: the service parses
@@ -11,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -61,7 +63,6 @@ PUBLIC_NAMES = [
 
 # each subcommand's flags as argparse ``dest``s, --help aside
 CLI_FLAGS = {
-    "build-user-fis": ["model", "out"],
     "compare": ["out", "test", "threshold", "user_model"],
     "eval-provider": ["availability", "negative_feedback", "provider_id", "response_time", "scalability",
                       "security", "store", "threshold", "usability", "workload"],
@@ -86,7 +87,6 @@ CONFIG_FIELDS = {
 # the list of on-disk formats in ROADMAP.md's design pillar
 FORMATS = {
     "fis": 1,
-    "cluster-model": 1,
     "user-trust-model": 1,
     "evaluation-report": 1,
     "store record v": 1,
@@ -107,7 +107,12 @@ def test_cli_flags_pinned():
         for name, parser in sub.choices.items()
     }
     assert flags == CLI_FLAGS
-    assert (len(flags), sum(map(len, flags.values()))) == (9, 53)
+    assert (len(flags), sum(map(len, flags.values()))) == (8, 51)
+
+
+def test_cli_docstring_lists_every_subcommand():
+    documented = re.findall(r"^ +fuzzytrust (\S+) ", cli.__doc__, re.MULTILINE)
+    assert sorted(documented) == sorted(CLI_FLAGS)
 
 
 def test_config_fields_pinned():
@@ -116,10 +121,9 @@ def test_config_fields_pinned():
     assert [len(names) for names in fields.values()] == [6, 5, 4]
 
 
-def test_on_disk_formats_pinned(tmp_path, two_cluster_model, two_cluster_user_model):
+def test_on_disk_formats_pinned(tmp_path, two_cluster_user_model):
     counters = UserBehaviorCounters(user_id="u1", uar=1, bor=0, bar=0, tr=10)
-    documents = [two_cluster_model, two_cluster_user_model.fis, two_cluster_user_model,
-                 compare([counters], two_cluster_user_model)]
+    documents = [two_cluster_user_model.fis, two_cluster_user_model, compare([counters], two_cluster_user_model)]
     stamped = {data["format"]: data["version"] for data in (doc.to_dict() for doc in documents)}
     store = tmp_path / "store.jsonl"
     service = TrustService(ServiceConfig(store_path=str(store)))

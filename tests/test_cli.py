@@ -8,6 +8,7 @@ import json
 import pytest
 
 from fuzzytrust import cli, ingest, provider, service, user
+from fuzzytrust.clustering import ClusterConfig
 from fuzzytrust.service import ServiceConfig, TrustService
 from fuzzytrust.store import TrustRecord, TrustStore
 from fuzzytrust.user import baseline_trust
@@ -21,16 +22,23 @@ def run(capsys, *argv) -> tuple[int, str, str]:
 
 @pytest.fixture
 def pipeline(tmp_path, capsys):
-    """A tiny gen-corpus -> fit -> build-user-fis run; returns its files."""
-    files = {name: tmp_path / name for name in ("train.csv", "test.csv", "clusters.json", "user.json")}
+    """A tiny gen-corpus -> fit run; returns its files."""
+    files = {name: tmp_path / name for name in ("train.csv", "test.csv", "user.json")}
     for argv in (
         ("gen-corpus", "--train-out", files["train.csv"], "--test-out", files["test.csv"],
          "--n-users", 80, "--n-train", 60, "--seed", 3),
-        ("fit", "--train", files["train.csv"], "--out", files["clusters.json"], "--clusters", 4, "--max-iter", 50),
-        ("build-user-fis", "--model", files["clusters.json"], "--out", files["user.json"]),
+        ("fit", "--train", files["train.csv"], "--out", files["user.json"], "--clusters", 4, "--max-iter", 50),
     ):
         assert run(capsys, *argv)[0] == 0
     return files
+
+
+def test_fit_writes_the_library_paths_user_model(pipeline, tmp_path):
+    counters = ingest.read_counters_csv(pipeline["train.csv"])
+    clusters = user.fit_user_clusters(ingest.corpus_matrix(counters), ClusterConfig(c=4, max_iter=50))
+    library = tmp_path / "library.json"
+    user.save_user_model(user.UserTrustModel.from_cluster_model(clusters), library)
+    assert pipeline["user.json"].read_bytes() == library.read_bytes()
 
 
 def test_pipeline_compare(pipeline, tmp_path, capsys):
@@ -65,28 +73,6 @@ def test_corpus_trust_column_is_the_baseline(pipeline):
         assert float(row["trust"]) == baseline_trust(c)
 
 
-def test_malformed_cluster_model_names_the_file(pipeline, tmp_path, capsys):
-    document = json.loads(pipeline["clusters.json"].read_text())
-    document["spreads"] = document["spreads"][:2]  # fewer rows than centers
-    clusters = tmp_path / "short.json"
-    clusters.write_text(json.dumps(document))
-    code, _, err = run(capsys, "build-user-fis", "--model", clusters, "--out", tmp_path / "rebuilt.json")
-    assert code == 1
-    assert f"error: {clusters}: ValueError: centers and spreads must be 2-D arrays of one shape" in err
-    assert not (tmp_path / "rebuilt.json").exists()
-
-
-def test_cluster_model_with_infinite_norm_params(pipeline, tmp_path, capsys):
-    document = json.loads(pipeline["clusters.json"].read_text())
-    document["norm_params"][1] = [float("inf"), 3.0]
-    clusters = tmp_path / "inf.json"
-    clusters.write_text(json.dumps(document))
-    code, _, err = run(capsys, "build-user-fis", "--model", clusters, "--out", tmp_path / "rebuilt.json")
-    assert code == 1
-    assert f"error: {clusters}: ValueError: norm_params[1] must be a finite" in err
-    assert not (tmp_path / "rebuilt.json").exists()
-
-
 def test_user_model_with_nan_norm_params(pipeline, tmp_path, capsys):
     document = json.loads(pipeline["user.json"].read_text())
     document["norm_params"][0] = [5.0, float("nan")]
@@ -98,10 +84,18 @@ def test_user_model_with_nan_norm_params(pipeline, tmp_path, capsys):
     assert f"error: {model}: ValueError: norm_params[0] must be a finite" in err
 
 
-def test_user_model_given_as_cluster_model(pipeline, tmp_path, capsys):
-    code, _, err = run(capsys, "build-user-fis", "--model", pipeline["user.json"], "--out", tmp_path / "x.json")
-    assert code == 1
-    assert str(pipeline["user.json"]) in err and "cluster-model" in err
+def test_user_model_given_as_cluster_model(tmp_path, capsys):
+    # what fit wrote before it wrote the user model itself
+    clusters = tmp_path / "clusters.json"
+    clusters.write_text(json.dumps({
+        "format": "cluster-model", "version": 1, "centers": [[0.2, 0.1, 0.3, 0.5, 0.75]],
+        "spreads": [[0.25] * 5], "norm_params": [[0.0, 1.0]] * 5, "m": 2.0, "objective_trace": [0.5],
+        "config": {"c": 1, "m": 2.0, "tol": 1e-06, "max_iter": 300, "seed": 0},
+    }))
+    code, out, err = run(capsys, "eval-user", "--bad", 0, "--bogus", 0, "--unauthorized", 1, "--total", 10,
+                         "--user-model", clusters)
+    assert (code, out) == (1, "")
+    assert f"error: {clusters}: ValueError: not a user-trust-model document" in err
 
 
 def test_header_only_corpus(pipeline, tmp_path, capsys):

@@ -30,7 +30,7 @@ from fuzzytrust.ingest import (
     write_corpus_csv,
     write_counters_csv,
 )
-from fuzzytrust.clustering import ClusterModel
+from fuzzytrust.clustering import ClusterConfig, ClusterModel
 from fuzzytrust.fuzzy import FuzzyInferenceSystem
 from fuzzytrust.provider import feedback_ban
 from fuzzytrust.service import FeedbackLedger, ServiceConfig, TrustService
@@ -1398,6 +1398,7 @@ LEDGER_LINES = [
     '{"v": 1, "provider_id": "p1", "feedback": "positive", "at": "2026-01-01T00:01:00+00:00"}',
     '{"v": 1, "provider_id": "p1", "feedback": "positive", "at": "2026-01-01T00:02:00+00:00"}',
 ]
+# what fit wrote before it wrote the user model itself; no reader takes it now
 CLUSTER_DOC = """{"format": "cluster-model", "version": 1, "centers": [[0.2, 0.1, 0.3, 0.5, 0.75]],
  "spreads": [[0.25, 0.25, 0.25, 0.25, 0.25]],
  "norm_params": [[0.0, 10.0], [0.0, 10.0], [0.0, 20.0], [1.0, 101.0], [0.5, 1.0]],
@@ -1435,10 +1436,15 @@ class TestPreviousFormats:
         service.close()
 
     def test_model_documents_load(self, tmp_path):
-        for name, text in (("cluster.json", CLUSTER_DOC), ("fis.json", FIS_DOC), ("user.json", USER_DOC)):
+        for name, text in (("fis.json", FIS_DOC), ("user.json", USER_DOC)):
             (tmp_path / name).write_text(text)
-        cluster = load_artifact(ClusterModel, tmp_path / "cluster.json")
-        assert cluster.centers.tolist() == [[0.2, 0.1, 0.3, 0.5, 0.75]] and cluster.config.c == 1
+        cluster = ClusterModel(
+            centers=np.array([[0.2, 0.1, 0.3, 0.5, 0.75]]),
+            spreads=np.full((1, 5), 0.25),
+            norm_params=((0.0, 10.0), (0.0, 10.0), (0.0, 20.0), (1.0, 101.0), (0.5, 1.0)),
+            objective_trace=(0.5,),
+            config=ClusterConfig(c=1),
+        )
         fis = load_artifact(FuzzyInferenceSystem, tmp_path / "fis.json")
         model = load_user_model(tmp_path / "user.json")
         assert model.fis == fis == dataclasses.replace(UserTrustModel.from_cluster_model(cluster).fis, defuzz_resolution=101)
@@ -1455,10 +1461,10 @@ class TestPreviousFormats:
         assert str(path) in str(err.value)
 
     def test_wrong_document_names_the_file(self, tmp_path):
-        path = tmp_path / "user.json"
-        path.write_text(USER_DOC)
-        with pytest.raises(ValueError, match="cluster-model") as err:
-            load_artifact(ClusterModel, path)
+        path = tmp_path / "clusters.json"
+        path.write_text(CLUSTER_DOC)
+        with pytest.raises(ValueError, match="user-trust-model") as err:
+            load_user_model(path)
         assert str(path) in str(err.value)
 
 

@@ -50,7 +50,6 @@ clusters = ClusterModel(
     centers=np.array([[0.05, 0.05, 0.05, 0.3, 0.9], [0.7, 0.6, 0.8, 0.7, 0.3]]),
     spreads=np.full((2, 5), 0.08),
     norm_params=((0.0, 100.0),) * 3 + ((0.0, 500.0), (0.0, 1.0)),
-    m=2.0,
     objective_trace=(1.0,),
     config=ClusterConfig(c=2),
 )

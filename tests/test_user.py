@@ -173,7 +173,6 @@ class TestBuildUserFis:
             centers=np.array([[0.2, 0.2, 0.2, 0.5, 0.6]]),
             spreads=np.full((1, 5), 0.1),
             norm_params=tuple((0.0, 1.0) for _ in range(5)),
-            m=2.0,
             objective_trace=(1.0,),
             config=ClusterConfig(c=1),
         )
