@@ -34,20 +34,20 @@ class ZeroTotalRequestsError(FuzzyTrustError):
     """Trust is undefined for a user with no requests in the window."""
 
 
-class IncompletePolicyError(FuzzyTrustError):
-    """A completion rule contradicts a published rule."""
-
-
 class OutOfRangeError(FuzzyTrustError):
     """A scalar argument fell outside its documented domain."""
 
 
-class ParseError(FuzzyTrustError):
-    """A malformed row of an input CSV, named by file and 1-based line."""
+class LineError(FuzzyTrustError):
+    """An error at one line of a file, named by file and 1-based ``line``."""
 
     def __init__(self, path, line: int, message: str):
         super().__init__(f"{path}, line {line}: {message}")
         self.line = line
+
+
+class ParseError(LineError):
+    """A malformed row of an input CSV."""
 
 
 class EmptyWindowError(FuzzyTrustError):
@@ -62,12 +62,8 @@ class NotFoundError(FuzzyTrustError):
     """No record stored for the requested subject."""
 
 
-class StoreCorruptError(FuzzyTrustError):
-    """An unreadable line in a trust store or feedback ledger, named by file and 1-based line."""
-
-    def __init__(self, path, line: int, message: str):
-        super().__init__(f"{path}, line {line}: {message}")
-        self.line = line
+class StoreCorruptError(LineError):
+    """An unreadable line in a trust store or feedback ledger."""
 
 
 class NoTrustAvailableError(FuzzyTrustError):

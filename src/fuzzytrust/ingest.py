@@ -31,7 +31,7 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
-from .errors import EmptyWindowError, InvalidSpecError, ParseError
+from .errors import EmptyWindowError, InvalidSpecError, ParseError, ZeroTotalRequestsError
 from .user import UserBehaviorCounters, baseline_trust
 
 # status -> slot in a user's tally [uar, bor, bar, tr]: 401 and 403 are
@@ -283,6 +283,6 @@ def read_counters_csv(path) -> list[UserBehaviorCounters]:
                         tr=int(row["total"]),
                     )
                 )
-            except (ValueError, TypeError) as exc:
+            except (ValueError, TypeError, ZeroTotalRequestsError) as exc:
                 raise ParseError(path, lineno, str(exc)) from None
     return counters

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DegenerateOutputError, IncompletePolicyError, OutOfRangeError
+from .errors import DegenerateOutputError, OutOfRangeError
 from .fuzzy import (
     FuzzyInferenceSystem,
     FuzzyRule,
@@ -140,6 +140,10 @@ OUTPUT_TRIANGLES_5 = (
     (0.75, 1.0, 1.0),
 )
 
+# Each ProviderMetrics field's upper bound; every lower bound is 0.
+_METRIC_BOUNDS = (("workload", 100.0), ("response_time", 100.0), ("scalability", 1.0),
+                  ("availability", 1.0), ("security", 1.0), ("usability", 1.0))
+
 
 @dataclass(frozen=True)
 class ProviderMetrics:
@@ -153,14 +157,10 @@ class ProviderMetrics:
     usability: float
 
     def __post_init__(self):
-        for name, hi in (("workload", 100.0), ("response_time", 100.0)):
+        for name, hi in _METRIC_BOUNDS:
             value = getattr(self, name)
             if not (0.0 <= value <= hi):
                 raise OutOfRangeError(f"{name} must be in [0, {hi:g}], got {value}")
-        for name in ("scalability", "availability", "security", "usability"):
-            value = getattr(self, name)
-            if not (0.0 <= value <= 1.0):
-                raise OutOfRangeError(f"{name} must be in [0, 1], got {value}")
 
 
 def _unit_gaussian_sets(levels: tuple[str, ...], sigma: float) -> tuple[tuple[str, Gaussian], ...]:
@@ -250,8 +250,8 @@ def trust_completion_score(perf_index: int, elasticity_index: int) -> str:
     """Completion rule for the provider-trust rulebase.
 
     The score 2*performance + elasticity with cutoffs (<=3 low, ==4
-    medium, >=5 high) reproduces every published row; that consistency
-    is asserted at build time rather than assumed.
+    medium, >=5 high) reproduces every published row; Tier-1 asserts
+    that consistency, and the build keeps the published rows verbatim.
     """
     score = 2 * perf_index + elasticity_index
     if score <= 3:
@@ -275,15 +275,6 @@ def build_provider_trust_fis() -> FuzzyInferenceSystem:
     published = {
         (THREE_LEVELS.index(p), FIVE_QUALITY.index(e)): t for p, e, t in TRUST_PUBLISHED_RULES
     }
-    for (perf_idx, elast_idx), expected in published.items():
-        scored = trust_completion_score(perf_idx, elast_idx)
-        if scored != expected:
-            raise IncompletePolicyError(
-                f"trust completion score contradicts published rule "
-                f"({THREE_LEVELS[perf_idx]}, {FIVE_QUALITY[elast_idx]}): "
-                f"scored {scored}, published {expected}"
-            )
-
     rules = []
     for perf_idx, elast_idx in itertools.product(range(3), range(5)):
         label = published.get((perf_idx, elast_idx)) or trust_completion_score(perf_idx, elast_idx)

@@ -74,6 +74,7 @@ idle kept-alive client holds one thread.  A client that resets its
 connection is dropped the same way, with no report to ``handle_error``.
 The server owns the service it serves: ``server_close()`` closes the
 socket, then the service's store and ledger, which checkpoints them.
+``serve`` does so on SIGTERM (``kill``, systemd, ``docker stop``) as on Ctrl-C.
 """
 
 from __future__ import annotations
@@ -81,8 +82,10 @@ from __future__ import annotations
 import functools
 import json
 import re
+import signal
 import socketserver
 import time
+from contextlib import suppress
 from dataclasses import dataclass
 from http import HTTPStatus
 from urllib.parse import unquote, urlsplit
@@ -492,13 +495,10 @@ def create_http_server(service: TrustService) -> socketserver.ThreadingTCPServer
 
 
 def serve(config: ServiceConfig) -> None:
-    """Run the service until interrupted."""
+    """Run the service until SIGINT or SIGTERM, then close it."""
     server = create_http_server(TrustService(config))
-    host, port = server.server_address[:2]
-    print(f"fuzzytrust service listening on http://{host}:{port}", flush=True)  # a pipe would hold it back
-    try:
+    with server, suppress(KeyboardInterrupt):  # leaving the block calls server_close()
+        signal.signal(signal.SIGTERM, signal.default_int_handler)  # raises KeyboardInterrupt, as Ctrl-C does
+        host, port = server.server_address[:2]
+        print(f"fuzzytrust service listening on http://{host}:{port}", flush=True)  # a pipe would hold it back
         server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.server_close()

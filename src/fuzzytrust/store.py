@@ -40,13 +40,14 @@ versioned JSON documents.
   the log is still as long as this object wrote it (no other writer
   appended since).  The replay hashes each line as it folds it, so the
   tail is read once, and each append adds its bytes to that digest, so a
-  close reads nothing back.  A process killed before ``close()`` leaves
-  the old snapshot, and its appends are a tail that the next open
-  replays and checkpoints.  Each rewrite goes to a temporary file in the
-  same directory, then ``os.replace``.  A failed write is ignored, and
-  the next rewrite removes its temporary file.  The log stays the source
-  of truth: it is never rewritten, and deleting the snapshot costs only
-  a full replay.
+  close reads nothing back.  ``fuzzytrust serve`` closes on SIGINT and
+  SIGTERM; a process killed before ``close()`` leaves the old snapshot,
+  and its appends are a tail that the next open replays and checkpoints.
+  Each rewrite goes to a temporary file in the same directory, then
+  ``os.replace``; a failed write removes that file and keeps the old
+  snapshot, and the next rewrite removes one that a killed writer left.
+  The log stays the source of truth: it is never rewritten, and deleting
+  the snapshot costs only a full replay.
 
 Single writer: a ``FoldedLog`` reads its log once, when it opens, and
 then sees only the records appended through itself.  Records another

@@ -45,7 +45,8 @@ _FEATURE_OF_INPUT = dict(USER_FIS_INPUTS)
 class UserBehaviorCounters:
     """Per-user HTTP status counts over one observation window.
 
-    bad = status 400, unauthorized = 401 or 403, bogus = 404.
+    bad = status 400, unauthorized = 401 or 403, bogus = 404.  A zero total
+    raises ``ZeroTotalRequestsError``: trust is undefined with no requests.
     """
 
     user_id: str
@@ -64,14 +65,14 @@ class UserBehaviorCounters:
                 f"user {self.user_id!r}: total {self.tr} is less than "
                 f"categorized requests {self.uar + self.bor + self.bar}"
             )
+        if self.tr == 0:
+            raise ZeroTotalRequestsError(f"user {self.user_id!r} has no requests in the window")
 
 
 def baseline_trust(counters: UserBehaviorCounters) -> float:
     """Weighted-rate trust 1 - (W_UNAUTHORIZED*UARR + W_BOGUS*BORR + W_BAD*BARR),
-    each rate a count over TR; undefined (error) when TR is zero."""
+    each rate a count over TR (never zero)."""
     tr = counters.tr
-    if tr == 0:
-        raise ZeroTotalRequestsError(f"user {counters.user_id!r} has no requests in the window")
     return 1.0 - (
         W_UNAUTHORIZED * (counters.uar / tr) + W_BOGUS * (counters.bor / tr) + W_BAD * (counters.bar / tr)
     )
@@ -167,9 +168,6 @@ class UserTrustModel:
         """One row of rulebase inputs per user, in the rulebase's input
         order: the four count features normalized with the training
         parameters (clamped into [0, 1])."""
-        for counters in counters_seq:
-            if counters.tr == 0:
-                raise ZeroTotalRequestsError(f"user {counters.user_id!r} has no requests in the window")
         counts = np.array([[c.bar, c.bor, c.uar, c.tr] for c in counters_seq], dtype=float).reshape(-1, 4)
         features = apply_normalization(counts, self.norm_params[:4])
         return features[:, [_FEATURE_OF_INPUT[name] for name in self.fis.input_names]]

@@ -114,6 +114,22 @@ def test_bad_test_csv_names_the_file(pipeline, tmp_path, capsys):
     assert f"error: {corpus}, line 2: " in err
 
 
+def test_fit_names_the_line_of_a_zero_total_row(tmp_path, capsys):
+    train = tmp_path / "train.csv"
+    train.write_text("bad,bogus,unauthorized,total,trust\n1,0,0,10,0.97\n0,0,0,0,1.0\n")
+    out = tmp_path / "user.json"
+    code, _, err = run(capsys, "fit", "--train", train, "--out", out)
+    assert code == 1 and not out.exists()
+    assert err == f"error: {train}, line 3: user 'row-0002' has no requests in the window\n"
+
+
+def test_eval_user_refuses_a_zero_total(capsys):
+    code, out, err = run(capsys, "eval-user", "--user-id", "idle", "--bad", 0, "--bogus", 0, "--unauthorized", 0,
+                         "--total", 0)
+    assert (code, out) == (1, "")
+    assert err == "error: user 'idle' has no requests in the window\n"
+
+
 def test_ingest_counts_only_the_window(tmp_path, capsys):
     log, out = tmp_path / "log.csv", tmp_path / "counters.csv"
     log.write_text("timestamp,user_id,status\n2026-01-01T00:00:00,u1,401\n2026-01-02T00:00:00,u1,404\n"

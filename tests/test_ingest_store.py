@@ -399,6 +399,22 @@ class TestCorpus:
                 read_counters_csv(path)
             assert err.value.line == 1 and str(path) in str(err.value)
 
+    @pytest.mark.parametrize(
+        "header, rows, user",
+        [
+            ("user_id,bad,bogus,unauthorized,total", ["a,1,2,3,50", "idle,0,0,0,0", "b,0,0,0,5"], "idle"),
+            ("bad,bogus,unauthorized,total,trust", ["1,2,3,50,0.9", "0,0,0,0,1.0", "0,0,0,5,1.0"], "row-0002"),
+        ],
+        ids=["counters", "corpus"],
+    )
+    def test_zero_total_row_names_its_line(self, tmp_path, header, rows, user):
+        path = tmp_path / "input.csv"
+        path.write_text("\n".join([header, *rows]) + "\n")
+        with pytest.raises(ParseError) as err:
+            read_counters_csv(path)
+        assert err.value.line == 3
+        assert str(err.value) == f"{path}, line 3: user {user!r} has no requests in the window"
+
 
 @pytest.mark.parametrize(
     "read, header, row",
@@ -1354,6 +1370,39 @@ class TestCloseCheckpoint:
         _snapshot(tail).write_bytes(before)
         opener(tail)
         assert _snapshot(tail).read_bytes() == _snapshot(path).read_bytes() != before
+
+    @pytest.mark.parametrize("kind", ["store", "ledger"])
+    def test_a_snapshot_write_that_fails_midway_keeps_the_previous_one(self, tmp_path, replay_starts, monkeypatch,
+                                                                        kind):
+        path = tmp_path / f"{kind}.jsonl"
+        opener, append, state, full_scan = self._log(kind)
+        log = opener(path)
+        for i in range(3):
+            append(log, i)
+        log.close()
+        previous = _snapshot(path).read_bytes()
+        log = opener(path)
+        for i in range(3, 5):
+            append(log, i)
+        row, rows = opener._row, []
+
+        def second_row_fails(key, value):  # the header and one row are in the temporary file by then
+            rows.append(key)
+            if len(rows) == 2:
+                raise ValueError("row cannot be written")
+            return row(key, value)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(opener, "_row", staticmethod(second_row_fails))
+            log.close()
+        assert len(rows) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name, _snapshot(path).name]
+        assert _snapshot(path).read_bytes() == previous
+        covered = _check_trailer(_snapshot(path))[0]["log_bytes"]
+        replay_starts.clear()
+        reopened = opener(path)
+        assert replay_starts == [LogPosition(covered, 3, 3)]  # the previous snapshot, then the two appends
+        assert state(reopened) == state(log) == full_scan(path)
 
     @pytest.mark.parametrize("kind", ["store", "ledger"])
     def test_a_close_never_checkpoints_over_another_writers_lines(self, tmp_path, replay_starts, kind):

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from fuzzytrust.errors import DegenerateOutputError, IncompletePolicyError, OutOfRangeError
+from fuzzytrust.errors import DegenerateOutputError, OutOfRangeError
 from fuzzytrust.evaluation import spearman
 from fuzzytrust.fuzzy import (
     FuzzyInferenceSystem,
@@ -346,15 +346,3 @@ class TestCompletionPolicyInternals:
             assert len(fis.rules) == 81
         finally:
             prov.build_elasticity_fis.cache_clear()
-
-    def test_trust_builder_guards_score_consistency(self, monkeypatch):
-        import fuzzytrust.provider as prov
-
-        broken = (("low", "very_poor", "high"),) + prov.TRUST_PUBLISHED_RULES[1:]
-        monkeypatch.setattr(prov, "TRUST_PUBLISHED_RULES", broken)
-        prov.build_provider_trust_fis.cache_clear()
-        try:
-            with pytest.raises(IncompletePolicyError):
-                prov.build_provider_trust_fis()
-        finally:
-            prov.build_provider_trust_fis.cache_clear()

@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fuzzytrust import service as service_module
+from fuzzytrust.errors import FuzzyTrustError
 from fuzzytrust.store import TrustRecord, TrustStore
 from fuzzytrust.service import MAX_BODY_BYTES, SCHEMA, ServiceConfig, TrustService, create_http_server
 from fuzzytrust.user import UserBehaviorCounters, baseline_trust, save_user_model
@@ -186,6 +187,12 @@ class TestMalformedBodies:
     def test_malformed_counters_get_400_naming_the_field(self, server, counters, message):
         status, body = _post(server, "/decide", _decide_body(counters=counters))
         assert (status, body) == (400, {"schema": SCHEMA, "error": f"bad request: {message}"})
+        assert len(server.RequestHandlerClass.service.store) == 0
+
+    def test_all_zero_counters_get_400_naming_the_user(self, server):
+        zero = dict.fromkeys(ALL_UNAUTHORIZED, 0)
+        status, body = _post(server, "/decide", _decide_body(counters=zero))
+        assert (status, body) == (400, {"schema": SCHEMA, "error": "user 'u1' has no requests in the window"})
         assert len(server.RequestHandlerClass.service.store) == 0
 
     def test_non_object_json_on_feedback_gets_400(self, server):
@@ -518,6 +525,16 @@ def test_server_close_closes_and_checkpoints_the_service(tmp_path):
         assert log._fh is None
         header = json.loads(path.with_name(path.name + ".snapshot").read_text().splitlines()[0])
         assert (header["log_bytes"], header["records"]) == (path.stat().st_size, 1)
+
+
+def test_a_port_held_by_another_server_is_refused_by_name(server, tmp_path):
+    host, port = server.server_address[:2]
+    service = TrustService(ServiceConfig(store_path=str(tmp_path / "other.jsonl"), host=host, port=port))
+    try:
+        with pytest.raises(FuzzyTrustError, match=f"^cannot bind {host}:{port}: "):
+            create_http_server(service)
+    finally:
+        service.close()
 
 
 def test_every_body_opens_with_the_schema(server):

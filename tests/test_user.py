@@ -37,6 +37,11 @@ class TestCounters:
         with pytest.raises(ValueError):
             UserBehaviorCounters(user_id="u", uar=-1, bor=0, bar=0, tr=5)
 
+    def test_zero_total_is_an_error(self):
+        # trust is undefined without requests, so neither the baseline nor a fitted model is ever handed them
+        with pytest.raises(ZeroTotalRequestsError, match="^user 'idle' has no requests in the window$"):
+            UserBehaviorCounters(user_id="idle", uar=0, bor=0, bar=0, tr=0)
+
     def test_feature_vector_order(self):
         # corpus_matrix columns: bad, bogus, unauthorized, total, baseline trust
         c = UserBehaviorCounters(user_id="u", uar=3, bor=2, bar=1, tr=10)
@@ -57,6 +62,7 @@ class TestBaselineTrust:
         assert baseline_trust(UserBehaviorCounters("u", 7, 0, 0, 7)) == pytest.approx(0.5, abs=1e-12)
 
     def test_zero_total_is_an_error(self):
+        # the counters refuse a zero total, so the baseline is never handed one
         with pytest.raises(ZeroTotalRequestsError):
             baseline_trust(UserBehaviorCounters(user_id="u", uar=0, bor=0, bar=0, tr=0))
 
@@ -259,8 +265,9 @@ class TestEvaluateBatch:
 
     def test_zero_total_raises_like_evaluate(self, two_cluster_user_model):
         users = _random_counters(np.random.default_rng(10), 5)
-        users.insert(3, UserBehaviorCounters(user_id="idle", uar=0, bor=0, bar=0, tr=0))
+        # the idle user is built inside the block: its counters raise at construction
         with pytest.raises(ZeroTotalRequestsError, match="idle"):
+            users.insert(3, UserBehaviorCounters(user_id="idle", uar=0, bor=0, bar=0, tr=0))
             two_cluster_user_model.evaluate_batch(users)
 
     def test_a_user_no_rule_fires_for_is_named_like_evaluate(self, two_cluster_user_model):
