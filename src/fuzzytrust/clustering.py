@@ -128,7 +128,8 @@ def _membership_from_sq_distances(d2: np.ndarray, m: float) -> np.ndarray:
         inv = d2 ** -exponent
     hits = d2 == 0.0
     if not hits.any():
-        return inv / inv.sum(axis=1, keepdims=True)
+        inv /= inv.sum(axis=1, keepdims=True)  # in place: a fresh n x c result costs more than the division
+        return inv
     U = np.empty_like(d2)
     singular = hits.any(axis=1)
     regular = ~singular
@@ -138,15 +139,21 @@ def _membership_from_sq_distances(d2: np.ndarray, m: float) -> np.ndarray:
     return U
 
 
-def _sq_distances(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances (n x c), summed one column at a time
-    in column order: the order in which ``.sum(axis=2)`` adds fewer than
-    eight terms, so for d < 8 the result is bit-identical to it, without
-    its n x c x d temporary."""
-    d2 = (X[:, 0, None] - centers[None, :, 0]) ** 2
-    for j in range(1, X.shape[1]):
-        d2 += (X[:, j, None] - centers[None, :, j]) ** 2
-    return d2
+def _sq_distances(XT: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances (n x c) from the points' columns ``XT``
+    (d x n, C order), summed one column at a time in column order: the
+    order in which ``.sum(axis=2)`` adds fewer than eight terms, so for
+    d < 8 the result is bit-identical to it, without its n x c x d
+    temporary.  The sum is built in place as (c, n) and copied to (n, c)
+    once."""
+    d2 = XT[0] - centers[:, 0, None]
+    d2 *= d2
+    term = np.empty_like(d2)
+    for j in range(1, XT.shape[0]):
+        np.subtract(XT[j], centers[:, j, None], out=term)
+        term *= term
+        d2 += term
+    return np.ascontiguousarray(d2.T)
 
 
 def fcm_fit(
@@ -165,8 +172,12 @@ def fcm_fit(
     rather than from an n x c x d difference array: building that array
     was over half of each iteration, and adding the columns in order keeps
     every distance, and so every model, bit-identical to the array sum for
-    the five-column user matrix.  The expansion |x|^2 - 2 x.c + |c|^2 would
-    be cheaper still but rounds differently and loses the exact zero the
+    the five-column user matrix.  The columns are taken from ``X.T``,
+    copied contiguous once per fit, and summed cluster-major into a (c, n)
+    buffer, so each numpy call runs over the n points, not over the c
+    clusters of one point; only the finished sum is laid out (n, c) for
+    the membership update.  The expansion |x|^2 - 2 x.c + |c|^2 would be
+    cheaper still but rounds differently and loses the exact zero the
     membership update tests for a point on a center.
     """
     X = np.asarray(data, dtype=float)
@@ -180,6 +191,7 @@ def fcm_fit(
     if norm_params is None:
         norm_params = tuple((0.0, 1.0) for _ in range(d))
 
+    XT = np.ascontiguousarray(X.T)
     rng = np.random.default_rng(cfg.seed)
     U = rng.random((n, cfg.c))
     U /= U.sum(axis=1, keepdims=True)
@@ -191,7 +203,7 @@ def fcm_fit(
         weight = Um.sum(axis=0)
         new_centers = (Um.T @ X) / np.where(weight > 0.0, weight, 1.0)[:, None]
         centers = np.where(weight[:, None] > 0.0, new_centers, centers)
-        d2 = _sq_distances(X, centers)
+        d2 = _sq_distances(XT, centers)
         U = _membership_from_sq_distances(d2, cfg.m)
         Um = U ** cfg.m  # the objective's weights and the next centers'
         objective = float((Um * d2).sum())

@@ -19,7 +19,8 @@ Log CSV:     header ``timestamp,user_id,status``
              and for the window the counters report.
 Counters CSV: header ``user_id,bad,bogus,unauthorized,total``
 Corpus CSV:  header ``bad,bogus,unauthorized,total,trust`` (both read by ``read_counters_csv``)
-Every CSV is UTF-8: a byte that is not raises ``ParseError`` naming the file and its line.
+Every CSV is UTF-8, with or without a leading byte-order mark: a byte that
+is not UTF-8 raises ``ParseError`` naming the file and its line.
 """
 
 from __future__ import annotations
@@ -34,19 +35,22 @@ import numpy as np
 from .errors import EmptyWindowError, InvalidSpecError, ParseError, ZeroTotalRequestsError
 from .user import UserBehaviorCounters, baseline_trust
 
-# status -> slot in a user's tally [uar, bor, bar, tr]: 401 and 403 are
-# unauthorized, 404 bogus and 400 bad; every status also adds to tr
+# status -> slot in a user's tally [uar, bor, bar, other]: 401 and 403 are
+# unauthorized, 404 bogus, 400 bad and any other status (slot 3) only adds
+# to the total, which is the tally's sum
 _TALLY_SLOT = {401: 0, 403: 0, 404: 1, 400: 2}
 
 
 @contextmanager
 def _open_csv(path):
-    """``path`` opened for ``csv``.  A byte that is not UTF-8 raises
-    ``ParseError`` naming the first line that holds one, found by a binary
-    rescan on that error alone: the text layer decodes chunks ahead of the
-    reader, so the reader's row number does not locate the byte."""
+    """``path`` opened for ``csv``, a leading UTF-8 byte-order mark (as
+    Excel and PowerShell write) dropped so the header's first name reads
+    as written.  A byte that is not UTF-8 raises ``ParseError`` naming the
+    first line that holds one, found by a binary rescan on that error
+    alone: the text layer decodes chunks ahead of the reader, so the
+    reader's row number does not locate the byte."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             yield fh
     except UnicodeDecodeError as exc:
         with open(path, "rb") as fh:
@@ -103,7 +107,16 @@ def ingest_log(
     """Aggregate a request log into per-user counters, one per user seen
     inside the window (inclusive ends), sorted by user id.
 
-    Statuses other than 400/401/403/404 only contribute to the total.
+    Statuses other than 400/401/403/404 only contribute to the total.  A
+    window whose start is after its end, as UTC instants, raises
+    ``ValueError`` naming both ends.
+
+    Rows are tallied by their raw user-id and status text.  Each distinct
+    text is checked (stripped, parsed, range-checked) once, on the first
+    row that holds it, and later rows with that text take a dict lookup;
+    a text that fails a check ends the ingest, so a bad row raises its
+    ``ParseError`` at its line.  Raw ids that strip to one id are merged
+    at the end.
 
     Naive stamps (UTC wall time) and aware stamps are compared on one UTC
     timeline without rebuilding any row's stamp: naive ones against each
@@ -114,10 +127,17 @@ def ingest_log(
     """
     if window is not None:
         window = (_utc(window[0]), _utc(window[1]))
+        if window[0] > window[1]:
+            raise ValueError(
+                f"window start {window[0].isoformat()} is after window end {window[1].isoformat()}"
+            )
         # indexed by "the stamp is aware"
         bounds = (_naive_bounds(*window), window)
 
-    counts: dict[str, list[int]] = {}
+    # raw user-id text -> its tally [uar, bor, bar, other]; raw status text
+    # -> its slot there.  Only texts that passed their checks are keys.
+    tallies: dict[str, list[int]] = {}
+    slots: dict[str, int] = {}
     # per timeline, naive then aware: [earliest, its line, latest, its line]
     spans = ([None, 0, None, 0], [None, 0, None, 0])
     fromisoformat = datetime.fromisoformat
@@ -140,21 +160,30 @@ def ingest_log(
                 if all(not cell.strip() for cell in row):
                     continue
                 raise ParseError(path, lineno, f"expected {len(header)} fields, got {len(row)}")
-            user_id = row[user_col].strip()
-            if not user_id and all(not cell.strip() for cell in row):
-                continue
+            raw_user = row[user_col]
+            tally = tallies.get(raw_user)
+            if tally is None:
+                user_id = raw_user.strip()
+                if not user_id and all(not cell.strip() for cell in row):
+                    continue
             try:
                 ts = fromisoformat(row[ts_col])
             except ValueError:
                 ts = _parse_timestamp(row[ts_col], path, lineno)
-            if not user_id:
-                raise ParseError(path, lineno, "empty user_id")
-            try:
-                status = int(row[status_col])
-            except ValueError:
-                raise ParseError(path, lineno, f"unparseable status {row[status_col]!r}") from None
-            if not (100 <= status <= 599):
-                raise ParseError(path, lineno, f"status {status} outside [100, 599]")
+            if tally is None:
+                if not user_id:
+                    raise ParseError(path, lineno, "empty user_id")
+                tally = tallies[raw_user] = [0, 0, 0, 0]
+            raw_status = row[status_col]
+            slot = slots.get(raw_status)
+            if slot is None:
+                try:
+                    status = int(raw_status)
+                except ValueError:
+                    raise ParseError(path, lineno, f"unparseable status {raw_status!r}") from None
+                if not (100 <= status <= 599):
+                    raise ParseError(path, lineno, f"status {status} outside [100, 599]")
+                slot = slots[raw_status] = _TALLY_SLOT.get(status, 3)
 
             aware = ts.tzinfo is not None
             if window is not None:
@@ -168,14 +197,17 @@ def ingest_log(
                 span[0], span[1] = ts, lineno
             elif ts > span[2]:
                 span[2], span[3] = ts, lineno
-            tally = counts.get(user_id)
-            if tally is None:
-                tally = counts[user_id] = [0, 0, 0, 0]
-            tally[3] += 1
-            slot = _TALLY_SLOT.get(status)
-            if slot is not None:
-                tally[slot] += 1
+            tally[slot] += 1
 
+    # raw texts that strip to one id are one user; a user whose every row
+    # fell outside the window has a zero tally and is left out
+    counts: dict[str, list[int]] = {}
+    for raw_user, tally in tallies.items():
+        if any(tally):
+            merged = counts.setdefault(raw_user.strip(), tally)
+            if merged is not tally:
+                for slot, n in enumerate(tally):
+                    merged[slot] += n
     if not counts:
         raise EmptyWindowError("no log entries inside the requested window")
     if window is None:
@@ -185,8 +217,10 @@ def ingest_log(
         window = (first, last)
     window_text = (window[0].isoformat(), window[1].isoformat())
     return [
-        UserBehaviorCounters(user_id=user_id, window=window_text, uar=uar, bor=bor, bar=bar, tr=tr)
-        for user_id, (uar, bor, bar, tr) in sorted(counts.items())
+        UserBehaviorCounters(
+            user_id=user_id, window=window_text, uar=uar, bor=bor, bar=bar, tr=uar + bor + bar + other
+        )
+        for user_id, (uar, bor, bar, other) in sorted(counts.items())
     ]
 
 

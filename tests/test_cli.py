@@ -142,6 +142,16 @@ def test_ingest_counts_only_the_window(tmp_path, capsys):
     ]
 
 
+def test_ingest_refuses_a_window_that_ends_before_it_starts(tmp_path, capsys):
+    log, out = tmp_path / "log.csv", tmp_path / "counters.csv"
+    log.write_text("timestamp,user_id,status\n2026-01-02T00:00:00,u1,401\n")
+    code, stdout, err = run(capsys, "ingest", "--log", log, "--out", out,
+                            "--window-start", "2026-01-03", "--window-end", "2026-01-01")
+    assert (code, stdout) == (1, "")
+    assert err == "error: window start 2026-01-03T00:00:00+00:00 is after window end 2026-01-01T00:00:00+00:00\n"
+    assert not out.exists()
+
+
 def test_bad_log_names_the_file(tmp_path, capsys):
     log = tmp_path / "log.csv"
     log.write_text("timestamp,user_id,status\n2026-01-01T00:00:00,u1,abc\n")

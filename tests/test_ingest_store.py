@@ -40,7 +40,9 @@ from fuzzytrust.user import (
     UserBehaviorCounters,
     UserTrustModel,
     baseline_trust,
+    fit_user_clusters,
     load_user_model,
+    save_user_model,
 )
 
 
@@ -206,13 +208,22 @@ def _stamps(draw):
     return draw(st.sampled_from(["", " "])) + text
 
 
+# statuses in the spellings ``int`` accepts, so that one status arrives as several raw texts
+_STATUSES = st.builds(
+    "{}{}{}".format,
+    st.sampled_from(["", " ", "+", "0"]),
+    st.sampled_from([200, 302, 400, 401, 403, 404, 500]),
+    st.sampled_from(["", " "]),
+)
+
 _LOG_ROWS = st.lists(
     st.one_of(
         st.builds(
             "{},{},{}".format,
             _stamps(),
-            st.sampled_from(["alice", " bob", "carol "]),
-            st.sampled_from([200, 302, 400, 401, 403, 404, 500]),
+            # one user as several raw texts: padded with spaces or tabs
+            st.sampled_from(["alice", "\talice", " bob", "bob", "bob\t", "carol ", "\tcarol\t"]),
+            _STATUSES,
         ),
         st.sampled_from(["", " ", "  ,  ,  ", ",,", "\t"]),  # blank rows
     ),
@@ -242,6 +253,8 @@ def _reference_tally(rows, window):
 
     if window is not None:
         window = tuple(end if end.tzinfo else end.replace(tzinfo=timezone.utc) for end in window)
+        if window[0] > window[1]:
+            raise ValueError("window start after its end")
     counts, first, last = {}, None, None
     for row in rows:
         cells = row.split(",")
@@ -277,7 +290,12 @@ class TestIngestAgainstReference:
         with tempfile.TemporaryDirectory() as tmp:
             log = Path(tmp) / "log.csv"
             write_log(log, rows)
-            expected = _reference_tally(rows, window)
+            try:
+                expected = _reference_tally(rows, window)
+            except ValueError:
+                with pytest.raises(ValueError, match="is after window end"):
+                    ingest_log(log, window)
+                return
             if not expected:
                 with pytest.raises(EmptyWindowError):
                     ingest_log(log, window)
@@ -308,6 +326,54 @@ class TestIngestAgainstReference:
         for nothing in (everything[:1] * 2, everything[1:] * 2):
             with pytest.raises(EmptyWindowError):
                 ingest_log(log, nothing)
+
+    def test_a_window_that_drops_a_users_first_rows(self, tmp_path):
+        """The first rows of `` u``, ``u\\t``, ``0404`` and ``+401`` lie before
+        the window, so those texts are checked, and the ids' tallies made,
+        on rows the window then drops."""
+        log = tmp_path / "log.csv"
+        write_log(
+            log,
+            [
+                "2026-01-01T08:00:00, u,0404",
+                "2026-01-01T08:30:00,v,401",  # v has no row inside
+                "2026-01-01T09:00:00,u\t,+401",
+                "2026-01-01T10:00:00, u,404 ",
+                "2026-01-01T10:30:00,u,0404",
+                "2026-01-01T11:00:00,u\t, 200",
+                "2026-01-01T11:30:00,u,+401",
+                "2026-01-01T12:00:01,v,401",
+            ],
+        )
+        window = (datetime(2026, 1, 1, 10, tzinfo=timezone.utc), datetime(2026, 1, 1, 12, tzinfo=timezone.utc))
+        assert ingest_log(log, window) == [
+            UserBehaviorCounters(
+                user_id="u", uar=1, bor=2, bar=0, tr=4, window=(window[0].isoformat(), window[1].isoformat())
+            )
+        ]
+
+    @pytest.mark.parametrize(
+        "start, end",
+        [
+            # wall-clock order would say start < end; as instants 09:00Z > 08:00Z
+            (datetime(2026, 1, 1, 9), datetime(2026, 1, 1, 10, tzinfo=timezone(timedelta(hours=2)))),
+            (datetime(2026, 1, 3), datetime(2026, 1, 1)),
+        ],
+    )
+    def test_a_window_whose_start_is_after_its_end_is_refused(self, tmp_path, start, end):
+        log = tmp_path / "log.csv"
+        write_log(log, ["2026-01-01T08:30:00,u,200", "2026-01-02T00:00:00,u,200"])
+        with pytest.raises(ValueError) as err:
+            ingest_log(log, (start, end))
+        utc = lambda moment: moment if moment.tzinfo else moment.replace(tzinfo=timezone.utc)
+        assert str(err.value) == f"window start {utc(start).isoformat()} is after window end {utc(end).isoformat()}"
+
+    def test_a_window_ordered_as_instants_is_accepted(self, tmp_path):
+        """10:00+02:00 is 08:00Z, before the naive (UTC) 09:00 end, though its wall time is later."""
+        log = tmp_path / "log.csv"
+        write_log(log, ["2026-01-01T08:30:00,u,200"])
+        start = datetime(2026, 1, 1, 10, tzinfo=timezone(timedelta(hours=2)))
+        assert ingest_log(log, (start, datetime(2026, 1, 1, 9)))[0].tr == 1
 
     @pytest.mark.parametrize(
         "row, message",
@@ -414,6 +480,43 @@ class TestCorpus:
             read_counters_csv(path)
         assert err.value.line == 3
         assert str(err.value) == f"{path}, line 3: user {user!r} has no requests in the window"
+
+
+def test_a_log_csv_with_a_byte_order_mark(tmp_path):
+    log = tmp_path / "log.csv"
+    log.write_bytes(b"\xef\xbb\xbftimestamp,user_id,status\r\n2026-01-01T00:00:00,u1,404\r\n")
+    assert [(c.user_id, c.bor, c.tr) for c in ingest_log(log)] == [("u1", 1, 1)]
+
+
+@pytest.mark.parametrize("header", ["user_id,bad,bogus,unauthorized,total", "bad,bogus,unauthorized,total,user_id"])
+def test_a_counters_csv_with_a_byte_order_mark_keeps_its_user_ids(tmp_path, header):
+    path = tmp_path / "counters.csv"
+    cells = {"user_id": "alice", "bad": "1", "bogus": "2", "unauthorized": "3", "total": "50"}
+    row = ",".join(cells[name] for name in header.split(","))
+    path.write_bytes(b"\xef\xbb\xbf" + f"{header}\n{row}\n".encode())
+    assert read_counters_csv(path) == [UserBehaviorCounters(user_id="alice", bar=1, bor=2, uar=3, tr=50)]
+
+
+def test_the_retrain_pipeline_is_pinned(tmp_path):
+    """A seeded log through ingest, the joint matrix, FCM and the saved
+    model: a change anywhere on that path that moves one output bit has
+    to change this digest too."""
+    rng = random.Random(28)
+    start = datetime(2026, 2, 1)
+    statuses = ["200", "200", "302", "500", "400", "401", "403", "404", " 404", "0401", "+400"]
+    rows = []
+    for k in range(3000):
+        user = f"user-{rng.randrange(60):02d}"
+        user = rng.choice(["", " ", "\t"]) + user + rng.choice(["", " "])
+        rows.append(f"{(start + timedelta(seconds=7 * k)).isoformat()},{user},{rng.choice(statuses)}")
+    log, out = tmp_path / "log.csv", tmp_path / "model.json"
+    write_log(log, rows)
+    counters = ingest_log(log)
+    assert len(counters) == 60
+    clusters = fit_user_clusters(corpus_matrix(counters), ClusterConfig(c=5, max_iter=40, tol=1e-300))
+    save_user_model(UserTrustModel.from_cluster_model(clusters), out)
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "a172796f5267e3e9555660f47e1cf6bed608bb94e07627c956b8b2573228ce03"
 
 
 @pytest.mark.parametrize(
