@@ -39,10 +39,11 @@ class OutOfRangeError(FuzzyTrustError):
 
 
 class LineError(FuzzyTrustError):
-    """An error at one line of a file, named by file and 1-based ``line``."""
+    """An error at one line of a file, named by file and 1-based ``line``,
+    or at the whole file if ``line`` is None."""
 
-    def __init__(self, path, line: int, message: str):
-        super().__init__(f"{path}, line {line}: {message}")
+    def __init__(self, path, line: int | None, message: str):
+        super().__init__(f"{path}, line {line}: {message}" if line is not None else f"{path}: {message}")
         self.line = line
 
 

@@ -174,7 +174,7 @@ class FeedbackLedger(FoldedLog):
     the log in any order gives the same tallies.
     """
 
-    SNAPSHOT = ("ledger-snapshot", 2)
+    SNAPSHOT = ("ledger-snapshot", 3)
 
     def __init__(self, path):
         self._tallies: dict[str, list[int]] = {}  # provider -> [positive, negative]

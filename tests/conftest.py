@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fuzzytrust import store as store_module
 from fuzzytrust.clustering import ClusterConfig, ClusterModel
 from fuzzytrust.user import UserTrustModel, build_user_fis
 
@@ -31,3 +32,19 @@ def two_cluster_user_model(two_cluster_model) -> UserTrustModel:
         fis=build_user_fis(two_cluster_model),
         norm_params=two_cluster_model.norm_params,
     )
+
+
+@pytest.fixture
+def replay_starts(monkeypatch):
+    """The position each store or ledger open starts replaying each of its
+    files from: a sealed segment, then the active file."""
+    starts = []
+
+    replay = store_module.FoldedLog._replay
+
+    def spy(log, file, start, digest):
+        starts.append(start)
+        return replay(log, file, start, digest)
+
+    monkeypatch.setattr(store_module.FoldedLog, "_replay", spy)
+    return starts

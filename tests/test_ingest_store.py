@@ -1,10 +1,13 @@
 import dataclasses
+import glob
 import hashlib
 import json
 import random
 import stat
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
+from unittest import mock
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -746,30 +749,31 @@ def _state(store: TrustStore, subjects) -> tuple:
     return len(store), answers
 
 
+def _log_files(path: Path) -> list[Path]:
+    """The sealed segments of the log at ``path`` in order, then its active
+    file if there is one."""
+    return sorted(path.parent.glob(glob.escape(path.name) + ".[0-9]*")) + [path] * path.exists()
+
+
+@contextmanager
+def _scan_copy(path: Path):
+    """The path of a byte copy of the log at ``path``, every segment of it,
+    with no snapshot beside it; removed on exit."""
+    copy = path.with_name("scan-" + path.name)
+    copies = [file.with_name("scan-" + file.name) for file in _log_files(path)]
+    try:
+        for file, target in zip(_log_files(path), copies):
+            target.write_bytes(file.read_bytes())
+        yield copy
+    finally:
+        for target in [*copies, _snapshot(copy)]:
+            target.unlink(missing_ok=True)
+
+
 def _full_scan_state(path: Path, subjects) -> tuple:
     """The state a full scan of the log gives: a copy with no snapshot beside it."""
-    copy = path.with_name("scan-" + path.name)
-    copy.write_bytes(path.read_bytes())
-    try:
+    with _scan_copy(path) as copy:
         return _state(TrustStore(copy), subjects)
-    finally:
-        copy.unlink()
-        _snapshot(copy).unlink(missing_ok=True)
-
-
-@pytest.fixture
-def replay_starts(monkeypatch):
-    """The position each store or ledger open starts replaying its log from."""
-    starts = []
-
-    replay = store_module.FoldedLog._replay
-
-    def spy(log, start, digest):
-        starts.append(start)
-        return replay(log, start, digest)
-
-    monkeypatch.setattr(store_module.FoldedLog, "_replay", spy)
-    return starts
 
 
 def _three_records(path: Path) -> None:
@@ -812,6 +816,31 @@ _STEPS = st.lists(
 )
 
 
+def _run_store_steps(steps) -> None:
+    """Run ``steps`` on a new store; after each, its state equals a full scan."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "store.jsonl"
+        store = TrustStore(path)
+        for step in steps:
+            if step[0] == "put":
+                store.put(step[1])
+            elif step[0] == "close":
+                store.close()
+            else:
+                store.close()
+                if step[0] == "crash":
+                    _, line, terminated = step
+                    before = path.read_text() if path.exists() else ""
+                    fresh = "\n" if before and not before.endswith("\n") else ""
+                    path.write_text(before + fresh + line + ("\n" if terminated else ""))
+                before = [file.read_bytes() for file in _log_files(path)]
+                store = TrustStore(path)
+                assert [file.read_bytes() for file in _log_files(path)] == before  # opening never writes the log
+            if path.exists():
+                assert _state(store, _SUBJECTS) == _full_scan_state(path, _SUBJECTS)
+        store.close()
+
+
 class TestStoreSnapshot:
     def test_reopen_replays_only_the_tail(self, tmp_path, replay_starts):
         path = tmp_path / "store.jsonl"
@@ -826,34 +855,21 @@ class TestStoreSnapshot:
         assert store.get("provider", "bob").trust == 0.4
         assert stat.S_IMODE(_snapshot(path).stat().st_mode) == stat.S_IMODE(path.stat().st_mode)
         header, body = _check_trailer(_snapshot(path))
-        assert (header["format"], header["version"], header["log_bytes"]) == ("store-snapshot", 3, path.stat().st_size)
+        assert (header["format"], header["version"], header["log_bytes"]) == ("store-snapshot", 4, path.stat().st_size)
+        assert header["sealed"] == []  # a log under the cap is one active file
         assert (header["lines"], header["records"], header["subjects"]) == (5, 5, 2)
         assert [row[1] for row in body] == ["alice", "bob"]
 
     @settings(max_examples=60, deadline=None)
     @given(steps=_STEPS)
     def test_snapshot_opens_match_a_full_scan(self, steps):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "store.jsonl"
-            store = TrustStore(path)
-            for step in steps:
-                if step[0] == "put":
-                    store.put(step[1])
-                elif step[0] == "close":
-                    store.close()
-                else:
-                    store.close()
-                    if step[0] == "crash":
-                        _, line, terminated = step
-                        before = path.read_text() if path.exists() else ""
-                        fresh = "\n" if before and not before.endswith("\n") else ""
-                        path.write_text(before + fresh + line + ("\n" if terminated else ""))
-                    before = path.read_bytes() if path.exists() else None
-                    store = TrustStore(path)
-                    assert (path.read_bytes() if path.exists() else None) == before  # opening never writes the log
-                if path.exists():
-                    assert _state(store, _SUBJECTS) == _full_scan_state(path, _SUBJECTS)
-            store.close()
+        _run_store_steps(steps)
+
+    @settings(max_examples=60, deadline=None)
+    @given(steps=_STEPS)
+    def test_snapshot_opens_match_a_full_scan_across_seals(self, steps):
+        with mock.patch.object(store_module, "SEGMENT_BYTES", 400):  # two records a segment
+            _run_store_steps(steps)
 
     @pytest.mark.parametrize(
         "tamper",
@@ -898,7 +914,7 @@ class TestStoreSnapshot:
         elif tamper == "not-json":
             snapshot.write_text("not json\n")
         elif tamper in ("format", "version", "records", "lines", "subjects"):  # records < subjects, lines < records, rows != subjects
-            value = {"format": "trust-store", "version": 4, "records": 1, "lines": 3, "subjects": 3}[tamper]
+            value = {"format": "trust-store", "version": 5, "records": 1, "lines": 3, "subjects": 3}[tamper]
             write({**header, tamper: value}, [alice, bob])
         elif tamper == "duplicate":  # a second alice row, at the same instant
             write(header, [alice, bob, [*alice[:2], 0.1, *alice[3:]]])
@@ -935,11 +951,12 @@ class TestStoreSnapshot:
         TrustStore(path)  # the full scan wrote a snapshot that holds
         assert replay_starts[0].offset == path.stat().st_size
 
-    @pytest.mark.parametrize("version", [1, 2], ids=["v1", "v2"])
+    @pytest.mark.parametrize("version", [1, 2, 3], ids=["v1", "v2", "v3"])
     def test_an_older_snapshot_is_replaced(self, tmp_path, replay_starts, version):
-        """``store-snapshot/1`` (a record object per line) and ``/2`` (row
-        arrays, no trailer), as earlier releases wrote them: each is ignored
-        once, then replaced by the current version."""
+        """``store-snapshot/1`` (a record object per line), ``/2`` (row
+        arrays, no trailer) and ``/3`` (a trailer, no sealed segments), as
+        earlier releases wrote them: each is ignored once, then replaced by
+        the current version."""
         path = tmp_path / "store.jsonl"
         subjects = [("user", "alice"), ("provider", "bob")]
         _three_records(path)
@@ -958,12 +975,13 @@ class TestStoreSnapshot:
             body = [record.to_dict() for record in latest]
         else:
             body = [[[r.subject_kind, r.subject_id, r.trust, r.classification, r.model, r.evaluated_at] for r in latest]]
-        _snapshot(path).write_text("\n".join(map(json.dumps, [old_header, *body])) + "\n")
+        lines = list(map(json.dumps, [old_header, *body]))
+        _snapshot(path).write_text(_with_trailer(lines) if version == 3 else "\n".join(lines) + "\n")
         replay_starts.clear()
         store = TrustStore(path)
         assert replay_starts == [LogPosition()]
         assert _state(store, subjects) == _full_scan_state(path, subjects)
-        assert _check_trailer(_snapshot(path))[0]["version"] == 3
+        assert _check_trailer(_snapshot(path))[0]["version"] == 4
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(record(trust=0.9, at="2026-01-04T00:00:00+00:00").to_dict()) + "\n")
         replay_starts.clear()
@@ -1079,13 +1097,8 @@ def _ledger_state(ledger: FeedbackLedger) -> tuple:
 
 def _ledger_full_scan(path: Path) -> tuple:
     """The state a full scan of the ledger gives: a copy with no snapshot beside it."""
-    copy = path.with_name("scan-" + path.name)
-    copy.write_bytes(path.read_bytes())
-    try:
+    with _scan_copy(path) as copy:
         return _ledger_state(FeedbackLedger(copy))
-    finally:
-        copy.unlink()
-        _snapshot(copy).unlink(missing_ok=True)
 
 
 def _four_feedbacks(path: Path) -> None:
@@ -1131,8 +1144,32 @@ _FEEDBACK_STEPS = st.lists(
 )
 
 
+def _run_ledger_steps(steps) -> None:
+    """Run ``steps`` on a new ledger; after each, its state equals a full scan."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "feedback.jsonl"
+        ledger = FeedbackLedger(path)
+        for kind, first, second in steps:
+            if kind == "record":
+                ledger.record(first, second)
+            elif kind == "close":
+                ledger.close()
+            else:
+                ledger.close()
+                if kind == "crash":
+                    before = path.read_text() if path.exists() else ""
+                    fresh = "\n" if before and not before.endswith("\n") else ""
+                    path.write_text(before + fresh + first + ("\n" if second else ""))
+                before = [file.read_bytes() for file in _log_files(path)]
+                ledger = FeedbackLedger(path)
+                assert [file.read_bytes() for file in _log_files(path)] == before  # opening never writes the log
+            if path.exists():
+                assert _ledger_state(ledger) == _ledger_full_scan(path)
+        ledger.close()
+
+
 class TestLedgerSnapshot:
-    """The feedback ledger's ``ledger-snapshot/2`` checkpoint, through the
+    """The feedback ledger's ``ledger-snapshot/3`` checkpoint, through the
     same open policy as the trust store's."""
 
     def test_reopen_replays_only_the_tail(self, tmp_path, replay_starts):
@@ -1148,7 +1185,8 @@ class TestLedgerSnapshot:
         assert ledger.negative_ratio("p1") == 1 / 3 and ledger.negative_ratio("p2") == 0.5
         assert stat.S_IMODE(_snapshot(path).stat().st_mode) == stat.S_IMODE(path.stat().st_mode)
         header, body = _check_trailer(_snapshot(path))
-        assert (header["format"], header["version"], header["log_bytes"]) == ("ledger-snapshot", 2, path.stat().st_size)
+        assert (header["format"], header["version"], header["log_bytes"]) == ("ledger-snapshot", 3, path.stat().st_size)
+        assert header["sealed"] == []  # a log under the cap is one active file
         assert (header["lines"], header["records"], header["subjects"]) == (5, 5, 2)
         assert body == [["p1", 2, 1], ["p2", 1, 1]]
 
@@ -1163,26 +1201,13 @@ class TestLedgerSnapshot:
     @settings(max_examples=60, deadline=None)
     @given(steps=_FEEDBACK_STEPS)
     def test_snapshot_opens_match_a_full_scan(self, steps):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "feedback.jsonl"
-            ledger = FeedbackLedger(path)
-            for kind, first, second in steps:
-                if kind == "record":
-                    ledger.record(first, second)
-                elif kind == "close":
-                    ledger.close()
-                else:
-                    ledger.close()
-                    if kind == "crash":
-                        before = path.read_text() if path.exists() else ""
-                        fresh = "\n" if before and not before.endswith("\n") else ""
-                        path.write_text(before + fresh + first + ("\n" if second else ""))
-                    before = path.read_bytes() if path.exists() else None
-                    ledger = FeedbackLedger(path)
-                    assert (path.read_bytes() if path.exists() else None) == before  # opening never writes the log
-                if path.exists():
-                    assert _ledger_state(ledger) == _ledger_full_scan(path)
-            ledger.close()
+        _run_ledger_steps(steps)
+
+    @settings(max_examples=60, deadline=None)
+    @given(steps=_FEEDBACK_STEPS)
+    def test_snapshot_opens_match_a_full_scan_across_seals(self, steps):
+        with mock.patch.object(store_module, "SEGMENT_BYTES", 200):  # two entries a segment
+            _run_ledger_steps(steps)
 
     @pytest.mark.parametrize(
         "tamper",
@@ -1229,7 +1254,7 @@ class TestLedgerSnapshot:
         elif tamper == "not-json":
             snapshot.write_text("not json\n")
         elif tamper in ("format", "version", "records", "lines", "subjects"):  # records < subjects, lines < records, rows != subjects
-            value = {"format": "store-snapshot", "version": 3, "records": 1, "lines": 3, "subjects": 3}[tamper]
+            value = {"format": "store-snapshot", "version": 4, "records": 1, "lines": 3, "subjects": 3}[tamper]
             write({**header, tamper: value}, [p1, p2])
         elif tamper == "duplicate":  # a second p1 row
             write(header, [p1, p2, ["p1", 0, 9]])
@@ -1262,20 +1287,23 @@ class TestLedgerSnapshot:
         FeedbackLedger(path)  # the full scan wrote a snapshot that holds
         assert replay_starts[0].offset == path.stat().st_size
 
-    def test_an_older_snapshot_is_replaced(self, tmp_path, replay_starts):
-        """``ledger-snapshot/1`` (row arrays, no trailer), as the previous
-        release wrote it: ignored once, then replaced by the current version."""
+    @pytest.mark.parametrize("version", [1, 2], ids=["v1", "v2"])
+    def test_an_older_snapshot_is_replaced(self, tmp_path, replay_starts, version):
+        """``ledger-snapshot/1`` (row arrays, no trailer) and ``/2`` (a
+        trailer, no sealed segments), as earlier releases wrote them: each is
+        ignored once, then replaced by the current version."""
         path = tmp_path / "feedback.jsonl"
         _four_feedbacks(path)
         log = path.read_bytes()
-        v1_header = {"format": "ledger-snapshot", "version": 1, "log_bytes": len(log),
-                     "log_sha256": hashlib.sha256(log).hexdigest(), "lines": 4, "records": 4, "subjects": 2}
-        _snapshot(path).write_text("\n".join(map(json.dumps, [v1_header, [["p1", 2, 1], ["p2", 0, 1]]])) + "\n")
+        old_header = {"format": "ledger-snapshot", "version": version, "log_bytes": len(log),
+                      "log_sha256": hashlib.sha256(log).hexdigest(), "lines": 4, "records": 4, "subjects": 2}
+        lines = list(map(json.dumps, [old_header, [["p1", 2, 1], ["p2", 0, 1]]]))
+        _snapshot(path).write_text(_with_trailer(lines) if version == 2 else "\n".join(lines) + "\n")
         replay_starts.clear()
         ledger = FeedbackLedger(path)
         assert replay_starts == [LogPosition()]
         assert _ledger_state(ledger) == _ledger_full_scan(path) == (4, {"p1": [2, 1], "p2": [0, 1]})
-        assert _check_trailer(_snapshot(path))[0]["version"] == 2
+        assert _check_trailer(_snapshot(path))[0]["version"] == 3
         replay_starts.clear()
         FeedbackLedger(path)
         assert replay_starts == [LogPosition(len(log), 4, 4)]
@@ -1365,8 +1393,8 @@ class TestLogBytes:
     @pytest.mark.parametrize(
         "log, digest",
         [
-            ("store", "9b206b4bb8e80e04326bde8295999849b6f7db38994280f89dc143e91e7ce7c3"),
-            ("ledger", "614629a30e532a617de1b7401a10209325a3cdc5906fa53848a91aaf1230e501"),
+            ("store", "f1e388d8cffa7bfc9ddd7f281dd7a02bc551a3b6797c6cd2195435508b0c0ec7"),
+            ("ledger", "8c26ea6836689159e86be57a6a54cb72992d10b5f72c632091e9bba31fb20201"),
         ],
     )
     def test_the_snapshot_of_a_fixed_log_is_pinned(self, tmp_path, log, digest):
