@@ -26,7 +26,10 @@ The service is the store's single writer: it reads the store and the
 feedback ledger (``<store>.feedback``, checkpointed in
 ``<store>.feedback.snapshot``) once, at start, so a record another
 process appends to them later (a ban written by ``fuzzytrust eval-user
---store``, say) does not count until the service restarts.
+--store``, say) does not count until the service restarts.  If such a
+process seals the file the service appends to, the service's next append
+goes to the new active file and its close writes no snapshot, so the
+sealed segment stays as sealed (the ``store`` docstring has the details).
 Ban rule: a subject whose latest stored record is ``banned`` stays
 banned in every record ``record_decision`` appends (the CLI's writes
 too), and is denied with or without fresh counters.  A provider is
@@ -158,6 +161,11 @@ def record_decision(store: TrustStore | None, kind: str, subject_id: str, trust:
     return record
 
 
+def _check_user_id(user_id) -> None:
+    if not isinstance(user_id, str) or not user_id:
+        raise ValueError(f"user_id must be a non-empty string, got {user_id!r}")
+
+
 def _feedback_slot(provider_id, feedback) -> int:  # tally index: 0 positive, 1 negative
     if not isinstance(provider_id, str) or not provider_id:
         raise ValueError(f"provider_id must be a non-empty str, got {provider_id!r}")
@@ -174,7 +182,7 @@ class FeedbackLedger(FoldedLog):
     the log in any order gives the same tallies.
     """
 
-    SNAPSHOT = ("ledger-snapshot", 3)
+    SNAPSHOT = ("ledger-snapshot", 4)
 
     def __init__(self, path):
         self._tallies: dict[str, list[int]] = {}  # provider -> [positive, negative]
@@ -239,8 +247,7 @@ class TrustService:
         """``{decision, trust, model, evaluated_at}``: grant iff trust strictly
         exceeds the configured threshold and the subject is not banned; every
         decision appends one audit record."""
-        if not isinstance(user_id, str) or not user_id:
-            raise ValueError(f"user_id must be a non-empty string, got {user_id!r}")
+        _check_user_id(user_id)
         if counters is not None:
             trust, model = evaluate_counters(counters, self.user_model)
             evaluated_at = None  # the stamp of the record appended below
@@ -461,7 +468,8 @@ class _Handler(socketserver.StreamRequestHandler):
         if path == "/decide":
             if "threshold" in payload:
                 raise ValueError("the decision threshold is set by the service, not the request")
-            user_id = payload.get("user_id", "")
+            user_id = payload.get("user_id")
+            _check_user_id(user_id)  # before the counters, whose errors name the user
             counters = None
             if payload.get("counters") is not None:
                 counters = _counters_from_payload(user_id, payload["counters"])

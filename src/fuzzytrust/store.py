@@ -16,10 +16,13 @@ versioned JSON documents.
   that would start at or past ``SEGMENT_BYTES`` first seals the active file,
   on a line boundary (after a write cut short the newline goes in first):
   ``os.link`` to the next free number, then ``os.unlink``, so a seal never
-  replaces a segment that another writer sealed under the same number.  The
-  writer that sealed a segment never writes to it again.  A one-file log
+  replaces a segment that another writer sealed under the same number.  No
+  writer appends to a sealed segment, but in the one window *Single
+  writer* names.  A one-file log
   from before segments is an active file and opens as it is.  A gap in the
-  numbering raises ``StoreCorruptError`` naming the missing file; a corrupt
+  numbering raises ``StoreCorruptError`` naming the missing file, and so
+  does a snapshot that lists more sealed segments than are on disk: it
+  names the first one missing, and that open rewrites nothing.  A corrupt
   line is named by its segment file and its line within that file.  A
   process killed between the link and the unlink leaves the active name on
   the highest segment's file; the next open removes that name, so the file
@@ -28,45 +31,45 @@ versioned JSON documents.
   folds its log into, so an open skips the part of the log it covers.  Its
   first line is ``{"format", "version", "sealed", "log_bytes",
   "log_sha256", "lines", "records", "subjects"}``.  ``sealed`` holds
-  ``[bytes, mtime_ns, sha256, lines]`` for each sealed segment in order:
-  its length, ``st_mtime_ns``, hex SHA-256 and lines, taken when it sealed
-  from the digest its appends kept, so a seal reads nothing back.  Then
-  come the length of a newline-terminated prefix of the active file, the
-  hex SHA-256 of that prefix, the lines in it, the non-blank lines of the
-  whole log up to it, and the number of rows below.  Each following line
-  is a JSON array of at most ``SNAPSHOT_ROWS_PER_LINE`` rows, one per
-  subject: in the trust store's ``store-snapshot/4``, ``[subject_kind,
-  subject_id, trust, classification, model, evaluated_at]`` of the latest
-  record per (kind, id), users before providers; in the ledger's
-  ``ledger-snapshot/3``, ``[provider_id, positive, negative]``.  The last
-  line, the trailer, is ``{"sha256"}``: the hex SHA-256 of every byte above
-  it, header and rows.  Both directions stream the file a line at a time,
-  never whole.  An open trusts a snapshot only if every line parses and
-  keeps to the cap, the format and version match, every row is valid and
-  of a distinct subject, the trailer is present, last and matches, the
-  rows number ``subjects``, ``subjects <= records <= lines`` (counting the
-  sealed segments' lines), every sealed segment it lists is on disk, and
-  the prefix still hashes to its digest.  A sealed segment is checked by
-  one ``stat``: it holds if its length and ``st_mtime_ns`` match; if only
-  its ``st_mtime_ns`` differs (a copy, say), it is re-hashed against its
-  recorded digest.  The prefix is hashed where it now lives: in the active
-  file, or, if the log sealed after the snapshot was written, in the first
-  segment the snapshot does not list.  Then the state starts from the
-  snapshot and only what follows the prefix is replayed; otherwise every
-  segment is, and a corrupt line is reported as ever.  So a file of an
-  older version (``store-snapshot/1`` to ``/3``, ``ledger-snapshot/1`` or
-  ``/2``) is ignored once and then replaced.  An open no longer catches
-  one edit: one to a sealed segment that keeps both its length and its
-  ``st_mtime_ns``; ``changed_segments`` re-hashes every segment in full and
-  names it.  The digests catch a damaged or hand-edited file, not a forged
-  one: SHA-256 is not a MAC, so an edit that also recomputes the trailer
-  (and the log digests, if it edits the log) passes.  The snapshot is
+  ``[bytes, mtime_ns, lines]`` for each sealed segment in order: its
+  length, ``st_mtime_ns`` and lines when it sealed, which the sealing
+  writer knows without reading the file back.  Then come the length of a
+  newline-terminated prefix of the active file, the hex SHA-256 of that
+  prefix, the lines in it, the non-blank lines of the whole log up to it,
+  and the number of rows below.  Each following line is a JSON array of at
+  most ``SNAPSHOT_ROWS_PER_LINE`` rows, one per subject: in the trust
+  store's ``store-snapshot/5``, ``[subject_kind, subject_id, trust,
+  classification, model, evaluated_at]`` of the latest record per (kind,
+  id), users before providers; in the ledger's ``ledger-snapshot/4``,
+  ``[provider_id, positive, negative]``.  The last line, the trailer, is
+  ``{"sha256"}``: the hex SHA-256 of every byte above it, header and rows.
+  Both directions stream the file a line at a time, never whole.  An open
+  trusts a snapshot only if every line parses and keeps to the cap, the
+  format and version match, every row is valid and of a distinct subject,
+  the trailer is present, last and matches, the rows number ``subjects``,
+  ``subjects <= records <= lines`` (counting the sealed segments' lines),
+  each sealed segment it lists has, by one ``stat``, the length and
+  ``st_mtime_ns`` it records, and the prefix still hashes to its digest.
+  The prefix is hashed where it now lives: in the active file, or, if the
+  log sealed after the snapshot was written, in the first segment the
+  snapshot does not list.  Then the state starts from the snapshot and
+  only what follows the prefix is replayed; otherwise every segment is, and
+  a corrupt line is reported as ever.  So a file of an older version
+  (``store-snapshot/1`` to ``/4``, ``ledger-snapshot/1`` to ``/3``) is
+  ignored once and then replaced.  A copy that does not keep mtimes (``cp``
+  without ``-p``) costs one full replay on its first open, 0.8-0.9 s for
+  the benchmark's 18 MB store on a 2-vCPU Xeon guest.  An edit to a sealed
+  segment that keeps both its length and its ``st_mtime_ns`` is missed by
+  an open; deleting ``<log>.snapshot`` forces the full replay that catches
+  it.  The digests catch a damaged or hand-edited file, not a forged one:
+  SHA-256 is not a MAC, so an edit that also recomputes the trailer (and
+  the log digest, if it edits the active file) passes.  The snapshot is
   rewritten at two points: at open, after a replay that moved what it
   would record, and at ``close()``, when this object appended since its
   last checkpoint and the active file is as long as this object wrote it
-  (no other writer appended since).  The replay hashes each line as it
-  folds it, so the tail is read once, and each append adds its bytes to
-  that digest, so a close reads nothing back.
+  (no other writer appended since).  The replay hashes each line of the
+  active file as it folds it, so the tail is read once, and each append
+  adds its bytes to that digest, so a close reads nothing back.
   ``fuzzytrust serve`` closes on SIGINT and SIGTERM; a process killed
   before ``close()`` leaves the old snapshot, and its appends are a tail
   that the next open replays and checkpoints.  Each rewrite goes to a
@@ -80,11 +83,16 @@ Single writer: a ``FoldedLog`` reads its log once, when it opens, and
 then sees only the records appended through itself.  Records another
 process (or another ``FoldedLog`` on the same file) appends later stay
 invisible to it until it is reopened.  Two writers on one log lose no
-record and never replace each other's segments.  A writer that finds the
-log changed under it at a seal stops checkpointing until it is reopened.
-A writer whose handle is still on a file that another writer has sealed
-appends to that segment until its own next seal; the segment then matches
-no snapshot, and the next open replays every segment.
+record and never replace each other's segments.  Before each append a
+writer checks, by one ``stat``, that the active name still names the file
+its handle is on.  If another writer has sealed that file, it closes the
+handle, stops checkpointing until it is reopened and appends to the new
+active file, so a sealed segment does not grow.  A writer that finds the
+log changed under it at a seal stops checkpointing too.  One window is
+left: an append whose ``stat`` comes before another writer's seal
+unlinks the active name, and whose write comes after that writer's
+``fstat`` of the file, lands in the segment just sealed.  That segment then
+matches no snapshot, and the next open replays every segment.
 
 Durability: every appended line is flushed and nothing is fsynced, so a
 line survives a crash of the process, not necessarily of the host.  An
@@ -142,11 +150,10 @@ class LogPosition(NamedTuple):
 
 class Segment(NamedTuple):
     """A sealed segment as a snapshot records it: its length,
-    ``st_mtime_ns``, the hex SHA-256 of its bytes and its lines."""
+    ``st_mtime_ns`` and lines."""
 
     size: int
     mtime_ns: int
-    sha256: str
     lines: int
 
 
@@ -258,56 +265,6 @@ def _sealed_paths(path: Path) -> list[Path]:
     return [_segment_path(path, number) for number in numbers]
 
 
-def _sealed_entries(header) -> list[Segment]:
-    """The ``sealed`` list of a snapshot header as ``Segment``s; else
-    ``ValueError``, ``KeyError`` or ``TypeError``."""
-    sealed = []
-    for size, mtime_ns, sha256, lines in header["sealed"]:
-        if not isinstance(sha256, str):
-            raise ValueError(f"expected a hex digest, got {sha256!r}")
-        sealed.append(Segment(_count(size), _count(mtime_ns), sha256, _count(lines)))
-    return sealed
-
-
-def _check_sealed(file: Path, segment: Segment) -> Segment:
-    """``segment`` as ``file`` holds it now, by one ``stat``: as it is if the
-    length and ``st_mtime_ns`` match; with the new ``st_mtime_ns`` if only that
-    differs and the bytes still hash to its digest; else ``ValueError``."""
-    st = file.stat()
-    if st.st_size != segment.size:
-        raise ValueError(f"{file} is not as long as when it was sealed")
-    if st.st_mtime_ns != segment.mtime_ns:
-        if _sha256(file, segment.size).hexdigest() != segment.sha256:
-            raise ValueError(f"{file} has changed since it was sealed")
-        return segment._replace(mtime_ns=st.st_mtime_ns)
-    return segment
-
-
-def changed_segments(path) -> list[Path]:
-    """The files of the log at ``path`` that no longer hash to what its
-    snapshot records: each sealed segment the snapshot lists, re-hashed in
-    full, and the file that holds the snapshot's active prefix.  Unlike an
-    open, this finds an edit that keeps a sealed segment's length and
-    ``st_mtime_ns``.  Raises as ``json`` does if the header does not parse."""
-    path = Path(path)
-    with open(path.with_name(path.name + SNAPSHOT_SUFFIX), "rb") as fh:
-        header = json.loads(fh.readline())
-    sealed = _sealed_entries(header)
-    changed = []
-    for number, segment in enumerate(sealed, start=1):
-        file = _segment_path(path, number)
-        with suppress(OSError, ValueError):
-            if file.stat().st_size == segment.size and _sha256(file, segment.size).hexdigest() == segment.sha256:
-                continue
-        changed.append(file)
-    after = _segment_path(path, len(sealed) + 1)
-    prefix = after if after.exists() else path
-    with suppress(OSError, ValueError):
-        if _sha256(prefix, header["log_bytes"]).hexdigest() == header["log_sha256"]:
-            return changed
-    return changed + [prefix]
-
-
 class FoldedLog:
     """An append-only log of JSON objects, one per line, kept as numbered
     segments, folded into in-memory state and checkpointed as the module
@@ -336,12 +293,12 @@ class FoldedLog:
         paths = _sealed_paths(self._path)
         if paths and self._path.exists() and os.path.samefile(self._path, paths[-1]):
             os.unlink(self._path)  # a seal killed between its link and its unlink: finish it
-        recorded, self._sealed, start, digest = self._seed_from_snapshot(paths)
-        covered = (recorded, start)
+        self._sealed, start, digest = self._seed_from_snapshot(paths)
+        covered = (len(self._sealed), start)
         self._count = start.records
         for file in paths[len(self._sealed) :]:  # those the snapshot does not list; the first holds its prefix
-            end = self._replay(file, start, digest)
-            self._sealed.append(Segment(end.offset, file.stat().st_mtime_ns, digest.hexdigest(), end.lines))
+            end = self._replay(file, start, None)
+            self._sealed.append(Segment(end.offset, file.stat().st_mtime_ns, end.lines))
             start, digest = LogPosition(records=self._count), hashlib.sha256()
         end = self._replay(self._path, start, digest)
         # the active file as this object knows it: how long, where it stood at
@@ -350,17 +307,17 @@ class FoldedLog:
         # read; no digest after a cut-short line, or once another writer changed the log
         self._size, self._start = end.offset, end
         self._digest = None if self._unterminated else digest
-        if self._digest is not None and (self._sealed, end) != covered:
+        if self._digest is not None and (len(self._sealed), end) != covered:
             self._write_snapshot(end, digest)
         self._checkpointed = self._count  # records at the last checkpoint
 
-    def _seed_from_snapshot(self, paths: list[Path]) -> tuple[list[Segment], list[Segment], LogPosition, object]:
+    def _seed_from_snapshot(self, paths: list[Path]) -> tuple[list[Segment], LogPosition, object]:
         """Seed the state from a snapshot that passes every check and return
-        the sealed segments it records, the same as they are now (a re-hashed
-        one with its new ``st_mtime_ns``), the position of its prefix and that
+        the sealed segments it records, the position of its prefix and that
         prefix's running digest; else leave the state empty and return no
         segments, the log's start and a new digest.  ``paths`` are the sealed
-        segments on disk."""
+        segments on disk; a snapshot that passes its own checks but lists
+        more raises ``StoreCorruptError`` naming the first one missing."""
         header = trailer = None
         rows, body = 0, hashlib.sha256()  # body: every byte above the trailer
         try:
@@ -386,30 +343,35 @@ class FoldedLog:
                     body.update(raw)
             if trailer is None:
                 raise ValueError("the snapshot has no trailer")
-            sealed = _sealed_entries(header)
+            sealed = [Segment(*map(_count, entry)) for entry in header["sealed"]]
             covered = LogPosition(_count(header["log_bytes"]), _count(header["lines"]), _count(header["records"]))
             lines = covered.lines + sum(segment.lines for segment in sealed)
             if not rows == sum(map(len, self._maps)) == _count(header["subjects"]) <= covered.records <= lines:
                 raise ValueError("the snapshot's counts disagree")
             if len(sealed) > len(paths):
-                raise ValueError("a sealed segment is missing")
-            checked = [_check_sealed(file, segment) for file, segment in zip(paths, sealed)]
+                last = _segment_path(self._path, len(sealed)).name
+                raise StoreCorruptError(_segment_path(self._path, len(paths) + 1), None,
+                                        f"missing; {self._snapshot_path.name} lists segments up to {last}")
+            for file, segment in zip(paths, sealed):
+                st = file.stat()
+                if (st.st_size, st.st_mtime_ns) != (segment.size, segment.mtime_ns):
+                    raise ValueError(f"{file} has changed since it was sealed")
             # the prefix is in the active file, or in the first segment sealed since
             prefix = paths[len(sealed)] if len(paths) > len(sealed) else self._path
             digest = _sha256(prefix, covered.offset)  # ValueError if the file is shorter
             if digest.hexdigest() != header["log_sha256"]:
                 raise ValueError("the log prefix has changed")
-            return sealed, checked, covered, digest
+            return sealed, covered, digest
         except (OSError, ValueError, KeyError, TypeError, RecursionError):
             for state in self._maps:
                 state.clear()
-            return [], [], LogPosition(), hashlib.sha256()
+            return [], LogPosition(), hashlib.sha256()
 
     def _replay(self, file: Path, start: LogPosition, digest) -> LogPosition:
         """Fold ``file`` from ``start`` on, adding each line's bytes to
-        ``digest``, which has hashed the file up to ``start``, and note
-        whether its last line lacks its newline.  Return the position at its
-        end, or ``start`` if there is no such file."""
+        ``digest`` (if not ``None``), which has hashed the file up to
+        ``start``, and note whether its last line lacks its newline.  Return
+        the position at its end, or ``start`` if there is no such file."""
         try:
             fh = open(file, "rb")
         except FileNotFoundError:
@@ -419,7 +381,8 @@ class FoldedLog:
         with fh:
             fh.seek(start.offset)
             for lineno, raw in enumerate(fh, start=start.lines + 1):  # lines end at b"\n" only
-                digest.update(raw)
+                if digest is not None:
+                    digest.update(raw)
                 try:
                     line = raw.decode("utf-8").strip()
                     if not line:
@@ -481,6 +444,14 @@ class FoldedLog:
     def _open(self) -> None:
         self._path.parent.mkdir(parents=True, exist_ok=True)
         self._fh = open(self._path, "ab")
+        self._opened = os.fstat(self._fh.fileno())  # the device and inode the handle is on
+
+    def _on_active_file(self) -> bool:
+        """Whether the active name still names the file the handle is on."""
+        try:
+            return os.path.samestat(os.stat(self._path), self._opened)
+        except FileNotFoundError:  # another writer sealed it and has not started the next one
+            return False
 
     def _seal(self) -> None:
         """Seal the active file, on a line boundary, as the next free segment;
@@ -499,16 +470,16 @@ class FoldedLog:
         self._fh.close()
         self._fh = None
         try:
-            if os.path.samestat(os.stat(self._path), st):  # else another writer sealed this file first
+            if self._on_active_file():  # else another writer sealed this file first, or is sealing it now
                 self._link()
                 os.unlink(self._path)
             else:
                 self._digest = None
-        except FileNotFoundError:  # ... or is sealing it now
+        except FileNotFoundError:  # ... or sealed it since that check
             self._digest = None
         if self._digest is not None and st.st_size == self._size:
             lines = self._start.lines + self._count - self._start.records  # each append is one line
-            self._sealed.append(Segment(st.st_size, st.st_mtime_ns, self._digest.hexdigest(), lines))
+            self._sealed.append(Segment(st.st_size, st.st_mtime_ns, lines))
             self._digest = hashlib.sha256()
         else:
             self._digest = None
@@ -533,10 +504,16 @@ class FoldedLog:
     def _write(self, data: dict) -> None:
         """Write ``data`` as one line, flush it and add its bytes to the
         running digest; seal the active file first once it holds the cap, and
-        after a write cut short, start on a fresh line."""
+        after a write cut short, start on a fresh line.  If another writer
+        has sealed the file the handle is on, stop checkpointing and write to
+        the active file instead."""
         line = (json.dumps(data) + "\n").encode("utf-8")
         if self._size >= SEGMENT_BYTES:
             self._seal()
+        elif self._fh is not None and not self._on_active_file():
+            self._fh.close()
+            self._open()
+            self._digest, self._size = None, self._opened.st_size
         if self._fh is None:
             self._open()
         if self._unterminated:
@@ -580,7 +557,7 @@ class TrustStore(FoldedLog):
     ``evaluated_at`` instant, whatever its UTC offset; of equal instants
     the one appended last.  An unparsable ``evaluated_at`` is a corrupt line."""
 
-    SNAPSHOT = ("store-snapshot", 4)
+    SNAPSHOT = ("store-snapshot", 5)
 
     def __init__(self, path):
         # kind -> id -> (instant, record): on replay a nested lookup is cheaper

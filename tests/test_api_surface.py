@@ -91,8 +91,8 @@ FORMATS = {
     "evaluation-report": 1,
     "store record v": 1,
     "ledger line v": 1,
-    "store-snapshot": 4,
-    "ledger-snapshot": 3,
+    "store-snapshot": 5,
+    "ledger-snapshot": 4,
 }
 
 

@@ -855,7 +855,7 @@ class TestStoreSnapshot:
         assert store.get("provider", "bob").trust == 0.4
         assert stat.S_IMODE(_snapshot(path).stat().st_mode) == stat.S_IMODE(path.stat().st_mode)
         header, body = _check_trailer(_snapshot(path))
-        assert (header["format"], header["version"], header["log_bytes"]) == ("store-snapshot", 4, path.stat().st_size)
+        assert (header["format"], header["version"], header["log_bytes"]) == ("store-snapshot", 5, path.stat().st_size)
         assert header["sealed"] == []  # a log under the cap is one active file
         assert (header["lines"], header["records"], header["subjects"]) == (5, 5, 2)
         assert [row[1] for row in body] == ["alice", "bob"]
@@ -914,7 +914,7 @@ class TestStoreSnapshot:
         elif tamper == "not-json":
             snapshot.write_text("not json\n")
         elif tamper in ("format", "version", "records", "lines", "subjects"):  # records < subjects, lines < records, rows != subjects
-            value = {"format": "trust-store", "version": 5, "records": 1, "lines": 3, "subjects": 3}[tamper]
+            value = {"format": "trust-store", "version": 6, "records": 1, "lines": 3, "subjects": 3}[tamper]
             write({**header, tamper: value}, [alice, bob])
         elif tamper == "duplicate":  # a second alice row, at the same instant
             write(header, [alice, bob, [*alice[:2], 0.1, *alice[3:]]])
@@ -951,12 +951,13 @@ class TestStoreSnapshot:
         TrustStore(path)  # the full scan wrote a snapshot that holds
         assert replay_starts[0].offset == path.stat().st_size
 
-    @pytest.mark.parametrize("version", [1, 2, 3], ids=["v1", "v2", "v3"])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4], ids=["v1", "v2", "v3", "v4"])
     def test_an_older_snapshot_is_replaced(self, tmp_path, replay_starts, version):
         """``store-snapshot/1`` (a record object per line), ``/2`` (row
-        arrays, no trailer) and ``/3`` (a trailer, no sealed segments), as
-        earlier releases wrote them: each is ignored once, then replaced by
-        the current version."""
+        arrays, no trailer), ``/3`` (a trailer, no sealed segments) and
+        ``/4`` (sealed segments with their digests), as earlier releases
+        wrote them: each is ignored once, then replaced by the current
+        version."""
         path = tmp_path / "store.jsonl"
         subjects = [("user", "alice"), ("provider", "bob")]
         _three_records(path)
@@ -969,6 +970,7 @@ class TestStoreSnapshot:
             "lines": 4,
             "records": 4,
             "subjects": 2,
+            **({"sealed": []} if version == 4 else {}),
         }
         latest = [TrustStore(path).get(*subject) for subject in subjects]
         if version == 1:
@@ -976,12 +978,12 @@ class TestStoreSnapshot:
         else:
             body = [[[r.subject_kind, r.subject_id, r.trust, r.classification, r.model, r.evaluated_at] for r in latest]]
         lines = list(map(json.dumps, [old_header, *body]))
-        _snapshot(path).write_text(_with_trailer(lines) if version == 3 else "\n".join(lines) + "\n")
+        _snapshot(path).write_text(_with_trailer(lines) if version >= 3 else "\n".join(lines) + "\n")
         replay_starts.clear()
         store = TrustStore(path)
         assert replay_starts == [LogPosition()]
         assert _state(store, subjects) == _full_scan_state(path, subjects)
-        assert _check_trailer(_snapshot(path))[0]["version"] == 4
+        assert _check_trailer(_snapshot(path))[0]["version"] == 5
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(record(trust=0.9, at="2026-01-04T00:00:00+00:00").to_dict()) + "\n")
         replay_starts.clear()
@@ -1169,7 +1171,7 @@ def _run_ledger_steps(steps) -> None:
 
 
 class TestLedgerSnapshot:
-    """The feedback ledger's ``ledger-snapshot/3`` checkpoint, through the
+    """The feedback ledger's ``ledger-snapshot/4`` checkpoint, through the
     same open policy as the trust store's."""
 
     def test_reopen_replays_only_the_tail(self, tmp_path, replay_starts):
@@ -1185,7 +1187,7 @@ class TestLedgerSnapshot:
         assert ledger.negative_ratio("p1") == 1 / 3 and ledger.negative_ratio("p2") == 0.5
         assert stat.S_IMODE(_snapshot(path).stat().st_mode) == stat.S_IMODE(path.stat().st_mode)
         header, body = _check_trailer(_snapshot(path))
-        assert (header["format"], header["version"], header["log_bytes"]) == ("ledger-snapshot", 3, path.stat().st_size)
+        assert (header["format"], header["version"], header["log_bytes"]) == ("ledger-snapshot", 4, path.stat().st_size)
         assert header["sealed"] == []  # a log under the cap is one active file
         assert (header["lines"], header["records"], header["subjects"]) == (5, 5, 2)
         assert body == [["p1", 2, 1], ["p2", 1, 1]]
@@ -1254,7 +1256,7 @@ class TestLedgerSnapshot:
         elif tamper == "not-json":
             snapshot.write_text("not json\n")
         elif tamper in ("format", "version", "records", "lines", "subjects"):  # records < subjects, lines < records, rows != subjects
-            value = {"format": "store-snapshot", "version": 4, "records": 1, "lines": 3, "subjects": 3}[tamper]
+            value = {"format": "store-snapshot", "version": 5, "records": 1, "lines": 3, "subjects": 3}[tamper]
             write({**header, tamper: value}, [p1, p2])
         elif tamper == "duplicate":  # a second p1 row
             write(header, [p1, p2, ["p1", 0, 9]])
@@ -1287,23 +1289,25 @@ class TestLedgerSnapshot:
         FeedbackLedger(path)  # the full scan wrote a snapshot that holds
         assert replay_starts[0].offset == path.stat().st_size
 
-    @pytest.mark.parametrize("version", [1, 2], ids=["v1", "v2"])
+    @pytest.mark.parametrize("version", [1, 2, 3], ids=["v1", "v2", "v3"])
     def test_an_older_snapshot_is_replaced(self, tmp_path, replay_starts, version):
-        """``ledger-snapshot/1`` (row arrays, no trailer) and ``/2`` (a
-        trailer, no sealed segments), as earlier releases wrote them: each is
-        ignored once, then replaced by the current version."""
+        """``ledger-snapshot/1`` (row arrays, no trailer), ``/2`` (a
+        trailer, no sealed segments) and ``/3`` (sealed segments with their
+        digests), as earlier releases wrote them: each is ignored once, then
+        replaced by the current version."""
         path = tmp_path / "feedback.jsonl"
         _four_feedbacks(path)
         log = path.read_bytes()
         old_header = {"format": "ledger-snapshot", "version": version, "log_bytes": len(log),
-                      "log_sha256": hashlib.sha256(log).hexdigest(), "lines": 4, "records": 4, "subjects": 2}
+                      "log_sha256": hashlib.sha256(log).hexdigest(), "lines": 4, "records": 4, "subjects": 2,
+                      **({"sealed": []} if version == 3 else {})}
         lines = list(map(json.dumps, [old_header, [["p1", 2, 1], ["p2", 0, 1]]]))
-        _snapshot(path).write_text(_with_trailer(lines) if version == 2 else "\n".join(lines) + "\n")
+        _snapshot(path).write_text(_with_trailer(lines) if version >= 2 else "\n".join(lines) + "\n")
         replay_starts.clear()
         ledger = FeedbackLedger(path)
         assert replay_starts == [LogPosition()]
         assert _ledger_state(ledger) == _ledger_full_scan(path) == (4, {"p1": [2, 1], "p2": [0, 1]})
-        assert _check_trailer(_snapshot(path))[0]["version"] == 3
+        assert _check_trailer(_snapshot(path))[0]["version"] == 4
         replay_starts.clear()
         FeedbackLedger(path)
         assert replay_starts == [LogPosition(len(log), 4, 4)]
@@ -1393,9 +1397,10 @@ class TestLogBytes:
     @pytest.mark.parametrize(
         "log, digest",
         [
-            ("store", "f1e388d8cffa7bfc9ddd7f281dd7a02bc551a3b6797c6cd2195435508b0c0ec7"),
-            ("ledger", "8c26ea6836689159e86be57a6a54cb72992d10b5f72c632091e9bba31fb20201"),
+            ("store", "cf35f64bb4d42338439e531f8d59c47224bcf1d0b7c4d8b6d5e05d40a66a3e4d"),
+            ("ledger", "fe641a24dc8e992d96446821d1450f368dac9ef6172de716d1cc32e9be9c8839"),
         ],
+        ids=["store", "ledger"],  # not the digest, so a format bump re-pins it under the same test id
     )
     def test_the_snapshot_of_a_fixed_log_is_pinned(self, tmp_path, log, digest):
         """The bytes written for a fixed five-record log: a change to the

@@ -20,7 +20,7 @@ import pytest
 from fuzzytrust import store as store_module
 from fuzzytrust.errors import StoreCorruptError
 from fuzzytrust.service import FeedbackLedger
-from fuzzytrust.store import LogPosition, TrustRecord, TrustStore, changed_segments
+from fuzzytrust.store import LogPosition, TrustRecord, TrustStore
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 CAP = 1000  # about six store records, or eleven ledger entries, a segment
@@ -140,7 +140,6 @@ def test_an_open_after_a_clean_close_hashes_only_the_active_file(tmp_path, cap, 
     reopened = KINDS[kind][0](path)
     assert hashed == [(path.name, path.stat().st_size)]
     assert _state(reopened) == _state(log) == _full_scan(path, KINDS[kind][0]) == _expected(kind, 40)
-    assert changed_segments(path) == []
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -189,6 +188,19 @@ def test_a_gap_in_the_numbering_names_the_missing_file(tmp_path, cap, kind):
 
 
 @pytest.mark.parametrize("kind", KINDS)
+def test_a_missing_highest_segment_the_snapshot_lists_is_named_and_nothing_rewritten(tmp_path, cap, kind):
+    path = tmp_path / "log.jsonl"
+    _fill(path, kind, 0, 40)
+    segments, snapshot = _segments(path), _snapshot(path).read_bytes()
+    assert len(_header(path)["sealed"]) == len(segments) >= 3
+    segments[-1].unlink()
+    with pytest.raises(StoreCorruptError) as err:
+        KINDS[kind][0](path)
+    assert str(err.value).startswith(f"{segments[-1]}: missing")
+    assert _snapshot(path).read_bytes() == snapshot and _segments(path) == segments[:-1]
+
+
+@pytest.mark.parametrize("kind", KINDS)
 def test_a_corrupt_line_names_its_segment_and_its_line_there(tmp_path, cap, kind):
     path = tmp_path / "log.jsonl"
     _fill(path, kind, 0, 30)
@@ -201,26 +213,28 @@ def test_a_corrupt_line_names_its_segment_and_its_line_there(tmp_path, cap, kind
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_a_segment_whose_mtime_alone_moved_is_rehashed_and_kept(tmp_path, cap, hashed, replay_starts, kind):
+def test_a_segment_whose_mtime_alone_moved_is_replayed_in_full(tmp_path, cap, hashed, replay_starts, kind):
+    """A sealed segment as a copy that keeps no mtimes leaves it: the open
+    hashes nothing, replays every segment, and checkpoints the new mtime."""
+    opener = KINDS[kind][0]
     path = tmp_path / "log.jsonl"
     log = _fill(path, kind, 0, 30)
-    first, header = _segments(path)[0], _header(path)
-    os.utime(first, ns=(first.stat().st_atime_ns, first.stat().st_mtime_ns + 10**9))  # as a copy leaves it
+    first = _segments(path)[0]
+    os.utime(first, ns=(first.stat().st_atime_ns, first.stat().st_mtime_ns + 10**9))
     hashed.clear()
     replay_starts.clear()
-    reopened = KINDS[kind][0](path)
-    assert hashed == [(first.name, first.stat().st_size), (path.name, path.stat().st_size)]
-    assert replay_starts == [LogPosition(path.stat().st_size, header["lines"], header["records"])]
-    assert _state(reopened) == _state(log)
-    assert _header(path)["sealed"][0][1] == first.stat().st_mtime_ns  # so the next open does not re-hash it
+    reopened = opener(path)
+    assert hashed == [] and replay_starts[0] == LogPosition() and len(replay_starts) == len(_segments(path)) + 1
+    assert _state(reopened) == _state(log) == _full_scan(path, opener) == _expected(kind, 30)
+    assert _header(path)["sealed"][0][1] == first.stat().st_mtime_ns
     hashed.clear()
-    KINDS[kind][0](path)
+    opener(path)
     assert hashed == [(path.name, path.stat().st_size)]
 
 
 def test_an_edit_that_keeps_a_segments_length_and_mtime_is_missed_by_an_open_only(tmp_path, cap, replay_starts):
-    """The one edit the docstring says an open no longer catches, and the
-    full re-hash that does."""
+    """The one edit the docstring says an open does not catch; deleting the
+    snapshot forces the full replay that does."""
     path = tmp_path / "store.jsonl"
     store = _fill(path, "store", 0, 30)
     sealed = _segments(path)[0]
@@ -232,15 +246,19 @@ def test_an_edit_that_keeps_a_segments_length_and_mtime_is_missed_by_an_open_onl
     replay_starts.clear()
     assert _state(TrustStore(path)) == _state(store)  # the snapshot is kept
     assert replay_starts[0].offset == path.stat().st_size
-    assert changed_segments(path) == [sealed]
-    # the same edit, its mtime moved as any write moves it (set here, since two
-    # writes within one clock tick can share a stamp)
+    _snapshot(path).unlink()
+    replay_starts.clear()
+    reopened = TrustStore(path)
+    assert replay_starts[0] == LogPosition()
+    assert _state(reopened) == _full_scan(path, TrustStore) != _state(store)
+    # the original bytes back, their mtime moved as any write moves it (set
+    # here, since two writes within one clock tick can share a stamp)
+    sealed.write_bytes(original)
     os.utime(sealed, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
     replay_starts.clear()
     reopened = TrustStore(path)
-    assert replay_starts[0] == LogPosition()  # the re-hash failed: every segment is replayed
-    assert _state(reopened) == _full_scan(path, TrustStore) != _state(store)
-    assert changed_segments(path) == []  # and the replay checkpointed the edited bytes
+    assert replay_starts[0] == LogPosition()
+    assert _state(reopened) == _full_scan(path, TrustStore) == _state(store)
 
 
 @pytest.mark.parametrize("tamper", ["longer", "shorter", "missing-active"])
@@ -340,29 +358,26 @@ def test_a_seal_under_a_number_another_writer_took_stops_checkpointing(tmp_path,
 
 
 def test_a_writer_whose_file_another_sealed_moves_to_the_new_active_file(tmp_path, cap):
-    """A writer whose handle is on a file another writer sealed appends to
-    that segment until its own next seal, which then seals nothing and
-    writes to the active file the other writer started."""
-    path = tmp_path / "store.jsonl"
-    first, second = TrustStore(path), TrustStore(path)
-    second.put(_record(0))
-    for n in range(1, 20):
-        first.put(_record(n))
-        if _segments(path):
-            break
-    [sealed] = _segments(path)
-    size = sealed.stat().st_size
-    for n in range(n + 1, n + 20):
-        before = sealed.stat().st_size
-        second.put(_record(n))
-        if sealed.stat().st_size == before:
-            break
-    assert before > size  # the appends before its seal went to the sealed file
-    assert _segments(path) == [sealed]
-    assert path.read_text().splitlines()[-1] == json.dumps(_record(n).to_dict())
-    first.close()
-    second.close()
-    assert _state(TrustStore(path)) == _full_scan(path, TrustStore) == _expected("store", n + 1)
+    """A writer whose handle is on a file another writer sealed appends its
+    next lines to the active file the other writer started: the sealed
+    segment never grows.  For each log kind."""
+    for kind, (opener, append) in KINDS.items():
+        path = tmp_path / kind / "log.jsonl"
+        first, second = opener(path), opener(path)
+        append(second, 0)
+        for n in range(1, 40):
+            append(first, n)
+            if _segments(path):
+                break
+        [sealed] = _segments(path)
+        sealed_bytes = sealed.read_bytes()
+        for k in range(1, 4):
+            append(second, n + k)
+            assert sealed.read_bytes() == sealed_bytes and _segments(path) == [sealed]
+            assert len(path.read_bytes().splitlines()) == 1 + k  # `first`'s line past its seal, then these
+        first.close()
+        second.close()
+        assert _state(opener(path)) == _full_scan(path, opener) == _expected(kind, n + 4)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -379,7 +394,7 @@ def test_two_writers_lose_nothing_and_replace_no_segment(tmp_path, cap, kind):
         append(writers[i % 2], i)
         for file in _segments(path):
             inode, data = seen.setdefault(file.name, (file.stat().st_ino, file.read_bytes()))
-            assert file.stat().st_ino == inode and file.read_bytes().startswith(data)
+            assert file.stat().st_ino == inode and file.read_bytes() == data
         if i % 17 == 16:
             closing = writers[i // 17 % 2]
             closing.close()

@@ -104,6 +104,21 @@ class TestDecideUserId:
         assert body["schema"] == SCHEMA and "user_id" in body["error"]
         assert len(server.RequestHandlerClass.service.store) == 0
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"user_id": 5, "counters": dict.fromkeys(ALL_UNAUTHORIZED, 0)},
+            {"user_id": "", "counters": dict.fromkeys(ALL_UNAUTHORIZED, 0)},
+            {"counters": {"unauthorized": 3, "bogus": 0, "bad": 0, "total": 1}},
+        ],
+        ids=["int-id-zero-counters", "empty-id-zero-counters", "no-id-total-below-counts"],
+    )
+    def test_user_id_is_checked_before_the_counters(self, server, payload):
+        status, body = _post(server, "/decide", json.dumps(payload).encode())
+        message = f"bad request: user_id must be a non-empty string, got {payload.get('user_id')!r}"
+        assert (status, body) == (400, {"schema": SCHEMA, "error": message})
+        assert len(server.RequestHandlerClass.service.store) == 0
+
     def test_service_refuses_a_user_id_that_is_not_a_string(self, tmp_path):
         service = TrustService(ServiceConfig(store_path=str(tmp_path / "s.jsonl")))
         with pytest.raises(ValueError, match="user_id"):
