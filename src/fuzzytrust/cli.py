@@ -29,7 +29,7 @@ from .errors import FuzzyTrustError
 from .store import TrustStore, save_artifact
 
 
-_UNSEEN_BY_SERVICE = "a service already running on it sees the record only once restarted"
+_HELD_BY_SERVICE = "refused while a service holds the store"
 
 
 def _add_counter_flags(p: argparse.ArgumentParser) -> None:
@@ -214,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_counter_flags(p)
     p.add_argument("--user-model", help="user model JSON; baseline formula when omitted")
     p.add_argument("--threshold", type=float, default=user.DEFAULT_THRESHOLD)
-    p.add_argument("--store", help=f"append the record to this trust store; {_UNSEEN_BY_SERVICE}")
+    p.add_argument("--store", help=f"append the record to this trust store; {_HELD_BY_SERVICE}")
     p.set_defaults(func=cmd_eval_user)
 
     p = sub.add_parser("eval-provider", help="evaluate one provider's trust")
@@ -227,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--usability", type=float, required=True, help="score in 0..1")
     p.add_argument("--negative-feedback", type=float, default=0.0, help="negative feedback ratio 0..1")
     p.add_argument("--threshold", type=float, default=user.DEFAULT_THRESHOLD)
-    p.add_argument("--store", help=f"append the record to this trust store; {_UNSEEN_BY_SERVICE}")
+    p.add_argument("--store", help=f"append the record to this trust store; {_HELD_BY_SERVICE}")
     p.set_defaults(func=cmd_eval_provider)
 
     p = sub.add_parser("compare", help="fuzzy model vs baseline over a test corpus")

@@ -67,6 +67,10 @@ class StoreCorruptError(LineError):
     """An unreadable line in a trust store or feedback ledger."""
 
 
+class LogHeldError(FuzzyTrustError):
+    """Another writer holds the lock of a trust store or feedback ledger."""
+
+
 class NoTrustAvailableError(FuzzyTrustError):
     """A decision was requested for a subject with no stored trust and
     no fresh behavior counters."""

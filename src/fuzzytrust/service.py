@@ -22,14 +22,11 @@ Routes match the path alone: a query string is not part of it (RFC 3986
 §3.4), so ``/healthz?probe=1`` is ``/healthz``.  Path ids are
 percent-decoded (``/trust/user/a%20b`` is user ``a b``, ``a%3Fb`` is
 ``a?b``); an id that does not decode as UTF-8 is refused with 400.
-The service is the store's single writer: it reads the store and the
-feedback ledger (``<store>.feedback``, checkpointed in
-``<store>.feedback.snapshot``) once, at start, so a record another
-process appends to them later (a ban written by ``fuzzytrust eval-user
---store``, say) does not count until the service restarts.  If such a
-process seals the file the service appends to, the service's next append
-goes to the new active file and its close writes no snapshot, so the
-sealed segment stays as sealed (the ``store`` docstring has the details).
+The service is the one writer of the store and of the feedback ledger
+(``<store>.feedback``, checkpointed in ``<store>.feedback.snapshot``): it
+holds both logs' locks while it runs, from start until ``close()``, so
+another writer (``fuzzytrust eval-user --store``, say) is refused with
+``LogHeldError`` and writes nothing (the ``store`` docstring has the details).
 Ban rule: a subject whose latest stored record is ``banned`` stays
 banned in every record ``record_decision`` appends (the CLI's writes
 too), and is denied with or without fresh counters.  A provider is
@@ -225,10 +222,9 @@ class TrustService:
     ``_Handler._send`` alone."""
 
     def __init__(self, config: ServiceConfig):
+        """Load the user model, then open the store and the ledger, so a
+        start that fails leaves neither log open."""
         self.config = config
-        self.store = TrustStore(config.store_path)
-        feedback_path = config.feedback_path or str(config.store_path) + ".feedback"
-        self.feedback = FeedbackLedger(feedback_path)
         self.user_model: UserTrustModel | None = None
         if config.user_model_path:
             try:
@@ -237,9 +233,15 @@ class TrustService:
                 raise ModelLoadFailureError(
                     f"cannot load user model {config.user_model_path!r}: {exc}"
                 ) from exc
+        self.store = TrustStore(config.store_path)
+        try:
+            self.feedback = FeedbackLedger(config.feedback_path or str(config.store_path) + ".feedback")
+        except BaseException:
+            self.store.close()
+            raise
 
     def close(self) -> None:
-        """Close the store's and the ledger's append handles."""
+        """Close the store and the ledger, which releases their locks."""
         self.store.close()
         self.feedback.close()
 
@@ -492,7 +494,8 @@ class _Server(socketserver.ThreadingTCPServer):
 def create_http_server(service: TrustService) -> socketserver.ThreadingTCPServer:
     """Bound but not yet serving; call ``serve_forever`` (or wrap in a
     thread for tests), and ``server_close`` to close the socket and the
-    service.  Port 0 picks a free port."""
+    service.  Port 0 picks a free port.  A failed bind closes the service
+    too: ``TCPServer.__init__`` calls ``server_close`` before it raises."""
     handler = type("BoundHandler", (_Handler,), {"service": service})
     try:
         return _Server((service.config.host, service.config.port), handler)

@@ -15,18 +15,15 @@ versioned JSON documents.
   ... and then the active file ``<log>``, read in that order.  An append
   that would start at or past ``SEGMENT_BYTES`` first seals the active file,
   on a line boundary (after a write cut short the newline goes in first):
-  ``os.link`` to the next free number, then ``os.unlink``, so a seal never
-  replaces a segment that another writer sealed under the same number.  No
-  writer appends to a sealed segment, but in the one window *Single
-  writer* names.  A one-file log
-  from before segments is an active file and opens as it is.  A gap in the
-  numbering raises ``StoreCorruptError`` naming the missing file, and so
-  does a snapshot that lists more sealed segments than are on disk: it
-  names the first one missing, and that open rewrites nothing.  A corrupt
-  line is named by its segment file and its line within that file.  A
-  process killed between the link and the unlink leaves the active name on
-  the highest segment's file; the next open removes that name, so the file
-  is read once.
+  ``os.link`` to the next number, then ``os.unlink``.  Nothing appends to a
+  sealed segment.  A one-file log from before segments is an active file
+  and opens as it is.  A gap in the numbering raises ``StoreCorruptError``
+  naming the missing file, and so does a snapshot that lists more sealed
+  segments than are on disk: it names the first one missing, and that open
+  rewrites nothing.  A corrupt line is named by its segment file and its
+  line within that file.  A process killed between the link and the unlink
+  leaves the active name on the highest segment's file; the next open
+  removes that name, so the file is read once.
 - Snapshots: ``<log>.snapshot`` checkpoints the state a ``FoldedLog``
   folds its log into, so an open skips the part of the log it covers.  Its
   first line is ``{"format", "version", "sealed", "log_bytes",
@@ -66,10 +63,9 @@ versioned JSON documents.
   the log digest, if it edits the active file) passes.  The snapshot is
   rewritten at two points: at open, after a replay that moved what it
   would record, and at ``close()``, when this object appended since its
-  last checkpoint and the active file is as long as this object wrote it
-  (no other writer appended since).  The replay hashes each line of the
-  active file as it folds it, so the tail is read once, and each append
-  adds its bytes to that digest, so a close reads nothing back.
+  last checkpoint.  The replay hashes each line of the active file as it
+  folds it, so the tail is read once, and each append adds its bytes to
+  that digest, so a close reads nothing back.
   ``fuzzytrust serve`` closes on SIGINT and SIGTERM; a process killed
   before ``close()`` leaves the old snapshot, and its appends are a tail
   that the next open replays and checkpoints.  Each rewrite goes to a
@@ -79,20 +75,15 @@ versioned JSON documents.
   truth: it is never rewritten, and deleting the snapshot costs only a full
   replay.
 
-Single writer: a ``FoldedLog`` reads its log once, when it opens, and
-then sees only the records appended through itself.  Records another
-process (or another ``FoldedLog`` on the same file) appends later stay
-invisible to it until it is reopened.  Two writers on one log lose no
-record and never replace each other's segments.  Before each append a
-writer checks, by one ``stat``, that the active name still names the file
-its handle is on.  If another writer has sealed that file, it closes the
-handle, stops checkpointing until it is reopened and appends to the new
-active file, so a sealed segment does not grow.  A writer that finds the
-log changed under it at a seal stops checkpointing too.  One window is
-left: an append whose ``stat`` comes before another writer's seal
-unlinks the active name, and whose write comes after that writer's
-``fstat`` of the file, lands in the segment just sealed.  That segment then
-matches no snapshot, and the next open replays every segment.
+One writer: a ``FoldedLog`` takes an exclusive ``flock`` on ``<log>.lock``
+before it reads anything and holds it until ``close()``, after which an
+append raises ``ValueError``; an open that raises releases it first.  A
+second open of the log, in this process or another, raises
+``LogHeldError`` naming the log.  The kernel drops the lock when its
+holder dies, so a killed writer leaves nothing to clean up.  The threads
+of one process share one ``FoldedLog``, whose ``_lock`` orders their
+appends.  The lock assumes a local filesystem: ``flock`` is not reliable
+over every network filesystem.
 
 Durability: every appended line is flushed and nothing is fsynced, so a
 line survives a crash of the process, not necessarily of the host.  An
@@ -103,6 +94,7 @@ starts on a fresh line, so the next open still reads every record.
 
 from __future__ import annotations
 
+import fcntl
 import glob
 import hashlib
 import json
@@ -118,10 +110,11 @@ from itertools import islice
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import NotFoundError, StoreCorruptError
+from .errors import LogHeldError, NotFoundError, StoreCorruptError
 
 RECORD_VERSION = 1
 SNAPSHOT_SUFFIX = ".snapshot"
+LOCK_SUFFIX = ".lock"
 HASH_CHUNK_BYTES = 1 << 16
 SNAPSHOT_ROWS_PER_LINE = 256  # bounds what one snapshot line holds in memory, read or written
 # SHA-256 runs at about 1.4 GB/s on one core of a 2-vCPU Xeon guest, so an
@@ -265,6 +258,21 @@ def _sealed_paths(path: Path) -> list[Path]:
     return [_segment_path(path, number) for number in numbers]
 
 
+def _hold(path: Path):
+    """A handle on ``<log>.lock`` that holds its exclusive ``flock``;
+    ``LogHeldError`` if another handle holds it."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fh = open(path.with_name(path.name + LOCK_SUFFIX), "ab")
+    try:
+        fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BaseException as exc:
+        fh.close()
+        if isinstance(exc, BlockingIOError):
+            raise LogHeldError(f"{path}: another writer holds it") from None
+        raise
+    return fh
+
+
 class FoldedLog:
     """An append-only log of JSON objects, one per line, kept as numbered
     segments, folded into in-memory state and checkpointed as the module
@@ -280,8 +288,8 @@ class FoldedLog:
     or ``TypeError``, raises ``StoreCorruptError`` with its file and its line
     in that file.  ``_append`` opens one handle on the active file on first
     use, seals that file first once it holds ``SEGMENT_BYTES``, and flushes
-    each line; ``close`` closes the handle and checkpoints, and a second
-    ``close`` does nothing.
+    each line; ``close`` closes the handle, checkpoints and releases the
+    lock, and a second ``close`` does nothing.
     """
 
     def __init__(self, path):
@@ -290,21 +298,26 @@ class FoldedLog:
         self._lock = threading.Lock()
         self._fh = None
         self._unterminated = False  # the active file's last line lacks its newline
-        paths = _sealed_paths(self._path)
-        if paths and self._path.exists() and os.path.samefile(self._path, paths[-1]):
-            os.unlink(self._path)  # a seal killed between its link and its unlink: finish it
-        self._sealed, start, digest = self._seed_from_snapshot(paths)
-        covered = (len(self._sealed), start)
-        self._count = start.records
-        for file in paths[len(self._sealed) :]:  # those the snapshot does not list; the first holds its prefix
-            end = self._replay(file, start, None)
-            self._sealed.append(Segment(end.offset, file.stat().st_mtime_ns, end.lines))
-            start, digest = LogPosition(records=self._count), hashlib.sha256()
-        end = self._replay(self._path, start, digest)
+        self._held = _hold(self._path)  # before anything is read
+        try:
+            paths = _sealed_paths(self._path)
+            if paths and self._path.exists() and os.path.samefile(self._path, paths[-1]):
+                os.unlink(self._path)  # a seal killed between its link and its unlink: finish it
+            self._sealed, start, digest = self._seed_from_snapshot(paths)
+            covered = (len(self._sealed), start)
+            self._count = start.records
+            for file in paths[len(self._sealed) :]:  # those the snapshot does not list; the first holds its prefix
+                end = self._replay(file, start, None)
+                self._sealed.append(Segment(end.offset, file.stat().st_mtime_ns, end.lines))
+                start, digest = LogPosition(records=self._count), hashlib.sha256()
+            end = self._replay(self._path, start, digest)
+        except BaseException:
+            self._held.close()
+            raise
         # the active file as this object knows it: how long, where it stood at
         # open or at the last seal, and the digest of its bytes, to which
         # ``_write`` adds each line, so ``close`` knows the log's end without a
-        # read; no digest after a cut-short line, or once another writer changed the log
+        # read; no digest after a cut-short line or a failed write
         self._size, self._start = end.offset, end
         self._digest = None if self._unterminated else digest
         if self._digest is not None and (len(self._sealed), end) != covered:
@@ -399,10 +412,7 @@ class FoldedLog:
         active file up to ``end``, whose bytes ``digest`` has hashed.  It
         first removes every temporary file (``<snapshot>.*.tmp``) that a
         writer killed mid-write left behind.  A failed write leaves the state
-        as it is; the next open then ignores or keeps the old snapshot.  Two
-        processes that rewrite one snapshot at once each write their own
-        temporary file, and the last ``os.replace`` wins; if one removes the
-        other's file as stale, that write fails."""
+        as it is; the next open then ignores or keeps the old snapshot."""
         target = self._snapshot_path
         tmp = None
         try:
@@ -441,26 +451,12 @@ class FoldedLog:
                 with suppress(OSError):
                     os.unlink(tmp)
 
-    def _open(self) -> None:
-        self._path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = open(self._path, "ab")
-        self._opened = os.fstat(self._fh.fileno())  # the device and inode the handle is on
-
-    def _on_active_file(self) -> bool:
-        """Whether the active name still names the file the handle is on."""
-        try:
-            return os.path.samestat(os.stat(self._path), self._opened)
-        except FileNotFoundError:  # another writer sealed it and has not started the next one
-            return False
-
     def _seal(self) -> None:
-        """Seal the active file, on a line boundary, as the next free segment;
-        the next write starts a new active file.  If another writer sealed
-        this file first, took the next number or appended to this file, stop
-        checkpointing: a recorded segment must hold exactly the bytes that
-        this object's digest covers."""
+        """Seal the active file, on a line boundary, as the next segment: an
+        ``os.link`` to its number, then ``os.unlink``; the next write starts
+        a new active file."""
         if self._fh is None:
-            self._open()
+            self._fh = open(self._path, "ab")
         if self._unterminated:
             self._fh.write(b"\n")
             self._fh.flush()
@@ -469,53 +465,30 @@ class FoldedLog:
         st = os.fstat(self._fh.fileno())
         self._fh.close()
         self._fh = None
-        try:
-            if self._on_active_file():  # else another writer sealed this file first, or is sealing it now
-                self._link()
-                os.unlink(self._path)
-            else:
-                self._digest = None
-        except FileNotFoundError:  # ... or sealed it since that check
-            self._digest = None
+        os.link(self._path, _segment_path(self._path, len(self._sealed) + 1))
+        os.unlink(self._path)
+        lines = self._start.lines + self._count - self._start.records  # each append is one line
+        self._sealed.append(Segment(st.st_size, st.st_mtime_ns, lines))
+        # a failed write can leave bytes in the file that the digest does not
+        # cover: a segment holding them may not go into a snapshot
         if self._digest is not None and st.st_size == self._size:
-            lines = self._start.lines + self._count - self._start.records  # each append is one line
-            self._sealed.append(Segment(st.st_size, st.st_mtime_ns, lines))
             self._digest = hashlib.sha256()
         else:
             self._digest = None
         self._size, self._start = 0, LogPosition(records=self._count)
 
-    def _link(self) -> None:
-        """Link the active file to the lowest free segment number from the
-        next one on; never over a segment that exists.  If another writer
-        holds a number for this same file, leave the file linked there."""
-        number = len(self._sealed) + 1
-        while True:
-            target = _segment_path(self._path, number)
-            try:
-                os.link(self._path, target)
-                return
-            except FileExistsError:
-                self._digest = None  # a segment this object has not folded
-                if os.path.samefile(target, self._path):
-                    return
-                number += 1
-
     def _write(self, data: dict) -> None:
         """Write ``data`` as one line, flush it and add its bytes to the
         running digest; seal the active file first once it holds the cap, and
-        after a write cut short, start on a fresh line.  If another writer
-        has sealed the file the handle is on, stop checkpointing and write to
-        the active file instead."""
+        after a write cut short, start on a fresh line.  ``ValueError`` once
+        closed: the lock is then released."""
+        if self._held is None:
+            raise ValueError(f"{self._path} is closed")
         line = (json.dumps(data) + "\n").encode("utf-8")
         if self._size >= SEGMENT_BYTES:
             self._seal()
-        elif self._fh is not None and not self._on_active_file():
-            self._fh.close()
-            self._open()
-            self._digest, self._size = None, self._opened.st_size
         if self._fh is None:
-            self._open()
+            self._fh = open(self._path, "ab")
         if self._unterminated:
             line = b"\n" + line
         self._fh.write(line)
@@ -533,18 +506,22 @@ class FoldedLog:
             apply(*args)
 
     def close(self) -> None:
-        """Close the append handle, then checkpoint as the module docstring says."""
+        """Close the append handle, checkpoint as the module docstring says,
+        then release the lock, also if the handle's last flush fails."""
         with self._lock:
-            if self._fh is not None:
-                self._fh.close()
-                self._fh = None
-            if self._digest is None or self._count == self._checkpointed:
+            if self._held is None:
                 return
-            self._checkpointed = self._count
-            end = LogPosition(self._size, self._start.lines + self._count - self._start.records, self._count)
-            with suppress(OSError):
-                if self._path.stat().st_size == end.offset:  # else another writer appended: leave it to the next open
-                    self._write_snapshot(end, self._digest)
+            try:
+                if self._fh is not None:
+                    self._fh.close()
+                    self._fh = None
+                if self._digest is not None and self._count != self._checkpointed:
+                    self._checkpointed = self._count
+                    lines = self._start.lines + self._count - self._start.records
+                    self._write_snapshot(LogPosition(self._size, lines, self._count), self._digest)
+            finally:
+                self._held.close()
+                self._held = None
 
     def __len__(self) -> int:
         """Records replayed plus records appended (not unique subjects)."""

@@ -48,3 +48,21 @@ def replay_starts(monkeypatch):
 
     monkeypatch.setattr(store_module.FoldedLog, "_replay", spy)
     return starts
+
+
+@pytest.fixture
+def close_logs(monkeypatch):
+    """Close at teardown every store and ledger that the test opened, so an
+    open log, which holds its lock, outlives no test.  A test that reopens a
+    path still closes the first log itself: until then it holds the lock."""
+    opened = []
+    init = store_module.FoldedLog.__init__
+
+    def tracked(log, path):
+        init(log, path)
+        opened.append(log)
+
+    monkeypatch.setattr(store_module.FoldedLog, "__init__", tracked)
+    yield
+    for log in opened:
+        log.close()

@@ -285,6 +285,21 @@ def test_corrupt_store(tmp_path, capsys):
     assert str(store) in err and "line 1" in err
 
 
+@pytest.mark.parametrize("command", ["eval-user", "eval-provider"])
+def test_a_store_a_service_holds_is_refused(tmp_path, capsys, command):
+    """While a service holds the store, a CLI write to it exits 1 naming the
+    log and leaves every file as it was."""
+    store = tmp_path / "store.jsonl"
+    flags = {"eval-user": ["--bad", 0, "--bogus", 0, "--unauthorized", 0, "--total", 10],
+             "eval-provider": PROVIDER_FLAGS}[command]
+    with contextlib.closing(TrustService(ServiceConfig(store_path=str(store)))) as svc:
+        svc.store.put(TrustRecord("u1", "user", 0.9, "trusted", "fis", "2026-01-01T00:00:00+00:00"))
+        before = {file.name: file.read_bytes() for file in tmp_path.iterdir()}
+        code, out, err = run(capsys, command, *flags, "--store", store)
+        assert (code, out) == (1, "") and err == f"error: {store}: another writer holds it\n"
+        assert {file.name: file.read_bytes() for file in tmp_path.iterdir()} == before
+
+
 def test_unknown_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exit_info:
         cli.main(["fit", "--no-such-flag"])

@@ -5,7 +5,7 @@ import json
 import random
 import stat
 import tempfile
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from pathlib import Path
 from unittest import mock
 from datetime import datetime, timedelta, timezone
@@ -47,6 +47,8 @@ from fuzzytrust.user import (
     load_user_model,
     save_user_model,
 )
+
+pytestmark = pytest.mark.usefixtures("close_logs")  # conftest: no test leaves a log open
 
 
 def write_log(path, rows, header="timestamp,user_id,status"):
@@ -611,7 +613,7 @@ class TestTrustStore:
         writer = TrustStore(path)
         for trust, at in ((0.4, "2026-01-02T00:00:00+00:00"), (0.6, "2026-01-03T00:00:00+00:00")):
             writer.put(record(trust=trust, at=at))
-            assert TrustStore(path).get("user", "alice").trust == trust
+            assert _full_scan_state(path, [("user", "alice")])[1][0].trust == trust  # a byte copy holds it
         writer.close()
 
     def test_unterminated_last_line_gets_fresh_line(self, tmp_path):
@@ -758,7 +760,7 @@ def _log_files(path: Path) -> list[Path]:
 @contextmanager
 def _scan_copy(path: Path):
     """The path of a byte copy of the log at ``path``, every segment of it,
-    with no snapshot beside it; removed on exit."""
+    with no snapshot beside it; removed on exit, with the copy's lock file."""
     copy = path.with_name("scan-" + path.name)
     copies = [file.with_name("scan-" + file.name) for file in _log_files(path)]
     try:
@@ -766,24 +768,23 @@ def _scan_copy(path: Path):
             target.write_bytes(file.read_bytes())
         yield copy
     finally:
-        for target in [*copies, _snapshot(copy)]:
+        for target in [*copies, _snapshot(copy), copy.with_name(copy.name + ".lock")]:
             target.unlink(missing_ok=True)
 
 
 def _full_scan_state(path: Path, subjects) -> tuple:
     """The state a full scan of the log gives: a copy with no snapshot beside it."""
-    with _scan_copy(path) as copy:
-        return _state(TrustStore(copy), subjects)
+    with _scan_copy(path) as copy, closing(TrustStore(copy)) as store:
+        return _state(store, subjects)
 
 
 def _three_records(path: Path) -> None:
-    """A log of three records, then an open that writes its snapshot."""
+    """A log of three records, checkpointed by its close."""
     writer = TrustStore(path)
     for day, trust in ((1, 0.2), (2, 0.5), (3, 0.8)):
         writer.put(record(trust=trust, at=f"2026-01-0{day}T00:00:00+00:00"))
     writer.put(record(subject="bob", kind="provider", trust=0.4))
     writer.close()
-    TrustStore(path)
     assert _snapshot(path).exists()
 
 
@@ -807,8 +808,7 @@ _RECORDS = st.builds(
 _STEPS = st.lists(
     st.one_of(
         st.tuples(st.just("put"), _RECORDS),
-        st.tuples(st.just("reopen"), st.none()),
-        st.tuples(st.just("close"), st.none()),  # a checkpoint; the store stays usable
+        st.tuples(st.just("reopen"), st.none()),  # a close, which checkpoints, then an open
         # another process appended this line and stopped, perhaps before its newline
         st.tuples(st.just("crash"), _RECORDS.map(lambda r: json.dumps(r.to_dict())) | st.just(""), st.booleans()),
     ),
@@ -824,8 +824,6 @@ def _run_store_steps(steps) -> None:
         for step in steps:
             if step[0] == "put":
                 store.put(step[1])
-            elif step[0] == "close":
-                store.close()
             else:
                 store.close()
                 if step[0] == "crash":
@@ -947,6 +945,7 @@ class TestStoreSnapshot:
             assert store.get("user", "alice").trust == 0.3 and len(store) == 4
         if tamper == "row-edited":  # the log's value, not the edited row's
             assert store.get("user", "alice").trust == 0.8
+        store.close()
         replay_starts.clear()
         TrustStore(path)  # the full scan wrote a snapshot that holds
         assert replay_starts[0].offset == path.stat().st_size
@@ -972,7 +971,8 @@ class TestStoreSnapshot:
             "subjects": 2,
             **({"sealed": []} if version == 4 else {}),
         }
-        latest = [TrustStore(path).get(*subject) for subject in subjects]
+        with closing(TrustStore(path)) as reader:
+            latest = [reader.get(*subject) for subject in subjects]
         if version == 1:
             body = [record.to_dict() for record in latest]
         else:
@@ -984,6 +984,7 @@ class TestStoreSnapshot:
         assert replay_starts == [LogPosition()]
         assert _state(store, subjects) == _full_scan_state(path, subjects)
         assert _check_trailer(_snapshot(path))[0]["version"] == 5
+        store.close()
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(record(trust=0.9, at="2026-01-04T00:00:00+00:00").to_dict()) + "\n")
         replay_starts.clear()
@@ -996,7 +997,7 @@ class TestStoreSnapshot:
         cap = store_module.SNAPSHOT_ROWS_PER_LINE
         subjects = [("user", f"u{i}") for i in range(3 * cap + 1)]
         path.write_text("".join(json.dumps(record(subject=subject).to_dict()) + "\n" for _, subject in subjects))
-        TrustStore(path)
+        TrustStore(path).close()
         body = _check_trailer(_snapshot(path))[1:]
         assert [len(line) for line in body] == [cap, cap, cap, 1]
         replay_starts.clear()
@@ -1099,17 +1100,16 @@ def _ledger_state(ledger: FeedbackLedger) -> tuple:
 
 def _ledger_full_scan(path: Path) -> tuple:
     """The state a full scan of the ledger gives: a copy with no snapshot beside it."""
-    with _scan_copy(path) as copy:
-        return _ledger_state(FeedbackLedger(copy))
+    with _scan_copy(path) as copy, closing(FeedbackLedger(copy)) as ledger:
+        return _ledger_state(ledger)
 
 
 def _four_feedbacks(path: Path) -> None:
-    """A ledger of four entries, then an open that writes its snapshot."""
+    """A ledger of four entries, checkpointed by its close."""
     ledger = FeedbackLedger(path)
     for provider_id, feedback in (("p1", "negative"), ("p1", "positive"), ("p1", "positive"), ("p2", "negative")):
         ledger.record(provider_id, feedback)
     ledger.close()
-    FeedbackLedger(path)
     assert _snapshot(path).exists()
 
 
@@ -1137,8 +1137,7 @@ def test_a_failed_append_changes_no_state(tmp_path, monkeypatch):
 _FEEDBACK_STEPS = st.lists(
     st.one_of(
         st.tuples(st.just("record"), st.sampled_from(["a", "b"]), st.sampled_from(["positive", "negative"])),
-        st.tuples(st.just("reopen"), st.none(), st.none()),
-        st.tuples(st.just("close"), st.none(), st.none()),  # a checkpoint; the ledger stays usable
+        st.tuples(st.just("reopen"), st.none(), st.none()),  # a close, which checkpoints, then an open
         # another process appended this line and stopped, perhaps before its newline
         st.tuples(st.just("crash"), st.sampled_from(["a", "b"]).map(_feedback_line) | st.just(""), st.booleans()),
     ),
@@ -1154,8 +1153,6 @@ def _run_ledger_steps(steps) -> None:
         for kind, first, second in steps:
             if kind == "record":
                 ledger.record(first, second)
-            elif kind == "close":
-                ledger.close()
             else:
                 ledger.close()
                 if kind == "crash":
@@ -1285,6 +1282,7 @@ class TestLedgerSnapshot:
             assert _ledger_state(ledger) == (4, {"p1": [3, 0], "p2": [0, 1]})
         if tamper == "row-edited":  # the log's ratio, a feedback ban
             assert ledger.negative_ratio("p2") == 1.0 and feedback_ban(ledger.negative_ratio("p2"))
+        ledger.close()
         replay_starts.clear()
         FeedbackLedger(path)  # the full scan wrote a snapshot that holds
         assert replay_starts[0].offset == path.stat().st_size
@@ -1308,6 +1306,7 @@ class TestLedgerSnapshot:
         assert replay_starts == [LogPosition()]
         assert _ledger_state(ledger) == _ledger_full_scan(path) == (4, {"p1": [2, 1], "p2": [0, 1]})
         assert _check_trailer(_snapshot(path))[0]["version"] == 4
+        ledger.close()
         replay_starts.clear()
         FeedbackLedger(path)
         assert replay_starts == [LogPosition(len(log), 4, 4)]
@@ -1378,13 +1377,13 @@ class TestLogBytes:
     def test_the_log_digest_covers_the_replayed_bytes(self, tmp_path, replay_starts):
         path = tmp_path / "store.jsonl"
         path.write_text("".join(json.dumps(record(trust=t).to_dict()) + "\n" for t in (0.1, 0.2)))
-        TrustStore(path)  # a full replay
+        TrustStore(path).close()  # a full replay
         assert replay_starts == [LogPosition()]
         covered = self._covered(path)["log_bytes"]
         assert covered == path.stat().st_size
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(record(trust=0.3, at="2026-01-02T00:00:00+00:00").to_dict()) + "\n")
-        TrustStore(path)  # a tail
+        TrustStore(path).close()  # a tail
         assert replay_starts[1] == LogPosition(covered, 2, 2)
         assert self._covered(path)["log_bytes"] == path.stat().st_size
         with open(path, "ab") as fh:  # a tail of blank and CRLF-terminated lines
@@ -1429,8 +1428,8 @@ class TestLogBytes:
         stale.write_text('{"format": "store-snapshot", "ver')
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(record(trust=0.7, at="2026-01-04T00:00:00+00:00").to_dict()) + "\n")
-        TrustStore(path)
-        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([path.name, path.name + ".snapshot"])
+        TrustStore(path).close()
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([path.name, path.name + ".lock", path.name + ".snapshot"])
         replay_starts.clear()
         assert TrustStore(path).get("user", "alice").trust == 0.7
         assert replay_starts == [LogPosition(path.stat().st_size, 5, 5)]
@@ -1438,7 +1437,7 @@ class TestLogBytes:
 
 class TestCloseCheckpoint:
     """A log checkpoints its end when it closes, from the digest its appends
-    kept, unless another writer appended since."""
+    kept."""
 
     @staticmethod
     def _log(kind: str):
@@ -1481,7 +1480,8 @@ class TestCloseCheckpoint:
             reopened = opener(path)
             assert replay_starts == [LogPosition(path.stat().st_size, 5 + 5 * round_, 5 + 5 * round_)]
             assert state(reopened) == state(log) == full_scan(path)
-        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name, _snapshot(path).name]
+            reopened.close()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name, path.name + ".lock", _snapshot(path).name]
 
     @pytest.mark.parametrize("kind", ["store", "ledger"])
     def test_a_close_writes_the_snapshot_a_reopen_would(self, tmp_path, kind):
@@ -1532,43 +1532,13 @@ class TestCloseCheckpoint:
             patch.setattr(opener, "_row", staticmethod(second_row_fails))
             log.close()
         assert len(rows) == 2
-        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name, _snapshot(path).name]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name, path.name + ".lock", _snapshot(path).name]
         assert _snapshot(path).read_bytes() == previous
         covered = _check_trailer(_snapshot(path))[0]["log_bytes"]
         replay_starts.clear()
         reopened = opener(path)
         assert replay_starts == [LogPosition(covered, 3, 3)]  # the previous snapshot, then the two appends
         assert state(reopened) == state(log) == full_scan(path)
-
-    @pytest.mark.parametrize("kind", ["store", "ledger"])
-    def test_a_close_never_checkpoints_over_another_writers_lines(self, tmp_path, replay_starts, kind):
-        path = tmp_path / f"{kind}.jsonl"
-        opener, append, state, full_scan = self._log(kind)
-        first = opener(path)
-        append(first, 0)
-        first.close()
-        checkpoint = _snapshot(path).read_bytes()
-        first, second = opener(path), opener(path)  # two writers on one log
-        append(first, 1)
-        append(second, 2)
-        first.close()
-        assert _snapshot(path).read_bytes() == checkpoint  # the log is longer than `first` wrote it
-        reopened = opener(path)
-        assert state(reopened) == full_scan(path) != state(first)
-        second.close()
-        # a writer that opened after `first` appended checkpoints the whole log; `first` leaves that be
-        first = opener(path)
-        append(first, 3)
-        later = opener(path)
-        append(later, 4)
-        later.close()
-        checkpoint = _snapshot(path).read_bytes()
-        first.close()
-        assert _snapshot(path).read_bytes() == checkpoint
-        replay_starts.clear()
-        reopened = opener(path)
-        assert replay_starts == [LogPosition(path.stat().st_size, 5, 5)]
-        assert state(reopened) == full_scan(path)
 
 
 # Documents as the previous release wrote them: the on-disk formats are fixed.
@@ -1680,6 +1650,7 @@ class TestRefusedModelDocuments:
         assert str(path) in str(err.value)
         with pytest.raises(ModelLoadFailureError, match="cannot load user model"):
             TrustService(ServiceConfig(store_path=str(tmp_path / "s.jsonl"), user_model_path=str(path)))
+        TrustStore(tmp_path / "s.jsonl").close()  # the refused start left the store unheld
         argv = ["eval-user", "--bad", "0", "--bogus", "0", "--unauthorized", "0", "--total", "10"]
         assert cli.main(argv + ["--user-model", str(path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: ")

@@ -1,6 +1,8 @@
 """Sealed log segments: a ``FoldedLog`` past ``SEGMENT_BYTES`` seals its
 active file as ``<log>.000001``, ``.000002``, ... and an open checks each
-sealed segment by one ``stat`` and hashes only the active file.
+sealed segment by one ``stat`` and hashes only the active file.  Each log
+has one writer, held by its lock: a second open, in this process or
+another, is refused.
 
 Every test shrinks the cap so that a few records fill a segment.  A reopen
 is compared with a full scan (byte copies of every segment, no snapshot)
@@ -9,6 +11,7 @@ and, where the records are known, with an independent fold of them."""
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 from collections import Counter
@@ -18,9 +21,11 @@ from pathlib import Path
 import pytest
 
 from fuzzytrust import store as store_module
-from fuzzytrust.errors import StoreCorruptError
+from fuzzytrust.errors import LogHeldError, StoreCorruptError
 from fuzzytrust.service import FeedbackLedger
 from fuzzytrust.store import LogPosition, TrustRecord, TrustStore
+
+pytestmark = pytest.mark.usefixtures("close_logs")  # conftest: no test leaves a log open
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 CAP = 1000  # about six store records, or eleven ledger entries, a segment
@@ -86,9 +91,11 @@ def _full_scan(path: Path, opener) -> tuple:
     scan.mkdir()
     for file in _segments(path) + [path] * path.exists():
         shutil.copyfile(file, scan / file.name)
+    log = opener(scan / path.name)
     try:
-        return _state(opener(scan / path.name))
+        return _state(log)
     finally:
+        log.close()
         shutil.rmtree(scan)
 
 
@@ -169,11 +176,16 @@ def test_a_seal_after_a_cut_short_line_puts_its_newline_in_first(tmp_path, cap):
     path.write_text("\n".join(lines))  # past the cap, the last line cut short before its newline
     store = TrustStore(path)
     store.put(_record(8))
-    store.close()
     [sealed] = _segments(path)
     assert sealed.read_text() == "\n".join(lines) + "\n"
     assert path.read_text() == json.dumps(_record(8).to_dict()) + "\n"
-    assert _state(TrustStore(path)) == _full_scan(path, TrustStore) == _expected("store", 9)
+    n = 9
+    while len(_segments(path)) < 2 and n < 40:  # the next seal, with no digest kept since the cut line
+        store.put(_record(n))
+        n += 1
+    store.close()
+    assert [file.name for file in _segments(path)] == ["store.jsonl.000001", "store.jsonl.000002"]
+    assert _state(TrustStore(path)) == _full_scan(path, TrustStore) == _expected("store", n)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -227,6 +239,7 @@ def test_a_segment_whose_mtime_alone_moved_is_replayed_in_full(tmp_path, cap, ha
     assert hashed == [] and replay_starts[0] == LogPosition() and len(replay_starts) == len(_segments(path)) + 1
     assert _state(reopened) == _state(log) == _full_scan(path, opener) == _expected(kind, 30)
     assert _header(path)["sealed"][0][1] == first.stat().st_mtime_ns
+    reopened.close()
     hashed.clear()
     opener(path)
     assert hashed == [(path.name, path.stat().st_size)]
@@ -244,13 +257,16 @@ def test_an_edit_that_keeps_a_segments_length_and_mtime_is_missed_by_an_open_onl
     sealed.write_bytes(edited)
     os.utime(sealed, ns=(st.st_atime_ns, st.st_mtime_ns))
     replay_starts.clear()
-    assert _state(TrustStore(path)) == _state(store)  # the snapshot is kept
+    reopened = TrustStore(path)
+    assert _state(reopened) == _state(store)  # the snapshot is kept
     assert replay_starts[0].offset == path.stat().st_size
+    reopened.close()
     _snapshot(path).unlink()
     replay_starts.clear()
     reopened = TrustStore(path)
     assert replay_starts[0] == LogPosition()
     assert _state(reopened) == _full_scan(path, TrustStore) != _state(store)
+    reopened.close()
     # the original bytes back, their mtime moved as any write moves it (set
     # here, since two writes within one clock tick can share a stamp)
     sealed.write_bytes(original)
@@ -279,133 +295,123 @@ def test_a_segment_or_active_file_that_does_not_match_is_not_trusted(tmp_path, c
     assert _state(store) == _full_scan(path, TrustStore)
 
 
-def test_a_seal_never_replaces_a_segment_another_writer_sealed(tmp_path, cap):
-    """Two writers hold the next number in mind; the second finds it taken,
-    seals under the number after, and writes its record once."""
-    path = tmp_path / "store.jsonl"
-    first, second = TrustStore(path), TrustStore(path)
-    i = 0
-    while not _segments(path) and i < 20:  # `second` alone fills and seals the active file
-        second.put(_record(i))
-        i += 1
-    second.put(_record(i))
-    i += 1
-    [taken] = _segments(path)
-    taken_bytes, taken_inode = taken.read_bytes(), taken.stat().st_ino
-    for i in range(i, i + 20):  # `first`, whose handle opens on the new active file, seals it
-        first.put(_record(i))
-        if len(_segments(path)) == 2:
-            break
-    i += 1
-    assert taken.read_bytes() == taken_bytes and taken.stat().st_ino == taken_inode
-    assert [file.name for file in _segments(path)] == ["store.jsonl.000001", "store.jsonl.000002"]
-    first.close()
-    second.close()
-    assert _state(TrustStore(path)) == _full_scan(path, TrustStore) == _expected("store", i)
-
-
-def test_a_seal_finishes_the_one_a_killed_writer_left_on_the_same_file(tmp_path, cap):
-    """Another writer linked the active file to the next number and died
-    before its unlink.  The live writer's seal finds that name on this very
-    file and finishes that seal: the file is one segment, not two."""
-    path = tmp_path / "ledger.jsonl"
-    ledger, n = FeedbackLedger(path), 0
-    while n == 0 or path.stat().st_size < CAP:
-        ledger.record(*_feedback(n))
-        n += 1
-    os.link(path, path.with_name(path.name + ".000001"))
-    ledger.record(*_feedback(n))
-    ledger.close()
-    assert [file.name for file in _segments(path)] == ["ledger.jsonl.000001"]
-    assert _state(FeedbackLedger(path)) == _full_scan(path, FeedbackLedger) == _expected("ledger", n + 1)
-
-
-def test_a_seal_over_another_writers_line_records_no_segment(tmp_path, cap):
-    """A segment with a line this object did not fold is not one that its
-    digest covers, so it records nothing, and its close writes no
-    snapshot that would vouch for it."""
-    path = tmp_path / "store.jsonl"
-    first, second = TrustStore(path), TrustStore(path)
-    first.put(_record(0))
-    second.put(_record(1))
-    second.close()
-    for n in range(2, 20):
-        first.put(_record(n))
-        if _segments(path):
-            break
-    first.close()
-    assert not _snapshot(path).exists()
-    assert _state(TrustStore(path)) == _full_scan(path, TrustStore) == _expected("store", n + 1)
-
-
-def test_a_seal_under_a_number_another_writer_took_stops_checkpointing(tmp_path, cap):
-    """Another writer sealed its file as segment 1 and was killed before its
-    next write.  This object, which never folded segment 1, seals as 2 and
-    leaves the other writer's snapshot in place."""
-    path = tmp_path / "store.jsonl"
-    first = TrustStore(path)
-    _fill(path, "store", 0, 2)
-    os.link(path, path.with_name(path.name + ".000001"))
-    os.unlink(path)
-    theirs = _snapshot(path).read_bytes()
-    for n in range(2, 20):
-        first.put(_record(n))
-        if len(_segments(path)) == 2:
-            break
-    first.close()
-    assert _snapshot(path).read_bytes() == theirs
-    assert _state(TrustStore(path)) == _full_scan(path, TrustStore) == _expected("store", n + 1)
-
-
-def test_a_writer_whose_file_another_sealed_moves_to_the_new_active_file(tmp_path, cap):
-    """A writer whose handle is on a file another writer sealed appends its
-    next lines to the active file the other writer started: the sealed
-    segment never grows.  For each log kind."""
-    for kind, (opener, append) in KINDS.items():
-        path = tmp_path / kind / "log.jsonl"
-        first, second = opener(path), opener(path)
-        append(second, 0)
-        for n in range(1, 40):
-            append(first, n)
-            if _segments(path):
-                break
-        [sealed] = _segments(path)
-        sealed_bytes = sealed.read_bytes()
-        for k in range(1, 4):
-            append(second, n + k)
-            assert sealed.read_bytes() == sealed_bytes and _segments(path) == [sealed]
-            assert len(path.read_bytes().splitlines()) == 1 + k  # `first`'s line past its seal, then these
-        first.close()
-        second.close()
-        assert _state(opener(path)) == _full_scan(path, opener) == _expected(kind, n + 4)
+def _files(path: Path) -> dict:
+    """The name and bytes of every file in the log's directory."""
+    return {file.name: file.read_bytes() for file in sorted(path.parent.iterdir())}
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_two_writers_lose_nothing_and_replace_no_segment(tmp_path, cap, kind):
-    """Two writers alternate appends across several seals, each closing and
-    reopening now and then: no sealed file is replaced or rewritten, no
-    record is lost or doubled, and an open after any close equals a full scan."""
+def test_a_second_open_in_this_process_is_refused_until_the_first_closes(tmp_path, kind):
     opener, append = KINDS[kind]
     path = tmp_path / "log.jsonl"
-    writers = [opener(path), opener(path)]
-    seen = {}  # sealed file name -> (inode, bytes) when first seen
-    n = 120
-    for i in range(n):
-        append(writers[i % 2], i)
-        for file in _segments(path):
-            inode, data = seen.setdefault(file.name, (file.stat().st_ino, file.read_bytes()))
-            assert file.stat().st_ino == inode and file.read_bytes() == data
-        if i % 17 == 16:
-            closing = writers[i // 17 % 2]
-            closing.close()
-            assert _state(opener(path)) == _full_scan(path, opener) == _expected(kind, i + 1)
-            writers[i // 17 % 2] = opener(path)
-    assert len(seen) >= 3
-    for writer in writers:
-        writer.close()
-        assert _state(opener(path)) == _full_scan(path, opener) == _expected(kind, n)
-    lines = [line for file in _segments(path) + [path] for line in file.read_text().splitlines() if line.strip()]
-    assert len(lines) == n
+    first = opener(path)
+    append(first, 0)
+    before = _files(path)
+    assert path.name + ".lock" in before
+    with pytest.raises(LogHeldError) as err:
+        opener(path)
+    assert str(err.value) == f"{path}: another writer holds it"
+    assert _files(path) == before  # the refused open read and wrote nothing
+    first.close()
+    second = opener(path)
+    assert _state(second) == _expected(kind, 1)
+    first.close()  # a second close releases nothing
+    with pytest.raises(LogHeldError):
+        opener(path)
+    second.close()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_closed_log_refuses_an_append(tmp_path, kind):
+    opener, append = KINDS[kind]
+    path = tmp_path / "log.jsonl"
+    log = _fill(path, kind, 0, 1)
+    before = _files(path)
+    with pytest.raises(ValueError, match=f"^{path} is closed$"):
+        append(log, 1)
+    assert _files(path) == before and _state(log) == _expected(kind, 1)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_close_whose_last_flush_fails_still_releases_the_lock(tmp_path, kind):
+    opener, append = KINDS[kind]
+    path = tmp_path / "log.jsonl"
+    log = opener(path)
+    append(log, 0)
+    handle = log._fh
+
+    class FullDisk:  # the append handle, whose close fails to flush what it holds
+        def close(self):
+            handle.close()
+            raise OSError(28, "No space left on device")
+
+    log._fh = FullDisk()
+    with pytest.raises(OSError, match="No space left"):
+        log.close()
+    reopened = opener(path)
+    assert _state(reopened) == _expected(kind, 1)
+    reopened.close()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("damage", ["corrupt-line", "gap"])
+def test_an_open_that_raises_releases_the_lock(tmp_path, cap, kind, damage):
+    """A corrupt line or a gap in the numbering is reported again by the next
+    open in the same process, not refused as held; once mended, it opens."""
+    opener = KINDS[kind][0]
+    path = tmp_path / "log.jsonl"
+    _fill(path, kind, 0, 30)
+    if damage == "gap":
+        damaged = path.with_name(path.name + ".000001")
+        kept = damaged.read_bytes()
+        damaged.unlink()
+    else:
+        damaged, kept = path, path.read_bytes()
+        path.write_bytes(kept + b"{broken json\n")
+    for _ in range(2):
+        with pytest.raises(StoreCorruptError):
+            opener(path)
+    damaged.write_bytes(kept)
+    _snapshot(path).unlink()  # a restored segment's mtime has moved: a full replay
+    log = opener(path)
+    assert _state(log) == _expected(kind, 30)
+    log.close()
+
+
+# Holds a log in its own process: opens it, appends five records (each line
+# flushed), prints "ready" and blocks on stdin until it is killed.
+HOLDER = r"""
+import sys
+sys.path.insert(0, sys.argv[3])
+from test_segments import KINDS
+
+opener, append = KINDS[sys.argv[1]]
+log = opener(sys.argv[2])
+for i in range(5):
+    append(log, i)
+print("ready", flush=True)
+sys.stdin.read()
+"""
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_log_another_process_holds_is_refused_until_that_process_is_killed(tmp_path, kind):
+    """The kernel drops a killed holder's lock, so the next open needs no
+    clean-up and reads every record the holder flushed."""
+    opener = KINDS[kind][0]
+    path = tmp_path / "log.jsonl"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    argv = [sys.executable, "-c", HOLDER, kind, str(path), str(Path(__file__).parent)]
+    with subprocess.Popen(argv, env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True) as holder:
+        assert holder.stdout.readline() == "ready\n"
+        with pytest.raises(LogHeldError) as err:
+            opener(path)
+        assert str(err.value) == f"{path}: another writer holds it"
+        holder.kill()
+        assert holder.wait(timeout=30) == -signal.SIGKILL
+    log = opener(path)
+    assert _state(log) == _full_scan(path, opener) == _expected(kind, 5)
+    log.close()
 
 
 # A writer in its own process: it fills the log past one seal and closes (a

@@ -16,9 +16,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fuzzytrust import service as service_module
-from fuzzytrust.errors import FuzzyTrustError
+from fuzzytrust.errors import FuzzyTrustError, LogHeldError, ModelLoadFailureError, StoreCorruptError
 from fuzzytrust.store import TrustRecord, TrustStore
-from fuzzytrust.service import MAX_BODY_BYTES, SCHEMA, ServiceConfig, TrustService, create_http_server
+from fuzzytrust.service import MAX_BODY_BYTES, SCHEMA, FeedbackLedger, ServiceConfig, TrustService, create_http_server
 from fuzzytrust.user import UserBehaviorCounters, baseline_trust, save_user_model
 
 ALL_UNAUTHORIZED = {"unauthorized": 160, "bogus": 0, "bad": 0, "total": 160}  # baseline trust 0.5
@@ -544,12 +544,28 @@ def test_server_close_closes_and_checkpoints_the_service(tmp_path):
 
 def test_a_port_held_by_another_server_is_refused_by_name(server, tmp_path):
     host, port = server.server_address[:2]
-    service = TrustService(ServiceConfig(store_path=str(tmp_path / "other.jsonl"), host=host, port=port))
-    try:
-        with pytest.raises(FuzzyTrustError, match=f"^cannot bind {host}:{port}: "):
-            create_http_server(service)
-    finally:
-        service.close()
+    store_path = str(tmp_path / "other.jsonl")
+    service = TrustService(ServiceConfig(store_path=store_path, host=host, port=port))
+    with pytest.raises(FuzzyTrustError, match=f"^cannot bind {host}:{port}: "):
+        create_http_server(service)
+    TrustService(ServiceConfig(store_path=store_path)).close()  # the failed bind released both logs
+
+
+@pytest.mark.parametrize("failure", ["model", "corrupt-ledger", "held-ledger"])
+def test_a_start_that_fails_leaves_the_store_unheld(tmp_path, failure):
+    """The model loads before either log opens, and a ledger that does not
+    open closes the store: the same process opens the store at once."""
+    store_path, ledger_path, model_path = (tmp_path / name for name in ("s.jsonl", "s.jsonl.feedback", "user.json"))
+    model_path.write_text("{}")
+    if failure == "corrupt-ledger":
+        ledger_path.write_text("{broken json\n")
+    config = ServiceConfig(store_path=str(store_path), user_model_path=str(model_path) if failure == "model" else None)
+    expected = {"model": ModelLoadFailureError, "corrupt-ledger": StoreCorruptError, "held-ledger": LogHeldError}
+    held = contextlib.closing(FeedbackLedger(ledger_path)) if failure == "held-ledger" else contextlib.nullcontext()
+    with held:
+        with pytest.raises(expected[failure]):
+            TrustService(config)
+        TrustStore(store_path).close()
 
 
 def test_every_body_opens_with_the_schema(server):
