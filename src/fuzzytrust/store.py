@@ -54,7 +54,7 @@ versioned JSON documents.
   a corrupt line is reported as ever.  So a file of an older version
   (``store-snapshot/1`` to ``/4``, ``ledger-snapshot/1`` to ``/3``) is
   ignored once and then replaced.  A copy that does not keep mtimes (``cp``
-  without ``-p``) costs one full replay on its first open, 0.8-0.9 s for
+  without ``-p``) costs one full replay on its first open, about 0.5 s for
   the benchmark's 18 MB store on a 2-vCPU Xeon guest.  An edit to a sealed
   segment that keeps both its length and its ``st_mtime_ns`` is missed by
   an open; deleting ``<log>.snapshot`` forces the full replay that catches
@@ -85,11 +85,16 @@ of one process share one ``FoldedLog``, whose ``_lock`` orders their
 appends.  The lock assumes a local filesystem: ``flock`` is not reliable
 over every network filesystem.
 
-Durability: every appended line is flushed and nothing is fsynced, so a
-line survives a crash of the process, not necessarily of the host.  An
-unreadable line is reported with its file and line on the next open.  If
-the last line lost its newline (a write cut short), the first append
-starts on a fresh line, so the next open still reads every record.
+Durability: every appended line goes to the file through an unbuffered
+handle, and nothing is fsynced, so a line survives a crash of the process,
+not necessarily of the host.  An append that fails truncates what it wrote
+of its line, so a failed append leaves nothing in the log, now or with a
+later append; if that truncate fails too, the fragment stays, the next
+line starts fresh, the log is not checkpointed again, and the next open
+reports the fragment.  An unreadable line is reported with its file and
+line on the next open.  If the last line lost its newline (a write cut
+short), the first append starts on a fresh line, so the next open still
+reads every record.
 """
 
 from __future__ import annotations
@@ -118,8 +123,8 @@ LOCK_SUFFIX = ".lock"
 HASH_CHUNK_BYTES = 1 << 16
 SNAPSHOT_ROWS_PER_LINE = 256  # bounds what one snapshot line holds in memory, read or written
 # SHA-256 runs at about 1.4 GB/s on one core of a 2-vCPU Xeon guest, so an
-# open that hashes a full active segment spends ~3 ms, a tenth of a
-# one-file open of the 18 MB benchmark store
+# open that hashes a full active segment spends ~3 ms, where hashing the
+# 18 MB benchmark store as one file would spend ~14 ms
 SEGMENT_BYTES = 4 << 20
 
 SUBJECT_KINDS = ("user", "provider")
@@ -160,18 +165,7 @@ class TrustRecord:
     evaluated_at: str  # ISO-8601
 
     def __post_init__(self):
-        if not isinstance(self.subject_id, str) or not self.subject_id:
-            raise ValueError(f"subject_id must be a non-empty str, got {self.subject_id!r}")
-        if self.subject_kind not in SUBJECT_KINDS:
-            raise ValueError(f"subject_kind must be one of {SUBJECT_KINDS}, got {self.subject_kind!r}")
-        if self.classification not in CLASSIFICATIONS:
-            raise ValueError(f"classification must be one of {CLASSIFICATIONS}, got {self.classification!r}")
-        if self.model not in MODELS:
-            raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
-        if not (0.0 <= _real(self.trust) <= 1.0):
-            raise ValueError(f"trust must lie in [0, 1], got {self.trust}")
-        if not isinstance(self.evaluated_at, str):  # the type only: a second parse would slow every replay
-            raise ValueError(f"evaluated_at must be an ISO-8601 str, got {self.evaluated_at!r}")
+        _checked(self.subject_kind, self.subject_id, self.trust, self.classification, self.model, self.evaluated_at)
 
     def to_dict(self) -> dict:
         return {
@@ -186,24 +180,41 @@ class TrustRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrustRecord":
-        if data["v"] != RECORD_VERSION:
-            raise ValueError(f"unsupported record version {data['v']!r}")
-        return cls(
-            subject_id=data["subject_id"],
-            subject_kind=data["subject_kind"],
-            trust=_real(data["trust"]),
-            classification=data["classification"],
-            model=data["model"],
-            evaluated_at=data["evaluated_at"],
-        )
+        row = _row_of(data)
+        return cls(row[1], row[0], row[2], row[3], row[4], row[5])
 
 
-def _real(trust) -> float:
-    """``trust`` as a float if it is an int or a float, not a bool; else
-    ``ValueError``."""
-    if isinstance(trust, bool) or not isinstance(trust, (int, float)):
-        raise ValueError(f"trust must be a real number, got {trust!r}")
-    return float(trust)
+def _checked(subject_kind, subject_id, trust, classification, model, evaluated_at) -> tuple:
+    """The snapshot row of a record of these fields, ``trust`` as a float
+    (an int or a float, not a bool); ``ValueError`` naming the first field a
+    record may not have.  Every path into the store's index goes through
+    here, and so does ``TrustRecord``, so each rule lives in one place."""
+    if not isinstance(subject_id, str) or not subject_id:
+        raise ValueError(f"subject_id must be a non-empty str, got {subject_id!r}")
+    if subject_kind not in SUBJECT_KINDS:
+        raise ValueError(f"subject_kind must be one of {SUBJECT_KINDS}, got {subject_kind!r}")
+    if classification not in CLASSIFICATIONS:
+        raise ValueError(f"classification must be one of {CLASSIFICATIONS}, got {classification!r}")
+    if model not in MODELS:
+        raise ValueError(f"model must be one of {MODELS}, got {model!r}")
+    real = trust
+    if type(trust) is not float:  # every replayed line and snapshot row holds a float
+        if isinstance(trust, bool) or not isinstance(trust, (int, float)):
+            raise ValueError(f"trust must be a real number, got {trust!r}")
+        real = float(trust)
+    if not (0.0 <= real <= 1.0):
+        raise ValueError(f"trust must lie in [0, 1], got {trust}")
+    if not isinstance(evaluated_at, str):  # the type only: a second parse would slow every replay
+        raise ValueError(f"evaluated_at must be an ISO-8601 str, got {evaluated_at!r}")
+    return subject_kind, subject_id, real, classification, model, evaluated_at
+
+
+def _row_of(data: dict) -> tuple:
+    """The snapshot row of the record a log line holds, by ``_checked``."""
+    if data["v"] != RECORD_VERSION:
+        raise ValueError(f"unsupported record version {data['v']!r}")
+    return _checked(data["subject_kind"], data["subject_id"], data["trust"], data["classification"], data["model"],
+                    data["evaluated_at"])
 
 
 def _instant(evaluated_at: str) -> datetime:
@@ -286,10 +297,11 @@ class FoldedLog:
     snapshot's prefix, else every segment from its start; a line that is not
     UTF-8 JSON, or that ``_fold`` rejects with ``ValueError``, ``KeyError``
     or ``TypeError``, raises ``StoreCorruptError`` with its file and its line
-    in that file.  ``_append`` opens one handle on the active file on first
-    use, seals that file first once it holds ``SEGMENT_BYTES``, and flushes
-    each line; ``close`` closes the handle, checkpoints and releases the
-    lock, and a second ``close`` does nothing.
+    in that file.  ``_append`` opens one unbuffered handle on the active
+    file on first use, seals that file first once it holds
+    ``SEGMENT_BYTES``, and writes each line whole or not at all; ``close``
+    closes the handle, checkpoints and releases the lock, and a second
+    ``close`` does nothing.
     """
 
     def __init__(self, path):
@@ -317,7 +329,8 @@ class FoldedLog:
         # the active file as this object knows it: how long, where it stood at
         # open or at the last seal, and the digest of its bytes, to which
         # ``_write`` adds each line, so ``close`` knows the log's end without a
-        # read; no digest after a cut-short line or a failed write
+        # read; no digest after a cut-short line, or after a failed write
+        # that could not be truncated away
         self._size, self._start = end.offset, end
         self._digest = None if self._unterminated else digest
         if self._digest is not None and (len(self._sealed), end) != covered:
@@ -455,31 +468,52 @@ class FoldedLog:
         """Seal the active file, on a line boundary, as the next segment: an
         ``os.link`` to its number, then ``os.unlink``; the next write starts
         a new active file."""
-        if self._fh is None:
-            self._fh = open(self._path, "ab")
         if self._unterminated:
-            self._fh.write(b"\n")
-            self._fh.flush()
-            self._unterminated = False
-            self._size += 1
-        st = os.fstat(self._fh.fileno())
+            self._put_bytes(b"\n")
+        st = os.fstat(self._active().fileno())
         self._fh.close()
         self._fh = None
         os.link(self._path, _segment_path(self._path, len(self._sealed) + 1))
         os.unlink(self._path)
         lines = self._start.lines + self._count - self._start.records  # each append is one line
         self._sealed.append(Segment(st.st_size, st.st_mtime_ns, lines))
-        # a failed write can leave bytes in the file that the digest does not
-        # cover: a segment holding them may not go into a snapshot
-        if self._digest is not None and st.st_size == self._size:
+        if self._digest is not None:
             self._digest = hashlib.sha256()
-        else:
-            self._digest = None
         self._size, self._start = 0, LogPosition(records=self._count)
 
+    def _active(self):
+        """The unbuffered append handle on the active file, opened on first use."""
+        if self._fh is None:
+            self._fh = open(self._path, "ab", buffering=0)
+        return self._fh
+
+    def _put_bytes(self, data: bytes) -> None:
+        """Append ``data`` to the active file whole, or leave the file as it
+        was: a write that fails or is cut short is truncated back to
+        ``_size``.  If that truncate fails too, ``_size`` and
+        ``_unterminated`` follow what the file then holds and checkpointing
+        stops, since a prefix digest no longer describes the file."""
+        fh, done = self._active(), 0
+        try:
+            while done < len(data):
+                done += fh.write(data[done:])
+        except BaseException:
+            if done:
+                try:
+                    os.ftruncate(fh.fileno(), self._size)
+                except OSError:
+                    self._size += done
+                    self._unterminated = not data[:done].endswith(b"\n")
+                    self._digest = None
+            raise
+        self._size += done
+        self._unterminated = False  # every ``data`` ends in a newline
+        if self._digest is not None:
+            self._digest.update(data)
+
     def _write(self, data: dict) -> None:
-        """Write ``data`` as one line, flush it and add its bytes to the
-        running digest; seal the active file first once it holds the cap, and
+        """Write ``data`` as one line, whole or not at all, with
+        ``_put_bytes``; seal the active file first once it holds the cap, and
         after a write cut short, start on a fresh line.  ``ValueError`` once
         closed: the lock is then released."""
         if self._held is None:
@@ -487,17 +521,8 @@ class FoldedLog:
         line = (json.dumps(data) + "\n").encode("utf-8")
         if self._size >= SEGMENT_BYTES:
             self._seal()
-        if self._fh is None:
-            self._fh = open(self._path, "ab")
-        if self._unterminated:
-            line = b"\n" + line
-        self._fh.write(line)
-        self._fh.flush()
-        self._unterminated = False
+        self._put_bytes(b"\n" + line if self._unterminated else line)
         self._count += 1
-        self._size += len(line)
-        if self._digest is not None:
-            self._digest.update(line)
 
     def _append(self, data: dict, apply, *args) -> None:
         """Append ``data``, then ``apply(*args)``: a failed write changes nothing."""
@@ -507,7 +532,7 @@ class FoldedLog:
 
     def close(self) -> None:
         """Close the append handle, checkpoint as the module docstring says,
-        then release the lock, also if the handle's last flush fails."""
+        then release the lock, also if closing the handle fails."""
         with self._lock:
             if self._held is None:
                 return
@@ -532,47 +557,55 @@ class TrustStore(FoldedLog):
     """Trust records in a ``FoldedLog``, indexed in memory by the latest
     record per (subject kind, subject id).  "Latest" is the latest
     ``evaluated_at`` instant, whatever its UTC offset; of equal instants
-    the one appended last.  An unparsable ``evaluated_at`` is a corrupt line."""
+    the one appended last.  An unparsable ``evaluated_at`` is a corrupt line.
+
+    The index holds each latest record as its snapshot row, ``(subject_kind,
+    subject_id, trust, classification, model, evaluated_at)``, checked by
+    ``_checked`` with ``trust`` a float, beside its parsed instant: a seed, a
+    replayed line and a put all index that tuple, and a close writes it as it
+    is.  Only ``get`` builds a ``TrustRecord``, the one it returns."""
 
     SNAPSHOT = ("store-snapshot", 5)
 
     def __init__(self, path):
-        # kind -> id -> (instant, record): on replay a nested lookup is cheaper
+        # kind -> id -> (instant, row): on replay a nested lookup is cheaper
         # than a tuple key per line, and each stamp is parsed once
-        self._latest: dict[str, dict[str, tuple[datetime, TrustRecord]]] = {kind: {} for kind in SUBJECT_KINDS}
+        self._latest: dict[str, dict[str, tuple[datetime, tuple]]] = {kind: {} for kind in SUBJECT_KINDS}
         self._maps = list(self._latest.values())
         super().__init__(path)
 
-    def _index(self, record: TrustRecord, instant: datetime) -> None:
-        by_id = self._latest[record.subject_kind]
-        current = by_id.get(record.subject_id)
+    def _index(self, row: tuple, instant: datetime) -> None:
+        by_id = self._latest[row[0]]
+        current = by_id.get(row[1])
         if current is None or instant >= current[0]:
-            by_id[record.subject_id] = (instant, record)
+            by_id[row[1]] = (instant, row)
 
     def _fold(self, data: dict) -> None:
-        record = TrustRecord.from_dict(data)
-        self._index(record, _instant(record.evaluated_at))
+        row = _row_of(data)
+        self._index(row, _instant(row[5]))
 
     def _seed(self, row) -> None:
-        kind, subject_id, trust, classification, model, evaluated_at = row
-        self._index(TrustRecord(subject_id, kind, trust, classification, model, evaluated_at), _instant(evaluated_at))
+        row = _checked(*row)
+        self._index(row, _instant(row[5]))
 
     @staticmethod
-    def _row(subject_id: str, entry: tuple[datetime, TrustRecord]) -> list:
-        r = entry[1]  # an int trust put in this process is written as the float a replay reads
-        return [r.subject_kind, r.subject_id, float(r.trust), r.classification, r.model, r.evaluated_at]
+    def _row(subject_id: str, entry: tuple[datetime, tuple]) -> tuple:
+        return entry[1]
 
     def put(self, record: TrustRecord) -> None:
         """Parse, append, then index: a record that would not replay is
         never written, and a failed write leaves the index unchanged."""
-        self._append(record.to_dict(), self._index, record, _instant(record.evaluated_at))
+        row = _checked(record.subject_kind, record.subject_id, record.trust, record.classification, record.model,
+                       record.evaluated_at)
+        self._append(record.to_dict(), self._index, row, _instant(row[5]))
 
     def get(self, kind: str, subject_id: str) -> TrustRecord:
         with self._lock:
             entry = self._latest.get(kind, {}).get(subject_id)
         if entry is None:
             raise NotFoundError(f"no trust record for {kind} {subject_id!r}")
-        return entry[1]
+        row = entry[1]
+        return TrustRecord(row[1], row[0], row[2], row[3], row[4], row[5])
 
 
 def check_format(data, fmt: str, version: int = 1) -> None:

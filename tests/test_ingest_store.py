@@ -741,13 +741,15 @@ def _check_trailer(snapshot: Path) -> list:
 
 
 def _state(store: TrustStore, subjects) -> tuple:
-    """``len(store)`` and the ``get`` answer for every (kind, id)."""
+    """``len(store)`` and the ``get`` answer for every (kind, id), once each
+    answer is checked to hold its trust as a float, as a replay reads it."""
     answers = []
     for kind, subject in subjects:
         try:
             answers.append(store.get(kind, subject))
         except NotFoundError:
             answers.append(None)
+    assert all(type(answer.trust) is float for answer in answers if answer is not None)
     return len(store), answers
 
 
@@ -802,7 +804,7 @@ _SUBJECTS = [(kind, subject) for kind in ("user", "provider") for subject in ("a
 _RECORDS = st.builds(
     lambda key, trust, at: record(subject=key[1], kind=key[0], trust=trust, at=at),
     st.sampled_from(_SUBJECTS),
-    st.sampled_from([0.1, 0.5, 0.9]),
+    st.sampled_from([0, 0.1, 0.5, 0.9, 1]),  # an int trust is held, written and read back as a float
     st.sampled_from(_STAMPS),
 )
 _STEPS = st.lists(
@@ -817,7 +819,9 @@ _STEPS = st.lists(
 
 
 def _run_store_steps(steps) -> None:
-    """Run ``steps`` on a new store; after each, its state equals a full scan."""
+    """Run ``steps`` on a new store; after each, its state equals a full
+    scan's: the records of puts, of a snapshot seed and its tail, and of a
+    full replay all ``get`` the same, trust a float on each path."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "store.jsonl"
         store = TrustStore(path)
@@ -839,6 +843,21 @@ def _run_store_steps(steps) -> None:
         store.close()
 
 
+# a field of a store-snapshot/5 row, [subject_kind, subject_id, trust,
+# classification, model, evaluated_at], and a value no record may hold there
+_ROW_TAMPERS = {
+    "empty-id": (1, ""),
+    "unknown-kind": (0, "admin"),
+    "unknown-classification": (3, "suspect"),
+    "unknown-model": (4, "oracle"),
+    "trust-over-one": (2, 1.5),
+    "trust-under-zero": (2, -0.1),
+    "bool-trust": (2, True),
+    "non-str-stamp": (5, 20260101),
+    "unparseable-stamp": (5, "the first of January"),
+}
+
+
 class TestStoreSnapshot:
     def test_reopen_replays_only_the_tail(self, tmp_path, replay_starts):
         path = tmp_path / "store.jsonl"
@@ -857,6 +876,23 @@ class TestStoreSnapshot:
         assert header["sealed"] == []  # a log under the cap is one active file
         assert (header["lines"], header["records"], header["subjects"]) == (5, 5, 2)
         assert [row[1] for row in body] == ["alice", "bob"]
+
+    def test_every_open_path_gets_equal_records_with_a_float_trust(self, tmp_path, replay_starts):
+        """An int trust put in this process, seeded from a snapshot, or
+        replayed from the log: each ``get`` answers the same record, its
+        trust a float."""
+        path = tmp_path / "store.jsonl"
+        subjects = [("user", "alice"), ("user", "carol"), ("provider", "bob")]
+        store = TrustStore(path)
+        for (kind, subject), trust in zip(subjects, (0, 1, 0.5)):
+            store.put(record(subject=subject, kind=kind, trust=trust))
+        put_state = _state(store, subjects)
+        store.close()
+        replay_starts.clear()
+        with closing(TrustStore(path)) as seeded:
+            assert replay_starts == [LogPosition(path.stat().st_size, 3, 3)]  # all from the snapshot
+            assert _state(seeded, subjects) == put_state == _full_scan_state(path, subjects)
+        assert [answer.trust for answer in put_state[1]] == [0.0, 1.0, 0.5]
 
     @settings(max_examples=60, deadline=None)
     @given(steps=_STEPS)
@@ -891,6 +927,7 @@ class TestStoreSnapshot:
             "row-edited",
             "no-trailer",
             "after-trailer",
+            *_ROW_TAMPERS,
         ],
     )
     def test_a_snapshot_failing_a_check_is_ignored(self, tmp_path, replay_starts, monkeypatch, tamper):
@@ -924,6 +961,9 @@ class TestStoreSnapshot:
             write(header, [alice], TrustRecord(bob[1], bob[0], *bob[2:]).to_dict())
         elif tamper == "non-real-trust":  # alice's trust as a string
             write(header, [[*alice[:2], str(alice[2]), *alice[3:]], bob])
+        elif tamper in _ROW_TAMPERS:  # bob's row with one field out of its rule
+            field, value = _ROW_TAMPERS[tamper]
+            write(header, [alice, [*bob[:field], value, *bob[field + 1 :]]])
         elif tamper == "over-cap":  # the body line holds more rows than a line may
             monkeypatch.setattr(store_module, "SNAPSHOT_ROWS_PER_LINE", 1)
         elif tamper == "row-edited":  # alice's trust 0.8 edited to 0.3, the old trailer kept

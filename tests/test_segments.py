@@ -8,6 +8,7 @@ Every test shrinks the cap so that a few records fill a segment.  A reopen
 is compared with a full scan (byte copies of every segment, no snapshot)
 and, where the records are known, with an independent fold of them."""
 
+import errno
 import json
 import os
 import shutil
@@ -51,24 +52,26 @@ KINDS = {
 
 
 def _state(log) -> tuple:
-    """What a log folded: its record count and its in-memory state."""
+    """What a log folded: its record count and its in-memory state, each
+    store record as ``get`` answers it."""
     if isinstance(log, TrustStore):
-        return len(log), {kind: {key: entry[1] for key, entry in ids.items()} for kind, ids in log._latest.items()}
+        return len(log), {kind: {key: log.get(kind, key) for key in ids} for kind, ids in log._latest.items()}
     return len(log), {provider: list(tally) for provider, tally in log._tallies.items()}
 
 
-def _expected(kind: str, n: int) -> tuple:
-    """``_state`` of a log of the first ``n`` records, folded here: the
-    latest record per user (their stamps all differ), or each provider's
-    [positive, negative] count."""
+def _expected(kind: str, n: int, lost=()) -> tuple:
+    """``_state`` of a log of the first ``n`` records but those numbered in
+    ``lost``, folded here: the latest record per user (their stamps all
+    differ), or each provider's [positive, negative] count."""
+    kept = [i for i in range(n) if i not in lost]
     if kind == "store":
         latest = {}
-        for i in range(n):
+        for i in kept:
             latest[_record(i).subject_id] = _record(i)
-        return n, {"user": latest, "provider": {}}
-    counts = Counter(_feedback(i) for i in range(n))
+        return len(kept), {"user": latest, "provider": {}}
+    counts = Counter(_feedback(i) for i in kept)
     providers = sorted({provider for provider, _ in counts})
-    return n, {p: [counts[(p, "positive")], counts[(p, "negative")]] for p in providers}
+    return len(kept), {p: [counts[(p, "positive")], counts[(p, "negative")]] for p in providers}
 
 
 def _segments(path: Path) -> list[Path]:
@@ -412,6 +415,94 @@ def test_a_log_another_process_holds_is_refused_until_that_process_is_killed(tmp
     log = opener(path)
     assert _state(log) == _full_scan(path, opener) == _expected(kind, 5)
     log.close()
+
+
+# Appends in its own process under a file-size limit of 700 bytes until an
+# append fails, prints "failed <i> <errno>", lifts the limit, appends record
+# i + 1 and closes.  Python ignores SIGXFSZ, so a write past the limit is cut
+# short and the next one fails with EFBIG.
+FILE_LIMIT = r"""
+import resource, sys
+sys.path.insert(0, sys.argv[3])
+from test_segments import KINDS
+
+opener, append = KINDS[sys.argv[1]]
+log, i = opener(sys.argv[2]), 0
+soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+resource.setrlimit(resource.RLIMIT_FSIZE, (700, hard))
+while True:
+    try:
+        append(log, i)
+    except OSError as exc:
+        print("failed", i, exc.errno, flush=True)
+        break
+    i += 1
+resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+append(log, i + 1)
+log.close()
+"""
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_an_append_the_file_size_limit_cuts_short_leaves_nothing_in_the_log(tmp_path, replay_starts, kind):
+    """A failed append writes none of its line, not even later with the
+    next append, so the reopen holds exactly the records whose append
+    returned; and the close's snapshot still holds."""
+    opener = KINDS[kind][0]
+    path = tmp_path / "log.jsonl"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    argv = [sys.executable, "-c", FILE_LIMIT, kind, str(path), str(Path(__file__).parent)]
+    child = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    _, failed, errno_ = child.stdout.split()
+    failed = int(failed)
+    assert failed > 0 and int(errno_) == errno.EFBIG
+    replay_starts.clear()
+    log = opener(path)
+    assert replay_starts == [store_module.LogPosition(path.stat().st_size, failed + 1, failed + 1)]
+    assert _state(log) == _full_scan(path, opener) == _expected(kind, failed + 2, lost={failed})
+    log.close()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_an_append_whose_truncate_also_fails_stops_checkpointing(tmp_path, monkeypatch, kind):
+    """A cut-short write that cannot be truncated away stays in the file:
+    the log then knows its true length, starts the next line fresh and
+    writes no snapshot, and the next open reports the fragment."""
+    opener, append = KINDS[kind]
+    path = tmp_path / "log.jsonl"
+    log = opener(path)
+    append(log, 0)
+    handle = log._fh
+
+    class HalfWrite:  # as a full disk does: the first write is cut short, the next fails
+        calls = 0
+
+        def write(self, data):
+            self.calls += 1
+            if self.calls > 1:
+                raise OSError(28, "No space left on device")
+            return handle.write(data[: len(data) // 2])
+
+        def __getattr__(self, name):
+            return getattr(handle, name)
+
+    def no_truncate(fd, length):
+        raise OSError(5, "Input/output error")
+
+    log._fh = HalfWrite()
+    monkeypatch.setattr(store_module.os, "ftruncate", no_truncate)
+    with pytest.raises(OSError, match="No space left"):
+        append(log, 1)
+    assert (log._size, log._unterminated, log._digest) == (path.stat().st_size, True, None)
+    log._fh = handle
+    append(log, 2)
+    assert log._size == path.stat().st_size and len(log) == 2
+    log.close()
+    assert not _snapshot(path).exists()
+    with pytest.raises(StoreCorruptError) as err:
+        opener(path)
+    assert err.value.line == 2
 
 
 # A writer in its own process: it fills the log past one seal and closes (a
